@@ -1,15 +1,17 @@
-"""Constraint-core benchmark: the matrix FM backends against the oracle.
+"""Constraint-core benchmark: the production FM path against its reference.
 
-Three workloads, all verdict-checked across every available backend
-(``numpy`` when importable, the pure-Python ``python`` fallback, and the
-``object``-layer reference oracle):
+Two workloads, each decided by the production matrix path
+(:mod:`repro.symbolic.matrix`, through ``definitely_unsat``) and by the
+object-layer reference eliminator (``fourier_motzkin._unsat_object``),
+with verdicts required to be identical:
 
 * an FM-heavy microbenchmark — dense ordered systems whose elimination
   cost dwarfs expression plumbing, the shape the matrix core exists for;
 * a batched-query workload through :func:`definitely_unsat_many` — the
-  entry the dependence tests and region ops use;
-* an end-to-end sweep over the Perfect-kernel registry, cold and warm —
-  per-loop verdict rows must be **bit-identical** for every backend.
+  entry the region ops and the Comparer use.
+
+Per-loop verdict rows of the Perfect registry are checked by the
+``perfbench`` harness, not here.
 
 Runs two ways::
 
@@ -17,15 +19,13 @@ Runs two ways::
     python benchmarks/bench_constraints.py --smoke               # CI check
 
 ``--smoke`` (and ``PANORAMA_BENCH_CHECK_ONLY=1``) assert only verdict
-identity across backends plus matrix-path traffic — never wall-clock —
-so the CI job cannot flake on a loaded runner while still catching any
-backend that changes results.
+identity — never wall-clock — so the CI job cannot flake on a loaded
+runner while still catching a production path that changes results.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
@@ -33,29 +33,14 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from repro import Panorama
 from repro.driver.report import format_table
-from repro.engine.telemetry import loop_report_row
-from repro.kernels import KERNELS
-from repro.perf import profiler
 from repro.symbolic import Relation, SymExpr, definitely_unsat_many
 from repro.symbolic import fourier_motzkin as fm
-from repro.symbolic import matrix
 
 CHECK_ONLY = bool(os.environ.get("PANORAMA_BENCH_CHECK_ONLY"))
 
 #: FM-heavy rounds (distinct systems, so memo tables never help)
 FM_ROUNDS = 12 if CHECK_ONLY else 40
-
-
-def _backends() -> list[str]:
-    out = ["numpy"] if matrix.HAVE_NUMPY else []
-    return out + ["python", "object"]
-
-
-# --------------------------------------------------------------------------- #
-# FM-heavy microbenchmark
-# --------------------------------------------------------------------------- #
 
 
 def _dense_atoms(n: int, off: int) -> list:
@@ -75,157 +60,97 @@ def _dense_atoms(n: int, off: int) -> list:
     return atoms
 
 
-def _fm_heavy() -> tuple[float, tuple]:
-    """Seconds + verdicts for FM_ROUNDS dense eliminations (uncached)."""
-    verdicts = []
-    t0 = time.perf_counter()
-    for rep in range(FM_ROUNDS):
-        for n in (8, 12, 16):
-            atoms = _dense_atoms(n, 1000 * n + rep)
-            fm._UNSAT_CACHE._data.clear()
-            verdicts.append(fm.definitely_unsat(atoms))
-    return time.perf_counter() - t0, tuple(verdicts)
-
-
-def _batched() -> tuple[float, tuple]:
-    """Seconds + verdicts for batch submissions via definitely_unsat_many."""
-    systems = []
-    for rep in range(FM_ROUNDS):
-        for n in (6, 9):
-            systems.append(_dense_atoms(n, -1000 * n - rep))
+def _production(atoms) -> bool:
     fm._UNSAT_CACHE._data.clear()
+    return fm.definitely_unsat(atoms)
+
+
+def _fm_heavy(decide) -> tuple[float, tuple]:
+    """Seconds + verdicts for FM_ROUNDS dense eliminations (uncached)."""
+    systems = [
+        _dense_atoms(n, 1000 * n + rep)
+        for rep in range(FM_ROUNDS)
+        for n in (8, 12, 16)
+    ]
     t0 = time.perf_counter()
-    verdicts = tuple(definitely_unsat_many(systems))
+    verdicts = tuple(decide(atoms) for atoms in systems)
     return time.perf_counter() - t0, verdicts
 
 
-# --------------------------------------------------------------------------- #
-# end-to-end kernel sweep
-# --------------------------------------------------------------------------- #
-
-
-def _kernel_sweep() -> tuple[float, list[dict]]:
-    """Compile every distinct kernel source; wall seconds + verdict rows."""
-    seen: set[str] = set()
-    rows: list[dict] = []
+def _batched(decide_many) -> tuple[float, tuple]:
+    """Seconds + verdicts for one batch submission of dense systems."""
+    systems = [
+        _dense_atoms(n, -1000 * n - rep)
+        for rep in range(FM_ROUNDS)
+        for n in (6, 9)
+    ]
+    fm._UNSAT_CACHE._data.clear()
     t0 = time.perf_counter()
-    for kernel in KERNELS:
-        if kernel.source in seen:
-            continue
-        seen.add(kernel.source)
-        result = Panorama(sizes=kernel.sizes).compile(kernel.source)
-        rows.extend(loop_report_row(r) for r in result.loops)
-    return time.perf_counter() - t0, rows
+    verdicts = tuple(decide_many(systems))
+    return time.perf_counter() - t0, verdicts
 
 
-def _run_backend(backend: str) -> dict:
-    matrix.set_backend(backend)
-    try:
-        profiler.clear_caches()
-        before = profiler.snapshot()
-        fm_s, fm_verdicts = _fm_heavy()
-        batch_s, batch_verdicts = _batched()
-        profiler.clear_caches()
-        sweep_cold_s, rows = _kernel_sweep()
-        sweep_warm_s, warm_rows = _kernel_sweep()
-        delta = profiler.delta(before, profiler.snapshot())
-        return {
-            "backend": backend,
-            "fm_s": fm_s,
-            "fm_verdicts": fm_verdicts,
-            "batch_s": batch_s,
-            "batch_verdicts": batch_verdicts,
-            "sweep_cold_s": sweep_cold_s,
-            "sweep_warm_s": sweep_warm_s,
-            "rows_json": json.dumps(rows, sort_keys=True),
-            "warm_identical": json.dumps(warm_rows, sort_keys=True)
-            == json.dumps(rows, sort_keys=True),
-            "loops": len(rows),
-            "matrix_systems": int(
-                delta.get("counter.fm_matrix_systems", 0)
-            ),
-            "batched_queries": int(
-                delta.get("counter.fm_batched_queries", 0)
-            ),
-            "overflow_promotions": int(
-                delta.get("counter.fm_matrix_overflow_promotions", 0)
-            ),
-        }
-    finally:
-        matrix.set_backend(None)
+def _run_path(name: str, decide, decide_many) -> dict:
+    fm_s, fm_verdicts = _fm_heavy(decide)
+    batch_s, batch_verdicts = _batched(decide_many)
+    return {
+        "path": name,
+        "fm_s": fm_s,
+        "fm_verdicts": fm_verdicts,
+        "batch_s": batch_s,
+        "batch_verdicts": batch_verdicts,
+    }
 
 
 def _run_benchmark() -> dict:
-    reports = [_run_backend(b) for b in _backends()]
-    ref = reports[-1]  # the object oracle is always last
-    identical = all(
-        r["rows_json"] == ref["rows_json"]
-        and r["fm_verdicts"] == ref["fm_verdicts"]
-        and r["batch_verdicts"] == ref["batch_verdicts"]
-        and r["warm_identical"]
-        for r in reports
+    production = _run_path("production", _production, definitely_unsat_many)
+    reference = _run_path(
+        "reference",
+        fm._unsat_object,
+        lambda systems: [fm._unsat_object(s) for s in systems],
     )
-    return {"reports": reports, "identical": identical}
+    identical = (
+        production["fm_verdicts"] == reference["fm_verdicts"]
+        and production["batch_verdicts"] == reference["batch_verdicts"]
+    )
+    return {"reports": [production, reference], "identical": identical}
 
 
 def _format(report: dict) -> str:
-    rows = []
-    ref = report["reports"][-1]
-    for r in report["reports"]:
-        rows.append(
-            [
-                r["backend"],
-                f"{r['fm_s'] * 1000:.1f}",
-                f"{ref['fm_s'] / max(r['fm_s'], 1e-9):.2f}x",
-                f"{r['batch_s'] * 1000:.1f}",
-                f"{r['sweep_cold_s'] * 1000:.1f}",
-                f"{r['sweep_warm_s'] * 1000:.1f}",
-                str(r["matrix_systems"]),
-                str(r["overflow_promotions"]),
-            ]
-        )
-    table = format_table(
+    production, reference = report["reports"]
+    rows = [
         [
-            "backend",
-            "fm-heavy ms",
-            "vs object",
-            "batched ms",
-            "sweep cold ms",
-            "sweep warm ms",
-            "matrix systems",
-            "promotions",
-        ],
+            r["path"],
+            f"{r['fm_s'] * 1000:.1f}",
+            f"{reference['fm_s'] / max(r['fm_s'], 1e-9):.2f}x",
+            f"{r['batch_s'] * 1000:.1f}",
+        ]
+        for r in report["reports"]
+    ]
+    return format_table(
+        ["path", "fm-heavy ms", "vs reference", "batched ms"],
         rows,
         title=(
-            f"Constraint core: {report['reports'][0]['loops']} loop rows, "
-            f"verdicts identical: "
-            f"{'yes' if report['identical'] else 'NO'}"
+            f"Constraint core: {len(production['fm_verdicts'])} FM-heavy + "
+            f"{len(production['batch_verdicts'])} batched systems, "
+            f"verdicts identical: {'yes' if report['identical'] else 'NO'}"
         ),
     )
-    return table
 
 
 def _checks(report: dict, timed: bool) -> list[str]:
     """Failed-check messages (empty = pass)."""
     problems = []
     if not report["identical"]:
-        problems.append("per-loop verdict rows differ across backends")
-    for r in report["reports"]:
-        if r["backend"] != "object" and r["matrix_systems"] == 0:
-            problems.append(f"{r['backend']}: matrix path saw no systems")
-        if r["batched_queries"] == 0:
-            problems.append(f"{r['backend']}: batch entry saw no queries")
+        problems.append("production verdicts differ from the reference")
     if timed:
-        fastest = min(
-            r["fm_s"] for r in report["reports"] if r["backend"] != "object"
-        )
-        ref = report["reports"][-1]["fm_s"]
-        if fastest > ref:
-            problems.append("matrix backends slower than the object oracle")
+        production, reference = report["reports"]
+        if production["fm_s"] > reference["fm_s"]:
+            problems.append("production path slower than the reference")
     return problems
 
 
-def test_constraint_backends(benchmark):
+def test_constraint_core(benchmark):
     report = benchmark.pedantic(_run_benchmark, rounds=1, iterations=1)
     table = _format(report)
     from conftest import emit
@@ -240,8 +165,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--smoke",
         action="store_true",
-        help="check-only mode: assert cross-backend verdict identity and "
-        "matrix-path traffic, never wall-clock (CI-safe)",
+        help="check-only mode: assert production/reference verdict "
+        "identity, never wall-clock (CI-safe)",
     )
     args = parser.parse_args(argv)
     report = _run_benchmark()

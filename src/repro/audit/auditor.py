@@ -36,9 +36,9 @@ from typing import Any, Optional
 
 from ..dataflow.analyzer import SummaryAnalyzer
 from ..dataflow.convert import ConversionContext, to_symexpr
-from ..deptest.banerjee import LoopBounds, banerjee_test_many
+from ..deptest.banerjee import LoopBounds, banerjee_test
 from ..deptest.ddg import _numeric_bounds, _scalar_writes
-from ..deptest.gcd import gcd_test_many
+from ..deptest.gcd import gcd_test
 from ..deptest.subscript import ArrayReference, collect_references
 from ..diagnostics import Diagnostic, diagnostic_to_dict, resolve_span
 from ..driver.panorama import CompilationResult, LoopReport
@@ -468,20 +468,7 @@ def audit_loop(
         )
 
     indices = {loop.var} | set(inner)
-    # batched numeric votes: one constraint-core submission per distinct
-    # nest covers every pair up front
-    by_nest: dict[tuple[str, ...], list[int]] = {}
-    for k, (x, y) in enumerate(pairs):
-        by_nest.setdefault(tuple(dict.fromkeys(x.nest + y.nest)), []).append(k)
-    gcd_votes: list = [None] * len(pairs)
-    banerjee_votes: list = [None] * len(pairs)
-    for nest, ks in by_nest.items():
-        batch = [(pairs[k][0].subscripts, pairs[k][1].subscripts) for k in ks]
-        for k, v in zip(ks, gcd_test_many(batch, nest)):
-            gcd_votes[k] = v
-        for k, v in zip(ks, banerjee_test_many(batch, nest, bounds)):
-            banerjee_votes[k] = v
-    for pair_no, (x, y) in enumerate(pairs):
+    for x, y in pairs:
         votes: dict[str, str] = {}
         free: set[str] = set()
         for s in x.subscripts + y.subscripts:
@@ -502,8 +489,11 @@ def audit_loop(
                 {"all": UNKNOWN},
             )
             continue
-        votes["gcd"] = _fmt_vote(gcd_votes[pair_no])
-        votes["banerjee"] = _fmt_vote(banerjee_votes[pair_no])
+        nest = tuple(dict.fromkeys(x.nest + y.nest))
+        votes["gcd"] = _fmt_vote(gcd_test(x.subscripts, y.subscripts, nest))
+        votes["banerjee"] = _fmt_vote(
+            banerjee_test(x.subscripts, y.subscripts, nest, bounds)
+        )
         proof, why = _distance_proof(x, y, loop, ctx, cmp, inner)
         if proof is True:
             votes["distance"] = DEPENDENT

@@ -15,17 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
-from ..perf.profiler import COUNTERS
 from ..symbolic import SymExpr
-from ..symbolic.matrix import HAVE_NUMPY, _INT64_SAFE
 from .subscript import AffineForm, affine_form
-
-if HAVE_NUMPY:  # pragma: no branch - module-level import guard
-    import numpy as _np
-else:  # pragma: no cover - exercised by the no-numpy CI leg
-    _np = None
 
 
 @dataclass(frozen=True)
@@ -73,8 +66,8 @@ def banerjee_test_dimension(
 
 
 def banerjee_test(
-    src_subs: list[Optional[SymExpr]],
-    dst_subs: list[Optional[SymExpr]],
+    src_subs: Sequence[Optional[SymExpr]],
+    dst_subs: Sequence[Optional[SymExpr]],
     indices: tuple[str, ...],
     bounds: dict[str, LoopBounds],
 ) -> Optional[bool]:
@@ -93,132 +86,3 @@ def banerjee_test(
         if verdict is True:
             decided = True
     return True if decided else None
-
-
-def _banerjee_rows(
-    src_subs: Sequence[Optional[SymExpr]],
-    dst_subs: Sequence[Optional[SymExpr]],
-    indices: tuple[str, ...],
-    bounds: dict[str, LoopBounds],
-    columns: Sequence[str],
-) -> Optional[list[tuple[list[int], list[int], int]]]:
-    """Applicable dimensions of one pair as ``(src coeffs, dst coeffs,
-    const diff)`` integer rows over *columns*.
-
-    Returns ``None`` when some applicable dimension needs the exact
-    scalar path (fractional coefficients or oversized magnitudes) — the
-    batch driver then loops :func:`banerjee_test_dimension` for the pair.
-    """
-    col_index = {name: k for k, name in enumerate(columns)}
-    rows: list[tuple[list[int], list[int], int]] = []
-    for s, d in zip(src_subs, dst_subs):
-        if s is None or d is None:
-            continue
-        fs = affine_form(s, indices)
-        fd = affine_form(d, indices)
-        if fs is None or fd is None:
-            continue
-        rest = fs.symbolic_rest - fd.symbolic_rest
-        if not rest.is_zero():
-            continue
-        # the scalar test demands bounds for every *listed* coefficient
-        # (even a cancelled zero one), so mirror that applicability rule
-        if any(name not in bounds for name, _ in fs.coeffs + fd.coeffs):
-            continue
-        diff = fs.const - fd.const
-        if diff.denominator != 1 or any(
-            v.denominator != 1 for _, v in fs.coeffs + fd.coeffs
-        ):
-            return None
-        if abs(diff.numerator) > _INT64_SAFE or any(
-            abs(v.numerator) > _INT64_SAFE for _, v in fs.coeffs + fd.coeffs
-        ):
-            return None
-        src_row = [0] * len(columns)
-        dst_row = [0] * len(columns)
-        for name, v in fs.coeffs:
-            src_row[col_index[name]] += v.numerator
-        for name, v in fd.coeffs:
-            dst_row[col_index[name]] += v.numerator
-        rows.append((src_row, dst_row, diff.numerator))
-    return rows
-
-
-def banerjee_test_many(
-    pairs: Sequence[
-        Tuple[Sequence[Optional[SymExpr]], Sequence[Optional[SymExpr]]]
-    ],
-    indices: tuple[str, ...],
-    bounds: dict[str, LoopBounds],
-) -> list[Optional[bool]]:
-    """Batched whole-reference Banerjee test over many pairs at once.
-
-    All applicable subscript dimensions of all pairs become rows of one
-    extremes computation over the shared loop-bounds rectangle; verdicts
-    are identical to looping :func:`banerjee_test`.
-    """
-    COUNTERS.deptest_batched_pairs += len(pairs)
-    columns = [name for name in bounds]
-    out: list = [None] * len(pairs)
-    flat: list[tuple[int, list[int], list[int], int]] = []
-    for i, (src_subs, dst_subs) in enumerate(pairs):
-        rows = _banerjee_rows(src_subs, dst_subs, indices, bounds, columns)
-        if rows is None:  # exact scalar path for the whole pair
-            out[i] = banerjee_test(
-                list(src_subs), list(dst_subs), indices, bounds
-            )
-            continue
-        for src_row, dst_row, diff in rows:
-            flat.append((i, src_row, dst_row, diff))
-    if not flat:
-        return out
-    los = [bounds[name].lo for name in columns]
-    his = [bounds[name].hi for name in columns]
-    # int64 safety for the vector path: |coeff * bound| summed over the
-    # columns must stay far from 2**63, so cap both factors at 2**20
-    # (anything larger goes down the exact arbitrary-precision loop)
-    small = (1 << 20)
-    if _np is not None and all(
-        abs(v) <= small for v in los + his
-    ) and all(
-        abs(c) <= small
-        for _, src_row, dst_row, _ in flat
-        for c in src_row + dst_row
-    ):
-        A = _np.array([r[1] for r in flat], dtype=_np.int64)
-        B = _np.array([r[2] for r in flat], dtype=_np.int64)
-        diffs = _np.array([r[3] for r in flat], dtype=_np.int64)
-        lo_v = _np.array(los, dtype=_np.int64)
-        hi_v = _np.array(his, dtype=_np.int64)
-        s1, s2 = A * lo_v, A * hi_v
-        d1, d2 = -B * lo_v, -B * hi_v
-        lo_total = (
-            diffs
-            + _np.minimum(s1, s2).sum(axis=1)
-            + _np.minimum(d1, d2).sum(axis=1)
-        )
-        hi_total = (
-            diffs
-            + _np.maximum(s1, s2).sum(axis=1)
-            + _np.maximum(d1, d2).sum(axis=1)
-        )
-        row_verdicts = [
-            bool(v) for v in (lo_total <= 0) & (0 <= hi_total)
-        ]
-    else:
-        row_verdicts = []
-        for _, src_row, dst_row, diff in flat:
-            lo_t = hi_t = diff
-            for k in range(len(columns)):
-                for c in (src_row[k], -dst_row[k]):
-                    t1, t2 = c * los[k], c * his[k]
-                    lo_t += min(t1, t2)
-                    hi_t += max(t1, t2)
-            row_verdicts.append(lo_t <= 0 <= hi_t)
-    for (i, _, _, _), verdict in zip(flat, row_verdicts):
-        if out[i] is None and not verdict:
-            out[i] = False
-    for (i, _, _, _), verdict in zip(flat, row_verdicts):
-        if out[i] is None and verdict:
-            out[i] = True
-    return out

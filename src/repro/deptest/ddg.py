@@ -25,8 +25,8 @@ from typing import Optional
 from ..dataflow.convert import ConversionContext, to_symexpr
 from ..hsg.nodes import LoopNode
 from ..symbolic import Comparer, SymExpr
-from .banerjee import LoopBounds, banerjee_test_many
-from .gcd import gcd_test_many
+from .banerjee import LoopBounds, banerjee_test
+from .gcd import gcd_test
 from .range_test import siv_independent
 from .subscript import ArrayReference, collect_references
 
@@ -96,8 +96,7 @@ def _pair_independent(
     a: ArrayReference,
     b: ArrayReference,
     loop: LoopNode,
-    gcd_verdict: Optional[bool],
-    banerjee_verdict: Optional[bool],
+    bounds: dict[str, LoopBounds],
     ctx: ConversionContext,
     cmp: Comparer,
 ) -> PairResult:
@@ -105,9 +104,10 @@ def _pair_independent(
     subs_b = list(b.subscripts)
     if len(subs_a) != len(subs_b):
         return PairResult(a, b, None, "rank-mismatch")
-    if gcd_verdict is False:
+    indices = tuple(dict.fromkeys(a.nest + b.nest))
+    if gcd_test(subs_a, subs_b, indices) is False:
         return PairResult(a, b, True, "gcd")
-    if banerjee_verdict is False:
+    if banerjee_test(subs_a, subs_b, indices, bounds) is False:
         return PairResult(a, b, True, "banerjee")
     # symbolic SIV on the loop being screened
     if len(subs_a) == len(subs_b):
@@ -151,39 +151,8 @@ def screen_loop(
     for x in refs:
         if x.is_write:
             pairs.append((x, x))  # self output-dependence across iterations
-    # all pairs go through the numeric tests as single batch submissions
-    # (rank-mismatched pairs are screened out of the batch, matching the
-    # early return in _pair_independent)
-    subs_pairs = []
-    batch_slots = []
-    for slot, (x, y) in enumerate(pairs):
-        if len(x.subscripts) == len(y.subscripts):
-            subs_pairs.append((x, y))
-            batch_slots.append(slot)
-    gcd_verdicts: list[Optional[bool]] = [None] * len(pairs)
-    banerjee_verdicts: list[Optional[bool]] = [None] * len(pairs)
-    if subs_pairs:
-        by_indices: dict[tuple[str, ...], list[int]] = {}
-        for k, (x, y) in enumerate(subs_pairs):
-            by_indices.setdefault(
-                tuple(dict.fromkeys(x.nest + y.nest)), []
-            ).append(k)
-        for indices, ks in by_indices.items():
-            batch = [
-                (subs_pairs[k][0].subscripts, subs_pairs[k][1].subscripts)
-                for k in ks
-            ]
-            for k, v in zip(ks, gcd_test_many(batch, indices)):
-                gcd_verdicts[batch_slots[k]] = v
-            for k, v in zip(
-                ks, banerjee_test_many(batch, indices, bounds)
-            ):
-                banerjee_verdicts[batch_slots[k]] = v
-    for slot, (x, y) in enumerate(pairs):
-        result = _pair_independent(
-            x, y, loop, gcd_verdicts[slot], banerjee_verdicts[slot], ctx, cmp
-        )
-        report.pairs.append(result)
+    for x, y in pairs:
+        report.pairs.append(_pair_independent(x, y, loop, bounds, ctx, cmp))
     if report.scalars_written or any(
         p.independent is not True for p in report.pairs
     ):

@@ -13,20 +13,12 @@ classical weakness the paper's symbolic analysis addresses.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import reduce
 from math import gcd
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
-from ..perf.profiler import COUNTERS
 from ..symbolic import SymExpr
-from ..symbolic.matrix import HAVE_NUMPY, _INT64_SAFE
 from .subscript import AffineForm, affine_form
-
-if HAVE_NUMPY:  # pragma: no branch - module-level import guard
-    import numpy as _np
-else:  # pragma: no cover - exercised by the no-numpy CI leg
-    _np = None
 
 
 def gcd_test_dimension(
@@ -55,8 +47,8 @@ def gcd_test_dimension(
 
 
 def gcd_test(
-    src_subs: list[Optional[SymExpr]],
-    dst_subs: list[Optional[SymExpr]],
+    src_subs: Sequence[Optional[SymExpr]],
+    dst_subs: Sequence[Optional[SymExpr]],
     indices: tuple[str, ...],
 ) -> Optional[bool]:
     """Whole-reference GCD test: no dependence if any dimension refutes it.
@@ -78,97 +70,3 @@ def gcd_test(
         if verdict is True:
             decided = True
     return True if decided else None
-
-
-def _gcd_rows(
-    src_subs: Sequence[Optional[SymExpr]],
-    dst_subs: Sequence[Optional[SymExpr]],
-    indices: tuple[str, ...],
-) -> Optional[list[tuple[list[int], int]]]:
-    """The applicable dimensions of one pair as ``(|coeffs|, diff)`` rows.
-
-    ``None`` entries in the row list mark inapplicable dimensions (they
-    contribute nothing, exactly like the scalar loop's ``continue``); a
-    row whose magnitudes exceed the int64-safe bound is returned as part
-    of ``None`` overall, telling the batch driver to use the exact scalar
-    path for the whole pair.
-    """
-    rows: list[tuple[list[int], int]] = []
-    for s, d in zip(src_subs, dst_subs):
-        if s is None or d is None:
-            continue
-        fs = affine_form(s, indices)
-        fd = affine_form(d, indices)
-        if fs is None or fd is None:
-            continue
-        rest = fs.symbolic_rest - fd.symbolic_rest
-        if not rest.is_zero():
-            continue
-        coeffs: list[int] = []
-        ok = True
-        for _, value in fs.coeffs + fd.coeffs:
-            if value.denominator != 1:
-                ok = False
-                break
-            coeffs.append(abs(value.numerator))
-        if not ok:
-            continue
-        diff = fd.const - fs.const
-        if diff.denominator != 1:
-            continue
-        if any(c > _INT64_SAFE for c in coeffs) or abs(diff.numerator) > _INT64_SAFE:
-            return None
-        rows.append((coeffs, diff.numerator))
-    return rows
-
-
-def gcd_test_many(
-    pairs: Sequence[
-        Tuple[Sequence[Optional[SymExpr]], Sequence[Optional[SymExpr]]]
-    ],
-    indices: tuple[str, ...],
-) -> list[Optional[bool]]:
-    """Batched whole-reference GCD test over many pairs at once.
-
-    Every applicable subscript dimension of every pair becomes one row of
-    a single integer computation (``numpy.gcd`` reductions when numpy is
-    present); verdicts are identical to looping :func:`gcd_test`.
-    """
-    COUNTERS.deptest_batched_pairs += len(pairs)
-    out: list = [None] * len(pairs)
-    flat: list[tuple[int, list[int], int]] = []
-    for i, (src_subs, dst_subs) in enumerate(pairs):
-        rows = _gcd_rows(src_subs, dst_subs, indices)
-        if rows is None:  # oversized coefficients: exact scalar path
-            out[i] = gcd_test(list(src_subs), list(dst_subs), indices)
-            continue
-        for coeffs, diff in rows:
-            flat.append((i, coeffs, diff))
-    if not flat:
-        return out
-    if _np is not None:
-        width = max(len(coeffs) for _, coeffs, _ in flat)
-        mat = _np.zeros((len(flat), width + 1), dtype=_np.int64)
-        diffs = _np.empty(len(flat), dtype=_np.int64)
-        for r, (_, coeffs, diff) in enumerate(flat):
-            if coeffs:
-                mat[r, : len(coeffs)] = coeffs
-            diffs[r] = diff
-        g = _np.gcd.reduce(mat, axis=1)
-        nonzero = g != 0
-        verdicts = _np.empty(len(flat), dtype=bool)
-        verdicts[~nonzero] = diffs[~nonzero] == 0
-        verdicts[nonzero] = (diffs[nonzero] % g[nonzero]) == 0
-        row_verdicts = [bool(v) for v in verdicts]
-    else:
-        row_verdicts = []
-        for _, coeffs, diff in flat:
-            g = reduce(gcd, coeffs, 0)
-            row_verdicts.append(diff == 0 if g == 0 else diff % g == 0)
-    for (i, _, _), verdict in zip(flat, row_verdicts):
-        if out[i] is None and not verdict:
-            out[i] = False
-    for (i, _, _), verdict in zip(flat, row_verdicts):
-        if out[i] is None and verdict:
-            out[i] = True
-    return out

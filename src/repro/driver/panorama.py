@@ -206,12 +206,9 @@ class CompositeHooks(PipelineHooks):
             hook.attach(analyzer, hsg)
 
     def loop_done(self, report: "LoopReport") -> None:
-        """Forward ``loop_done`` to every child that implements it."""
+        """Forward ``loop_done`` to every child hook in order."""
         for hook in self.hooks:
-            # CachingHooks predates loop_done and is duck-typed
-            done = getattr(hook, "loop_done", None)
-            if done is not None:
-                done(report)
+            hook.loop_done(report)
 
     def finish(self, result: "CompilationResult") -> None:
         """Forward ``finish`` to every child hook in order."""
@@ -242,6 +239,11 @@ class Panorama:
 
     def compile(self, source: str) -> CompilationResult:
         """Run the full pipeline on Fortran source text."""
+        if self.options.budget_steps is not None:
+            # the symbolic memos charge steps only on a miss, so a step
+            # budget spends the same steps (and degrades the same loops)
+            # only from empty memos — not from whatever ran before
+            profiler.clear_caches()
         perf_before = profiler.snapshot()
         timings = StageTimings()
         t0 = time.perf_counter()
@@ -272,9 +274,7 @@ class Panorama:
                 report = self._process_loop(analyzer, unit_name, loop, timings)
                 result.loops.append(report)
                 if self.hooks is not None:
-                    done = getattr(self.hooks, "loop_done", None)
-                    if done is not None:
-                        done(report)
+                    self.hooks.loop_done(report)
 
         if self.run_machine_model:
             t0 = time.perf_counter()

@@ -36,6 +36,7 @@ from typing import Iterable, Optional, Union
 from ..dataflow.analyzer import LoopKey
 from ..dataflow.context import AnalysisOptions, LoopSummaryRecord
 from ..dataflow.summary import Summary
+from ..driver.panorama import PipelineHooks
 from ..fortran.ast_nodes import Program
 from ..fortran.callgraph import CallGraph
 from ..fortran.printers import unparse_unit
@@ -324,7 +325,7 @@ class SummaryCache:
 # --------------------------------------------------------------------------- #
 
 
-class CachingHooks:
+class CachingHooks(PipelineHooks):
     """:class:`~repro.driver.panorama.PipelineHooks` implementation that
     serves cached summaries into the analyzer and harvests fresh ones.
 

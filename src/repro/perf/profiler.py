@@ -163,14 +163,6 @@ class Counters:
         "fm_var_limit_bailouts",
         "fm_constraint_limit_bailouts",
         "fm_ne_splits_dropped",
-        # matrix constraint core: systems decided on the vectorized path,
-        # int64-overflow promotions to the exact path, queries submitted
-        # through the batch entry points, and oracle cross-check runs
-        "fm_matrix_systems",
-        "fm_matrix_overflow_promotions",
-        "fm_batched_queries",
-        "fm_oracle_crosschecks",
-        "deptest_batched_pairs",
         "budget_fallbacks",
         "gar_simplify_calls",
         "gar_emptiness_checks",

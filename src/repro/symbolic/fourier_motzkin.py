@@ -23,15 +23,14 @@ Disequalities (``e != 0``) are handled by case-splitting (into
 ones) up to a small bound, after which they are dropped — dropping only
 weakens the system, so a True result remains trustworthy.
 
-Backends.  The hot path runs on the vectorized matrix core
-(:mod:`repro.symbolic.matrix`): int64 ndarrays under numpy, exact
-arbitrary-precision row lists otherwise.  This module keeps the original
-object-layer eliminator as the *reference oracle*: select it outright
-with ``PANORAMA_CONSTRAINT_BACKEND=object``, or set ``PANORAMA_FM_ORACLE=1``
-to run both on every query and raise on any disagreement.  Both paths use
-the same pivot rule (min ``pos*neg``, ties to the smallest monomial sort
-key) and hit the same effort caps at the same points, so verdicts —
-including ``None`` bail-outs — are bit-identical.
+Paths.  Production queries run on the exact integer matrix core
+(:mod:`repro.symbolic.matrix`).  This module keeps the original
+object-layer eliminator (:func:`_unsat_object`) as the *reference*: no
+production path calls it; the property suite and the constraint bench
+compare the matrix path against it.  Both use the same pivot rule (min
+``pos*neg``, ties to the smallest monomial sort key) and hit the same
+effort caps at the same points, so verdicts — including ``None``
+bail-outs — are bit-identical.
 """
 
 from __future__ import annotations
@@ -209,12 +208,11 @@ def definitely_unsat(atoms: Iterable[Atom]) -> bool:
 def definitely_unsat_many(atom_sets: Sequence[Iterable[Atom]]) -> List[bool]:
     """Batch form of :func:`definitely_unsat`.
 
-    The dependence tests and region operations accumulate many atom
-    systems per propagation step; submitting them together consults the
+    The Comparer and the region operations accumulate many atom systems
+    per propagation step; submitting them together consults the
     memo once per distinct system and decides only the residue.
     """
     keys = [frozenset(atoms) for atoms in atom_sets]
-    COUNTERS.fm_batched_queries += len(keys)
     out: list = [None] * len(keys)
     pending: dict[frozenset, list[int]] = {}
     for i, key in enumerate(keys):
@@ -230,46 +228,47 @@ def definitely_unsat_many(atom_sets: Sequence[Iterable[Atom]]) -> List[bool]:
     return out
 
 
-def _unsat_object(relations: list[Relation]) -> bool:
-    """The reference object-layer decision: every case-split system must
-    eliminate to infeasible."""
+def _open_relations(atoms: Iterable[Atom]) -> Optional[list[Relation]]:
+    """The relational atoms left for elimination, or ``None`` when the
+    conjunction is already false (a constant-false atom or two
+    conflicting boolean atoms)."""
+    relations: list[Relation] = []
+    bools: dict[str, bool] = {}
+    for atom in atoms:
+        if isinstance(atom, BoolAtom):
+            if bools.setdefault(atom.name, atom.value) != atom.value:
+                return None
+        else:
+            t = atom.truth()
+            if t is False:
+                return None
+            if t is None:
+                relations.append(atom)
+    return relations
+
+
+def _definitely_unsat(atoms: frozenset) -> bool:
+    relations = _open_relations(atoms)
+    if relations is None:
+        return True
+    if not relations:
+        return False
+    return _matrix.unsat_conjunction(
+        relations, MAX_NE_SPLITS, MAX_VARIABLES, MAX_CONSTRAINTS
+    )
+
+
+def _unsat_object(atoms: Iterable[Atom]) -> bool:
+    """The object-layer reference for :func:`definitely_unsat` (uncached):
+    every case-split system must eliminate to infeasible."""
+    relations = _open_relations(atoms)
+    if relations is None:
+        return True
     for system in _atoms_to_systems(relations, MAX_NE_SPLITS):
         COUNTERS.fm_eliminations += 1
         if _eliminate(system) is not True:
             return False
     return True
-
-
-def _definitely_unsat(atoms: frozenset) -> bool:
-    relations: list[Relation] = []
-    bools: dict[str, bool] = {}
-    for atom in atoms:
-        if isinstance(atom, BoolAtom):
-            if atom.name in bools and bools[atom.name] != atom.value:
-                return True
-            bools[atom.name] = atom.value
-        else:
-            t = atom.truth()
-            if t is False:
-                return True
-            if t is None:
-                relations.append(atom)
-    if not relations:
-        return False
-    if not _matrix.matrix_active():
-        return _unsat_object(relations)
-    verdict = _matrix.unsat_conjunction(
-        relations, MAX_NE_SPLITS, MAX_VARIABLES, MAX_CONSTRAINTS
-    )
-    if _matrix.oracle_enabled():
-        COUNTERS.fm_oracle_crosschecks += 1
-        reference = _unsat_object(relations)
-        if reference != verdict:
-            raise AssertionError(
-                f"constraint backend divergence: matrix[{_matrix.backend_name()}]"
-                f"={verdict} object={reference} for {sorted(map(str, relations))}"
-            )
-    return verdict
 
 
 def implied_by(context: Iterable[Atom], conclusion: Atom) -> bool:

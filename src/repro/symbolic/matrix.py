@@ -1,140 +1,58 @@
-"""Matrix-form Fourier–Motzkin: the vectorized constraint core.
+"""Matrix-form Fourier–Motzkin: the production constraint core.
 
 The object-layer eliminator in :mod:`repro.symbolic.fourier_motzkin`
 represents every constraint as a ``{Monomial: Fraction}`` dict and
 combines rows by dict merges.  The systems it decides are dense
-small-integer linear algebra, so this module re-implements the same
-elimination on a coefficient matrix:
+small-integer linear algebra, so this module runs the same elimination
+on a coefficient matrix:
 
 * columns are linearized monomials, ordered by their canonical
-  :meth:`~repro.symbolic.terms.Monomial.sort_key` and registered in a
-  process-stable id table (:func:`column_id`) so repeated systems map to
-  identical column layouts;
-* rows are integer vectors (every atom is scaled by the lcm of its
-  coefficient denominators — a positive factor, so feasibility, signs,
-  pivot costs, and constraint counts are unchanged);
+  :meth:`~repro.symbolic.terms.Monomial.sort_key`;
+* rows are lists of arbitrary-precision integers (every atom is scaled
+  by the lcm of its coefficient denominators — a positive factor, so
+  feasibility, signs, pivot costs, and constraint counts are unchanged),
+  which keeps the arithmetic exact with no overflow to guard against;
 * one pass per round tallies positive/negative entries per column for
-  the pivot choice, and the upper×lower combination step is a whole-array
-  operation instead of a dict merge per pair.
+  the pivot choice.
 
-Two interchangeable matrix backends implement the arithmetic:
-
-* **numpy** (int64 ndarrays) when numpy is importable — with an a-priori
-  overflow bound per combination round; a round that could exceed int64
-  promotes the *remaining* elimination to the exact path and counts
-  ``fm_matrix_overflow_promotions``;
-* **python** (row lists of arbitrary-precision ints) otherwise — exact
-  by construction, used as the promotion target and as the no-numpy
-  fallback so the project keeps zero hard dependencies.
-
-Verdict identity.  Both backends follow the object eliminator's exact
-trajectory: same constraint expansion (EQ → two rows, bounded NE case
-splits), same pivot rule (min ``pos*neg``, ties to the smallest monomial
-sort key), same effort caps at the same points, and the same budget
-charges (one per eliminated pair).  FM without bail-outs is a complete
-decision procedure, and with this discipline the bail-outs trigger
-identically too, so ``definitely_unsat`` verdicts are bit-identical
-across numpy / python / object paths — asserted by the
-``PANORAMA_FM_ORACLE=1`` cross-check mode, the property suite
-(``tests/property/test_prop_matrix_fm.py``), and
-``benchmarks/bench_constraints.py``.
-
-Backend selection: ``PANORAMA_CONSTRAINT_BACKEND`` = ``auto`` (default:
-numpy when importable, else python), ``numpy``, ``python``, or
-``object`` (bypass the matrix core entirely).
+Verdict identity.  The matrix path follows the object eliminator's
+exact trajectory: same constraint expansion (EQ → two rows, bounded NE
+case splits), same pivot rule (min ``pos*neg``, ties to the smallest
+monomial sort key), same effort caps at the same points, and the same
+budget charges (one per eliminated pair).  FM without bail-outs is a
+complete decision procedure, and with this discipline the bail-outs
+trigger identically too, so ``definitely_unsat`` verdicts are
+bit-identical to the object reference — asserted by the property suite
+(``tests/property/test_prop_matrix_fm.py``) and
+``benchmarks/bench_constraints.py``, which call the reference directly.
 """
 
 from __future__ import annotations
 
-import os
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ..perf.profiler import COUNTERS
 from ..resilience.budget import charge as _budget_charge
 from .relation import Relation, RelOp
 from .terms import Monomial
 
-try:  # pragma: no cover - exercised via both CI legs
-    import numpy as _np
-except Exception:  # pragma: no cover
-    _np = None
-
-HAVE_NUMPY = _np is not None
-
-#: coefficients beyond this bound never enter an int64 matrix
-_INT64_SAFE = 1 << 62
-
-#: process-stable interned-monomial id table (first-seen order); systems
-#: order their columns by monomial sort key, the ids exist so external
-#: consumers (and debugging dumps) can name columns stably
-_COLUMN_IDS: dict[Monomial, int] = {}
-
-#: explicit override installed by set_backend(); None → consult the env
-_FORCED: Optional[str] = None
-
-
-def column_id(mono: Monomial) -> int:
-    """The stable id of a linearized monomial column (assigned on first
-    sight, constant for the process lifetime)."""
-    got = _COLUMN_IDS.get(mono)
-    if got is None:
-        got = _COLUMN_IDS[mono] = len(_COLUMN_IDS)
-    return got
-
-
-def set_backend(name: Optional[str]) -> None:
-    """Force a backend (``numpy`` / ``python`` / ``object`` / ``auto``);
-    ``None`` restores environment-driven selection."""
-    global _FORCED
-    if name is not None and name not in ("auto", "numpy", "python", "object"):
-        raise ValueError(f"unknown constraint backend {name!r}")
-    _FORCED = name
+#: one conjunction ``rows · vars + consts <= 0`` (``< 0`` where strict):
+#: integer coefficient rows aligned on the columns, constants, strict bits
+System = Tuple[List[List[int]], List[int], List[bool]]
 
 
 def backend_name() -> str:
-    """The constraint backend currently in effect."""
-    choice = _FORCED or os.environ.get("PANORAMA_CONSTRAINT_BACKEND", "auto")
-    if choice == "auto":
-        return "numpy" if HAVE_NUMPY else "python"
-    if choice == "numpy" and not HAVE_NUMPY:
-        return "python"
-    return choice
-
-
-def matrix_active() -> bool:
-    """Is the matrix core handling eliminations (vs the object oracle)?"""
-    return backend_name() != "object"
-
-
-def oracle_enabled() -> bool:
-    """Cross-check mode: run matrix and object paths, assert agreement."""
-    return os.environ.get("PANORAMA_FM_ORACLE", "") not in ("", "0")
+    """The constraint backend in effect (reported by ``--profile``,
+    ``--stats-json`` and ``/v1/stats``): always the exact ``python``
+    matrix path."""
+    return "python"
 
 
 # --------------------------------------------------------------------------- #
 # system construction
 # --------------------------------------------------------------------------- #
-
-
-class System:
-    """One conjunction ``rows · vars + consts <= 0`` in integer form.
-
-    ``monos`` names the columns (canonical sort-key order).  ``rows`` is
-    a list of integer coefficient lists aligned with ``monos``; ``consts``
-    and ``stricts`` are parallel per-row vectors.
-    """
-
-    __slots__ = ("monos", "rows", "consts", "stricts", "huge")
-
-    def __init__(self, monos, rows, consts, stricts, huge):
-        self.monos: Tuple[Monomial, ...] = monos
-        self.rows: List[List[int]] = rows
-        self.consts: List[int] = consts
-        self.stricts: List[bool] = stricts
-        #: some |coefficient| exceeds the int64-safe bound already
-        self.huge: bool = huge
 
 
 def _scaled_row(expr, strict: bool) -> tuple[dict, int, bool]:
@@ -197,43 +115,30 @@ def build_systems(
             {m for coeffs, _, _ in branch for m in coeffs},
             key=Monomial.sort_key,
         )
-        for m in monos:
-            column_id(m)  # keep the stable id table warm
         index = {m: k for k, m in enumerate(monos)}
-        width = len(monos)
         rows: list[list[int]] = []
-        consts: list[int] = []
-        stricts: list[bool] = []
-        huge = False
-        for coeffs, const, strict in branch:
-            row = [0] * width
+        for coeffs, _, _ in branch:
+            row = [0] * len(monos)
             for m, v in coeffs.items():
                 row[index[m]] = v
-                if abs(v) > _INT64_SAFE:
-                    huge = True
-            if abs(const) > _INT64_SAFE:
-                huge = True
             rows.append(row)
-            consts.append(const)
-            stricts.append(strict)
-        out.append(System(tuple(monos), rows, consts, stricts, huge))
+        out.append(
+            (rows, [c for _, c, _ in branch], [s for _, _, s in branch])
+        )
     return out
 
 
 # --------------------------------------------------------------------------- #
-# pure-python elimination (exact; promotion target and no-numpy fallback)
+# elimination
 # --------------------------------------------------------------------------- #
 
 
-def _eliminate_py(
-    rows: List[List[int]],
-    consts: List[int],
-    stricts: List[bool],
-    max_variables: int,
-    max_constraints: int,
+def eliminate(
+    system: System, max_variables: int, max_constraints: int
 ) -> Optional[bool]:
-    """FM elimination on integer row lists; True = infeasible, False =
+    """FM elimination on one integer system; True = infeasible, False =
     feasible (rationally), None = effort cap hit."""
+    rows, consts, stricts = system
     while True:
         keep_rows: list[list[int]] = []
         keep_consts: list[int] = []
@@ -280,7 +185,7 @@ def _eliminate_py(
                 lowers.append(i)
             else:
                 others.append(i)
-        # one eliminated pair = one budget step (satellite: proportional
+        # one eliminated pair = one budget step (proportional
         # degradation on dense systems)
         _budget_charge(len(uppers) * len(lowers))
         new_rows = [rows[i] for i in others]
@@ -306,130 +211,6 @@ def _eliminate_py(
             COUNTERS.fm_constraint_limit_bailouts += 1
             return None
         rows, consts, stricts = new_rows, new_consts, new_stricts
-
-
-# --------------------------------------------------------------------------- #
-# numpy elimination (int64, overflow-checked, promotes to exact on risk)
-# --------------------------------------------------------------------------- #
-
-
-def _eliminate_np(system: System, max_variables, max_constraints):
-    np = _np
-    rows = np.array(system.rows, dtype=np.int64).reshape(
-        len(system.rows), len(system.monos)
-    )
-    consts = np.array(system.consts, dtype=np.int64)
-    stricts = np.array(system.stricts, dtype=bool)
-    while True:
-        nonconst = rows.any(axis=1)
-        const_rows = ~nonconst
-        if const_rows.any():
-            cc = consts[const_rows]
-            cs = stricts[const_rows]
-            if bool((cc > 0).any()) or bool((cs & (cc >= 0)).any()):
-                return True
-            rows = rows[nonconst]
-            consts = consts[nonconst]
-            stricts = stricts[nonconst]
-        if rows.shape[0] == 0:
-            return False
-        pos = (rows > 0).sum(axis=0)
-        neg = (rows < 0).sum(axis=0)
-        active = np.flatnonzero(pos | neg)
-        if active.size > max_variables:
-            COUNTERS.fm_var_limit_bailouts += 1
-            return None
-        if rows.shape[0] > max_constraints:
-            COUNTERS.fm_constraint_limit_bailouts += 1
-            return None
-        cost = pos[active] * neg[active]
-        # argmin takes the first minimum: active is ascending, columns
-        # are in monomial sort-key order — the object eliminator's tie
-        # break exactly
-        p = int(active[int(np.argmin(cost))])
-        col = rows[:, p]
-        up_mask = col > 0
-        lo_mask = col < 0
-        uppers = rows[up_mask]
-        lowers = rows[lo_mask]
-        n_up, n_lo = uppers.shape[0], lowers.shape[0]
-        if n_up and n_lo:
-            # overflow bound before multiplying: the largest combined
-            # entry is at most b_max*|up|_max + a_max*|lo|_max
-            a = col[up_mask]
-            b = -col[lo_mask]
-            u_mag = max(
-                int(np.abs(uppers).max()), int(np.abs(consts[up_mask]).max())
-            )
-            l_mag = max(
-                int(np.abs(lowers).max()), int(np.abs(consts[lo_mask]).max())
-            )
-            bound = int(b.max()) * u_mag + int(a.max()) * l_mag
-            if bound > _INT64_SAFE:
-                COUNTERS.fm_matrix_overflow_promotions += 1
-                return _eliminate_py(
-                    [list(map(int, r)) for r in rows],
-                    [int(c) for c in consts],
-                    [bool(s) for s in stricts],
-                    max_variables,
-                    max_constraints,
-                )
-        _budget_charge(n_up * n_lo)
-        others = ~(up_mask | lo_mask)
-        new_rows = rows[others]
-        new_consts = consts[others]
-        new_stricts = stricts[others]
-        if n_up and n_lo:
-            a = col[up_mask]  # > 0, shape (U,)
-            b = -col[lo_mask]  # > 0, shape (L,)
-            combo = (
-                b[None, :, None] * uppers[:, None, :]
-                + a[:, None, None] * lowers[None, :, :]
-            ).reshape(n_up * n_lo, rows.shape[1])
-            combo_c = (
-                b[None, :] * consts[up_mask][:, None]
-                + a[:, None] * consts[lo_mask][None, :]
-            ).reshape(n_up * n_lo)
-            combo_s = (
-                stricts[up_mask][:, None] | stricts[lo_mask][None, :]
-            ).reshape(n_up * n_lo)
-            is_const = ~combo.any(axis=1)
-            if is_const.any():
-                cc = combo_c[is_const]
-                cs = combo_s[is_const]
-                if bool((cc > 0).any()) or bool((cs & (cc >= 0)).any()):
-                    return True
-            keep = ~is_const
-            new_rows = np.concatenate([new_rows, combo[keep]])
-            new_consts = np.concatenate([new_consts, combo_c[keep]])
-            new_stricts = np.concatenate([new_stricts, combo_s[keep]])
-        if new_rows.shape[0] > max_constraints:
-            COUNTERS.fm_constraint_limit_bailouts += 1
-            return None
-        rows, consts, stricts = new_rows, new_consts, new_stricts
-
-
-# --------------------------------------------------------------------------- #
-# entry points
-# --------------------------------------------------------------------------- #
-
-
-def eliminate(
-    system: System, max_variables: int, max_constraints: int
-) -> Optional[bool]:
-    """Run matrix FM on one system with the active backend."""
-    COUNTERS.fm_matrix_systems += 1
-    if system.huge or backend_name() != "numpy":
-        if system.huge:
-            COUNTERS.fm_matrix_overflow_promotions += 1
-        return _eliminate_py(
-            system.rows,
-            system.consts,
-            system.stricts,
-            max_variables,
-            max_constraints,
-        )
-    return _eliminate_np(system, max_variables, max_constraints)
 
 
 def unsat_conjunction(

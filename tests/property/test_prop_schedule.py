@@ -9,7 +9,7 @@ bit-identical to an arbitrary-scheduled batch of the same items.
 
 from __future__ import annotations
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.dataflow import AnalysisOptions
@@ -53,6 +53,9 @@ def test_topo_and_arbitrary_verdicts_bit_identical(tmp_path_factory, seed,
 
 @settings(max_examples=4, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=10_000))
+# seeds whose budgeted verdicts once drifted with warm symbolic memos
+@example(seed=2201)
+@example(seed=7993)
 def test_order_invariance_survives_budget_degradation(tmp_path_factory, seed):
     """Under a step budget some loops degrade to 'unknown (budget)';
     the degraded rows must still not depend on dispatch order."""

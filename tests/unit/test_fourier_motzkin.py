@@ -197,3 +197,77 @@ class TestEffortCaps:
             "counter.budget_fallbacks",
         ):
             assert key in snap and isinstance(snap[key], int)
+
+
+class TestBatchEntries:
+    def test_batch_matches_singles(self):
+        from repro.symbolic import SymExpr, definitely_unsat_many
+        from repro.symbolic import fourier_motzkin as fm
+
+        x, y = sym("x"), sym("y")
+        systems = [
+            [Relation.le(x, 0), Relation.le(SymExpr.const(1), x)],
+            [Relation.le(x, y)],
+            [Relation.eq(x, 0), Relation.ne(x, 0)],
+        ]
+        fm._UNSAT_CACHE._data.clear()
+        batched = definitely_unsat_many(systems)
+        assert batched == [definitely_unsat(s) for s in systems]
+
+    def test_predicate_unsat_many_matches_scalar(self):
+        from repro.symbolic import Predicate, predicate_unsat, predicate_unsat_many
+
+        x = sym("x")
+        preds = [
+            Predicate.false(),
+            Predicate.le(x, 0) & Predicate.ge(x, 1),
+            Predicate.le(x, 0),
+            Predicate.true(),
+        ]
+        assert predicate_unsat_many(preds) == [
+            predicate_unsat(p) for p in preds
+        ]
+        assert predicate_unsat_many(preds, use_fm=False) == [
+            predicate_unsat(p, use_fm=False) for p in preds
+        ]
+
+
+class TestOneConstraintPath:
+    def test_format_perf_names_backend(self):
+        from repro.driver.report import format_perf
+        from repro.symbolic.matrix import backend_name
+
+        assert backend_name() == "python"
+        assert format_perf({}).startswith("constraint backend: python")
+
+    def test_entry_points_never_import_numpy(self):
+        """Every CLI entry point runs on the standard library alone."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        modules = (
+            "repro.driver.cli",
+            "repro.engine.cli",
+            "repro.engine.campaign",
+            "repro.server.cli",
+        )
+        code = (
+            "import importlib, sys\n"
+            f"for name in {modules!r}:\n"
+            "    importlib.import_module(name)\n"
+            "print('numpy' in sys.modules)\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(repro.__file__).parents[1])
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert out.stdout.strip() == "False"

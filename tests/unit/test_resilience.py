@@ -172,6 +172,36 @@ class TestBudgetFallback:
         assert main([str(src), "--budget-steps", "0", "--no-machine"]) == 3
         assert main([str(src), "--no-machine"]) == 0
 
+    def test_step_budget_verdicts_do_not_depend_on_warm_memos(self):
+        """The same budgeted batch, run three times in one process, gives
+        the same rows: warm symbolic memos must not save steps."""
+        from repro.engine.batch import BatchEngine, BatchItem
+        from repro.engine.campaign import generate_campaign
+
+        items = [
+            BatchItem(c.name, c.source)
+            for c in generate_campaign(4, seed=7993)
+        ]
+        runs = []
+        for _ in range(3):
+            engine = BatchEngine(
+                AnalysisOptions(budget_steps=40),
+                jobs=1,
+                run_machine_model=False,
+                schedule="arbitrary",
+            )
+            report = engine.run(items)
+            engine.cache.close()
+            runs.append(
+                [
+                    (res.name, row["loop"], row["status"])
+                    for res in report.results
+                    for row in res.payload["loops"]
+                ]
+            )
+        assert runs[0] == runs[1] == runs[2]
+        assert ("nest-000001", "work0/i0", "unknown (budget)") in runs[0]
+
 
 class TestClassifyException:
     def test_taxonomy(self):
