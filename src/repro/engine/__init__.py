@@ -15,7 +15,9 @@ this package makes repeated and bulk analysis cheap in practice:
 * :mod:`repro.engine.incremental` — :class:`IncrementalEngine`,
   re-summarizing only routines an edit (transitively) touched;
 * :mod:`repro.engine.campaign` — seeded mass corpora, ``--shard i/N``
-  partitioning, and stats rollups (``panorama-campaign``);
+  partitioning, and stats rollups (``panorama-campaign``); import its
+  names from the module itself: the package does not re-export them,
+  so ``python -m repro.engine.campaign`` runs the module exactly once;
 * :mod:`repro.engine.telemetry` — counters, roll-ups, and the JSON
   serializers shared with ``panorama --json``;
 * :mod:`repro.engine.cli` — the ``panorama-batch`` entry point.
@@ -45,13 +47,6 @@ from .cache import (
     options_key,
     unit_source_hash,
 )
-from .campaign import (
-    GENERATOR_VERSION,
-    generate_campaign,
-    merge_rollups,
-    parse_shard,
-    shard_items,
-)
 from .incremental import (
     IncrementalEngine,
     IncrementalReport,
@@ -79,7 +74,6 @@ __all__ = [
     "DISK_MAGIC",
     "DiskBackend",
     "EngineTelemetry",
-    "GENERATOR_VERSION",
     "IncrementalEngine",
     "IncrementalReport",
     "IncrementalResult",
@@ -90,18 +84,14 @@ __all__ = [
     "analysis_stats_dict",
     "diff_revisions",
     "fingerprint_program",
-    "generate_campaign",
     "items_from_kernel_registry",
     "items_from_paths",
     "loop_report_row",
     "make_backend",
-    "merge_rollups",
     "options_key",
-    "parse_shard",
     "plan_schedule",
     "resolve_schedule_mode",
     "result_to_dict",
-    "shard_items",
     "timings_dict",
     "unit_source_hash",
 ]

@@ -18,9 +18,13 @@ shipped:
   the ``contention_retries`` counter.
 
 Backends share the fingerprint keyspace: an entry computed under either
-backend is the same ``(CACHE_FORMAT_VERSION, RoutineCacheEntry)`` pickle
-under the same fingerprint, so switching backends never invalidates
-summaries — only relocates them.
+backend is the same ``(CACHE_FORMAT_VERSION, entry)`` pickle under the
+same fingerprint, so switching backends never invalidates summaries —
+only relocates them.  An entry is a
+:class:`~repro.engine.cache.RoutineCacheEntry` under a routine
+fingerprint or a :class:`~repro.engine.cache.ResultEntry` under a
+whole-item :func:`~repro.engine.cache.result_key`; both ride the same
+checksum, quarantine and circuit-breaker code.
 
 Selection: pass ``backend="disk"|"shared"`` (or an instance) to
 ``SummaryCache``/``BatchEngine``, use ``panorama-batch
@@ -126,7 +130,7 @@ def _verify_payload(
 ) -> tuple[Optional[object], Optional[str]]:
     """Decode one self-verifying payload: ``(entry, None)`` on success,
     ``(None, reason)`` naming the quarantine tag otherwise."""
-    from .cache import CACHE_FORMAT_VERSION, RoutineCacheEntry
+    from .cache import CACHE_FORMAT_VERSION, ResultEntry, RoutineCacheEntry
 
     if hashlib.sha256(payload).digest() != digest:
         return None, "checksum"
@@ -134,7 +138,9 @@ def _verify_payload(
         version, entry = pickle.loads(payload)
     except Exception:
         return None, "unpickle"
-    if version != CACHE_FORMAT_VERSION or not isinstance(entry, RoutineCacheEntry):
+    if version != CACHE_FORMAT_VERSION or not isinstance(
+        entry, (RoutineCacheEntry, ResultEntry)
+    ):
         return None, "version"
     return entry, None
 

@@ -7,7 +7,9 @@
   CPU-bound Python, so processes, not threads);
 * **the summary cache** — every worker opens the same on-disk
   :class:`~repro.engine.cache.SummaryCache` tier, so routines shared
-  between items (or re-analyzed across batch runs) are summarized once.
+  between items (or re-analyzed across batch runs) are summarized once;
+  an item whose whole result is already in the cache's result tier is
+  served before anything is parsed or planned.
 
 Workers return *serialized* verdict rows (the same dicts ``panorama
 --json`` prints) plus their cache delta — the fingerprints they wrote to
@@ -51,7 +53,14 @@ from ..errors import (
 )
 from ..resilience import faults
 from ..resilience.backoff import backoff_delay
-from .cache import CacheStats, CachingHooks, SummaryCache
+from .cache import (
+    CacheStats,
+    CachingHooks,
+    SummaryCache,
+    payload_degraded,
+    result_key,
+    serves_results,
+)
 from .ledger import LedgerReplay, LedgerWriter
 from .scheduler import SchedulePlan, plan_schedule, resolve_schedule_mode
 from .telemetry import EngineTelemetry, result_to_dict
@@ -130,11 +139,7 @@ class BatchItemResult:
             return True
         if not self.ok:
             return self.error_kind in FAULT_ERROR_KINDS
-        if self.payload is None:
-            return False
-        if self.payload.get("stats", {}).get("budget_degradations"):
-            return True
-        return any(r.get("degraded") for r in self.payload.get("loops", []))
+        return self.payload is not None and payload_degraded(self.payload)
 
     def rows(self) -> list[dict[str, Any]]:
         """The per-loop verdict rows (empty on error)."""
@@ -434,6 +439,9 @@ class BatchEngine:
         self.interrupted = False
         #: items finalized this run (the engine.crash fault occurrence)
         self._finalized = 0
+        #: item index -> (result key, cache counters of its lookup) for
+        #: the items of this run that missed the result tier
+        self._result_keys: dict[int, tuple[str, CacheStats]] = {}
 
     def request_drain(self) -> None:
         """Stop dispatching; finish in flight; flush; end the run.
@@ -448,13 +456,25 @@ class BatchEngine:
         return self._drain_event.is_set()
 
     def _finalize(self, index: int, result: BatchItemResult) -> None:
-        """Journal one finalized item, then run the engine.crash site.
+        """Store and journal one finalized item, then run the engine.crash
+        site.
 
-        The fault fires *after* the ledger record lands — exactly the
-        hard-kill point the resume machinery must survive — with the
-        running finalized count as the occurrence, so ``engine.crash@N``
-        kills the process after the N-th finalized item.
+        An item that missed the result tier is stored there unless it
+        failed or degraded, and its lookup and store count toward its
+        cache counters.  The fault fires *after* the ledger record lands
+        — exactly the hard-kill point the resume machinery must survive
+        — with the running finalized count as the occurrence, so
+        ``engine.crash@N`` kills the process after the N-th finalized
+        item.
         """
+        pending = self._result_keys.pop(index, None)
+        if pending is not None:
+            key, lookup = pending
+            before = self.cache.stats.copy()
+            if result.ok:
+                self.cache.put_result(key, result.payload)
+            result.cache_stats.merge(lookup)
+            result.cache_stats.merge(self.cache.stats.delta(before))
         if self.ledger is not None:
             if result.ok:
                 self.ledger.record_done(index, result)
@@ -471,7 +491,9 @@ class BatchEngine:
 
         With a ``resume`` replay, items whose ledger records say
         ``done`` are served from the ledger (their cache deltas adopted
-        into the memory tier) and only the rest are analyzed.  A drain
+        into the memory tier).  Every other item is looked up in the
+        result tier before anything is parsed or planned: a hit is
+        served whole, and only the misses are analyzed.  A drain
         request or KeyboardInterrupt stops the run early: everything
         finalized keeps its result, cache deltas and ledger records are
         flushed, and the report comes back ``interrupted``.
@@ -486,6 +508,7 @@ class BatchEngine:
         }
         self.interrupted = False
         self._finalized = 0
+        self._result_keys = {}
         results_by_idx: list[Optional[BatchItemResult]] = [None] * len(items)
         resumed: dict[int, BatchItemResult] = {}
         if self.resume is not None:
@@ -504,6 +527,8 @@ class BatchEngine:
                     for fp in res.stored_fingerprints
                 )
         active = [i for i in range(len(items)) if i not in resumed]
+        if serves_results(self.options):
+            active = self._serve_results(items, active, results_by_idx)
         sub_items = [items[i] for i in active]
         # timeouts need process isolation: a hung item can only be killed
         # from outside, so supervision forces the pool even for one item
@@ -591,6 +616,43 @@ class BatchEngine:
         return self.run(items_from_paths(paths))
 
     # -- internals ----------------------------------------------------------------
+
+    def _serve_results(
+        self,
+        items: Sequence[BatchItem],
+        active: list[int],
+        results_by_idx: list[Optional[BatchItemResult]],
+    ) -> list[int]:
+        """Look every active item up in the result tier, finalize the
+        hits, and return the indexes still to analyze.
+
+        All lookups happen before any item is analyzed, so items of one
+        run never serve each other.
+        """
+        misses = []
+        for idx in active:
+            item = items[idx]
+            key = result_key(
+                item.source,
+                self.options,
+                item.sizes,
+                machine=self.run_machine_model,
+                audit=self.audit,
+                name=item.name,
+            )
+            before = self.cache.stats.copy()
+            payload = self.cache.get_result(key, item.name)
+            lookup = self.cache.stats.delta(before)
+            if payload is None:
+                self._result_keys[idx] = (key, lookup)
+                misses.append(idx)
+                continue
+            res = BatchItemResult(
+                name=item.name, payload=payload, cache_stats=lookup
+            )
+            results_by_idx[idx] = res
+            self._finalize(idx, res)
+        return misses
 
     def _task(self, item: BatchItem, attempt: int) -> tuple:
         return (

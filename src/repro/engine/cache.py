@@ -1,8 +1,12 @@
-"""Content-addressed, two-tier cache of per-routine analysis summaries.
+"""Content-addressed, two-tier cache of per-routine analysis summaries
+and of whole-item results.
 
 The unit of caching is one *routine* (program unit): its interprocedural
 (MOD, UE) :class:`~repro.dataflow.summary.Summary` plus every per-loop
 :class:`~repro.dataflow.context.LoopSummaryRecord` computed inside it.
+In front of the routine summaries sits the *result tier*: the finished,
+serialized payload of one whole item under :func:`result_key`, so an
+unchanged item is served before it is even parsed.
 
 Cache keys are **fingerprints**: a SHA-256 over
 
@@ -27,11 +31,13 @@ summaries.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
+import json
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Optional, Union
+from typing import Any, Iterable, Mapping, Optional, Union
 
 from ..dataflow.analyzer import LoopKey
 from ..dataflow.context import AnalysisOptions, LoopSummaryRecord
@@ -40,6 +46,8 @@ from ..driver.panorama import PipelineHooks
 from ..fortran.ast_nodes import Program
 from ..fortran.callgraph import CallGraph
 from ..fortran.printers import unparse_unit
+from ..regions import sanitize
+from ..resilience import faults
 from .backends import CacheBackend, DiskBackend, make_backend
 
 #: bump when RoutineCacheEntry or the pickled analysis types change shape
@@ -50,8 +58,10 @@ from .backends import CacheBackend, DiskBackend, make_backend
 #: before unpickling and quarantined instead of trusted;
 #: v4: the frontier pass (content facts + scan recognition) changes
 #: summaries through derived index-array forms, and its toggle joined
-#: options_key — stale v3 verdicts must not be served either way)
-CACHE_FORMAT_VERSION = 4
+#: options_key — stale v3 verdicts must not be served either way;
+#: v5: options_key is derived from every AnalysisOptions field, and
+#: whole-item ResultEntry payloads share the durable tier)
+CACHE_FORMAT_VERSION = 5
 
 #: on-disk container magic; the digest that follows covers the payload
 DISK_MAGIC = b"PANC\x03\n"
@@ -64,20 +74,70 @@ _DIGEST_LEN = hashlib.sha256().digest_size
 
 
 def options_key(options: AnalysisOptions) -> str:
-    """Stable text form of the analysis options, for fingerprinting."""
-    forms = ";".join(
-        f"{name}={expr}" for name, expr in sorted(
-            options.index_array_forms, key=lambda p: p[0]
-        )
+    """Stable text form of the analysis options, for fingerprinting.
+
+    Derived from every :class:`AnalysisOptions` field, so a field added
+    later can never share fingerprints across different options.
+    Budgets are fields too: exhaustion degrades summaries, so a budgeted
+    run never shares fingerprints with an unlimited one.
+    """
+    parts = []
+    for f in dataclasses.fields(options):
+        value = getattr(options, f.name)
+        if f.name == "index_array_forms":
+            value = ";".join(
+                f"{name}={expr}" for name, expr in sorted(value, key=lambda p: p[0])
+            )
+        parts.append(f"{f.name}={value}")
+    return "|".join(parts)
+
+
+def result_key(
+    source: str,
+    options: AnalysisOptions,
+    sizes: Mapping[str, int],
+    machine: bool,
+    audit: bool,
+    name: str,
+) -> str:
+    """Key of one whole item's result: a SHA-256 over everything that
+    shapes its payload — the format version, the options, the sizes,
+    the machine-model and audit flags, the raw source text, and the
+    item name when auditing (diagnostics carry it)."""
+    header = json.dumps(
+        [
+            "panorama-result",
+            CACHE_FORMAT_VERSION,
+            options_key(options),
+            sorted(dict(sizes).items()),
+            bool(machine),
+            bool(audit),
+            name if audit else None,
+        ]
     )
+    return hashlib.sha256(f"{header}\n{source}".encode()).hexdigest()
+
+
+def serves_results(options: AnalysisOptions) -> bool:
+    """May the result tier be read or written for a run under *options*?
+
+    Not under an analysis budget, a ``PANORAMA_FAULTS`` plan, or the
+    armed GAR sanitizer: each of those modes exists to exercise the real
+    pipeline, which a served result would skip.
+    """
     return (
-        f"T1={options.symbolic}|T2={options.if_conditions}"
-        f"|T3={options.interprocedural}|FM={options.use_fm}"
-        f"|FR={options.frontier}|IA={forms}"
-        # budgets change results (exhaustion degrades summaries), so a
-        # budgeted run must never share fingerprints with an unlimited one
-        f"|Bms={options.budget_ms}|Bst={options.budget_steps}"
+        options.budget_ms is None
+        and options.budget_steps is None
+        and not faults.plan().specs
+        and not sanitize.enabled()
     )
+
+
+def payload_degraded(payload: Mapping[str, Any]) -> bool:
+    """Do budget-exhaustion fallbacks shape this serialized result?"""
+    if payload.get("stats", {}).get("budget_degradations"):
+        return True
+    return any(row.get("degraded") for row in payload.get("loops", []))
 
 
 def unit_source_hash(program: Program, name: str) -> str:
@@ -128,6 +188,14 @@ class RoutineCacheEntry:
 
 
 @dataclass
+class ResultEntry:
+    """One whole item's served payload, as encoded JSON bytes."""
+
+    fingerprint: str
+    payload: bytes
+
+
+@dataclass
 class CacheStats:
     """Counters exported through the engine telemetry."""
 
@@ -152,6 +220,8 @@ class CacheStats:
     breaker_trips: int = 0
     breaker_recoveries: int = 0
     breaker_skipped: int = 0
+    #: whole items served from the result tier
+    result_hits: int = 0
 
     def merge(self, other: "CacheStats") -> None:
         self.hits += other.hits
@@ -169,6 +239,7 @@ class CacheStats:
         self.breaker_trips += other.breaker_trips
         self.breaker_recoveries += other.breaker_recoveries
         self.breaker_skipped += other.breaker_skipped
+        self.result_hits += other.result_hits
 
     def copy(self) -> "CacheStats":
         return CacheStats(**self.as_dict())
@@ -198,6 +269,7 @@ class CacheStats:
             "breaker_trips": self.breaker_trips,
             "breaker_recoveries": self.breaker_recoveries,
             "breaker_skipped": self.breaker_skipped,
+            "result_hits": self.result_hits,
         }
 
 
@@ -215,6 +287,11 @@ class SummaryCache:
     ``"shared"`` (multi-process SQLite), an already-built
     :class:`CacheBackend` instance, or None to defer to
     ``$PANORAMA_CACHE_BACKEND``.
+
+    Whole-item results (:meth:`get_result`/:meth:`put_result`) keep a
+    memory map of their own, bounded by the same *max_memory_entries*,
+    so they never evict routine summaries; their durable copies go
+    through the same backend.
     """
 
     def __init__(
@@ -226,6 +303,7 @@ class SummaryCache:
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
         self.max_memory_entries = max(1, max_memory_entries)
         self._memory: OrderedDict[str, RoutineCacheEntry] = OrderedDict()
+        self._results: OrderedDict[str, bytes] = OrderedDict()
         self.stats = CacheStats()
         if backend is None or isinstance(backend, str):
             self.backend = make_backend(backend, cache_dir, self.stats)
@@ -294,9 +372,45 @@ class SummaryCache:
                 loaded += 1
         return loaded
 
+    # -- whole-item results -------------------------------------------------------
+
+    def get_result(self, key: str, name: str) -> Optional[dict[str, Any]]:
+        """The payload stored under a :func:`result_key`, carrying the
+        caller's *name*; None on miss."""
+        data = self._results.get(key)
+        if data is None:
+            entry = self.backend.get(key) if self.backend is not None else None
+            if not isinstance(entry, ResultEntry):
+                return None
+            data = entry.payload
+        self._remember_result(key, data)
+        self.stats.result_hits += 1
+        payload = json.loads(data)
+        payload["name"] = name
+        return payload
+
+    def put_result(self, key: str, payload: Mapping[str, Any]) -> None:
+        """Store one finished item's payload under *key*.
+
+        The entry holds what a served item reports: the verdicts, with
+        zero ``timings`` and empty ``symbolic`` counters (serving does
+        no such work) and no name (the caller's is put back).  A
+        degraded payload is never stored.
+        """
+        if payload_degraded(payload):
+            return
+        stored = {k: v for k, v in payload.items() if k != "name"}
+        stored["timings"] = dict.fromkeys(payload.get("timings", {}), 0.0)
+        stored["symbolic"] = {}
+        data = json.dumps(stored, separators=(",", ":")).encode()
+        self._remember_result(key, data)
+        if self.backend is not None:
+            self.backend.put(ResultEntry(key, data))
+
     def clear_memory(self) -> None:
         """Drop the memory tier (durable entries survive)."""
         self._memory.clear()
+        self._results.clear()
 
     def close(self) -> None:
         """Release backend handles (safe to keep using: they reopen)."""
@@ -311,6 +425,12 @@ class SummaryCache:
         while len(self._memory) > self.max_memory_entries:
             self._memory.popitem(last=False)
             self.stats.evictions += 1
+
+    def _remember_result(self, key: str, data: bytes) -> None:
+        self._results[key] = data
+        self._results.move_to_end(key)
+        while len(self._results) > self.max_memory_entries:
+            self._results.popitem(last=False)
 
     def _path(self, fingerprint: str) -> Optional[Path]:
         """Disk-tier file of one fingerprint (None off the disk backend);

@@ -292,6 +292,7 @@ class EngineTelemetry:
             f"{self.files} file(s), {self.loops} loops "
             f"({self.parallel_loops} parallel) in {self.wall_seconds:.2f}s "
             f"wall [{self.jobs} job(s)]; cache[{self.cache_backend}]: "
+            f"{c.result_hits} item(s) served whole, "
             f"{c.hits} hit(s), {c.misses} miss(es), "
             f"{c.evictions} eviction(s)"
         )

@@ -255,11 +255,26 @@ def run_selftest(config: ServerConfig) -> int:
             "verdicts stable across repeated requests",
             second["loops"] == first["loops"],
         )
-        rate1 = first["request"]["hit_rate"] or 0.0
-        rate2 = second["request"]["hit_rate"] or 0.0
+        served = second["request"]["summary_cache"]
         check(
-            "resident caches warmed the second request",
-            rate2 > rate1,
+            "identical request served whole from the result tier",
+            served["result_hits"] == 1 and served["stores"] == 0,
+            f"{served['result_hits']} result hit(s)",
+        )
+        # a comment-only edit misses the result tier, so the routine
+        # summaries and the symbolic memos must carry it
+        edited = client.analyze(FIGURE_1A + "C selftest edit\n", name="figure1a.f")
+        warmed = edited["request"]["summary_cache"]
+        rate1 = first["request"]["hit_rate"] or 0.0
+        rate2 = edited["request"]["hit_rate"] or 0.0
+        check(
+            "resident caches warmed a comment-edited request",
+            edited["loops"] == first["loops"]
+            and warmed["result_hits"] == 0
+            and warmed["hits"] > 0
+            and warmed["misses"] == 0
+            and warmed["stores"] == 0
+            and rate2 > rate1,
             f"hit rate {rate1:.3f} -> {rate2:.3f}",
         )
 

@@ -26,6 +26,10 @@ Request semantics (docs/server.md):
   :mod:`repro.perf` gauge delta *this request* caused (a
   :class:`~repro.perf.profiler.Probe` scope) plus the summary-cache
   delta, so clients can watch the resident caches get warm.
+* **unchanged requests are served whole** — an analyze request whose
+  source, options, sizes and audit flag were answered before is served
+  from the cache's result tier without parsing; a stream replays the
+  stored rows as the same events a compile emits.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ from ..driver.panorama import (
     Panorama,
     PipelineHooks,
 )
-from ..engine.cache import CachingHooks, SummaryCache
+from ..engine.cache import CachingHooks, SummaryCache, result_key, serves_results
 from ..engine.incremental import IncrementalEngine
 from ..engine.telemetry import EngineTelemetry, loop_report_row, result_to_dict
 from ..errors import ReproError, classify_exception
@@ -113,23 +117,30 @@ class RequestError(Exception):
 
 
 class _EventHooks(PipelineHooks):
-    """Turn pipeline progress into NDJSON stream events."""
+    """Turn pipeline progress, or the stored rows of a served result,
+    into NDJSON stream events."""
 
     def __init__(self, emit: Callable[[dict[str, Any]], None]) -> None:
         self._emit = emit
         self._routine: Optional[str] = None
 
     def loop_done(self, report: LoopReport) -> None:
-        if report.routine != self._routine:
-            self._routine = report.routine
-            self._emit({"event": "routine_started", "routine": report.routine})
-        row = loop_report_row(report)
+        self.row(loop_report_row(report))
+
+    def row(self, row: dict[str, Any]) -> None:
+        """Emit the events of one verdict row, in compile order."""
+        if row["routine"] != self._routine:
+            self._routine = row["routine"]
+            self._emit({"event": "routine_started", "routine": row["routine"]})
         # events fire before the machine model runs; don't publish
         # placeholder speedups the final payload will overwrite
-        row.pop("speedup", None)
-        row.pop("pct_sequential", None)
-        row["event"] = "loop_verdict"
-        self._emit(row)
+        event = {
+            key: value
+            for key, value in row.items()
+            if key not in ("speedup", "pct_sequential")
+        }
+        event["event"] = "loop_verdict"
+        self._emit(event)
 
 
 @dataclass
@@ -288,28 +299,58 @@ class AnalysisService:
         options = self.build_options(body)
         sizes = self._sizes_of(body)
         run_audit = self._audit_of(body, self.config.audit)
+        key = (
+            result_key(
+                source, options, sizes, machine=True, audit=run_audit, name=name
+            )
+            if serves_results(options)
+            else None
+        )
 
         t0 = time.perf_counter()
         cache_before = self.cache.stats.copy()
-        hooks: PipelineHooks = CachingHooks(self.cache)
-        if on_event is not None:
-            hooks = CompositeHooks(hooks, _EventHooks(on_event))
         with profiler.probe() as pr:
-            result = self._compile(
-                Panorama(options, sizes=sizes, hooks=hooks), source
+            payload = (
+                self.cache.get_result(key, name) if key is not None else None
             )
-            audit_report = None
-            if run_audit:
-                from ..audit import audit_compilation
-
-                audit_report = audit_compilation(result, name, source=source)
-        payload = result_to_dict(result, name=name, audit=audit_report)
-        payload["degraded"] = bool(result.degraded_loops())
+            if payload is None:
+                payload = self._analyze_fresh(
+                    name, source, options, sizes, run_audit, on_event
+                )
+                if key is not None:
+                    self.cache.put_result(key, payload)
+            elif on_event is not None:
+                events = _EventHooks(on_event)
+                for row in payload["loops"]:
+                    events.row(row)
+        degraded_loops = sum(1 for row in payload["loops"] if row["degraded"])
+        payload["degraded"] = bool(degraded_loops)
         payload["request"] = self._request_block(
-            t0, pr, cache_before, result
+            t0, pr, cache_before, degraded_loops
         )
         self.telemetry.note_result(payload)
         return payload
+
+    def _analyze_fresh(
+        self,
+        name: str,
+        source: str,
+        options: AnalysisOptions,
+        sizes: dict[str, int],
+        run_audit: bool,
+        on_event: Callable[[dict[str, Any]], None] | None,
+    ) -> dict[str, Any]:
+        """Compile (and audit) one source into its serialized payload."""
+        hooks: PipelineHooks = CachingHooks(self.cache)
+        if on_event is not None:
+            hooks = CompositeHooks(hooks, _EventHooks(on_event))
+        result = self._compile(Panorama(options, sizes=sizes, hooks=hooks), source)
+        audit_report = None
+        if run_audit:
+            from ..audit import audit_compilation
+
+            audit_report = audit_compilation(result, name, source=source)
+        return result_to_dict(result, name=name, audit=audit_report)
 
     def analyze_stream(
         self,
@@ -368,13 +409,13 @@ class AnalysisService:
             ) from exc
 
     def _request_block(
-        self, t0: float, pr: profiler.Probe, cache_before, result
+        self, t0: float, pr: profiler.Probe, cache_before, degraded_loops: int
     ) -> dict[str, Any]:
         """The per-request observability payload."""
         symbolic = pr.delta
         return {
             "elapsed_ms": round((time.perf_counter() - t0) * 1000.0, 3),
-            "degraded_loops": len(result.degraded_loops()),
+            "degraded_loops": degraded_loops,
             "summary_cache": self.cache.stats.delta(cache_before).as_dict(),
             "symbolic": symbolic,
             # hit rate of the symbolic memo/interning tables, this
@@ -465,7 +506,9 @@ class AnalysisService:
             "total_loops": len(inc.result.loops),
             "parallel_loops": len(inc.result.parallel_loops()),
             "degraded": bool(inc.result.degraded_loops()),
-            "request": self._request_block(t0, pr, cache_before, inc.result),
+            "request": self._request_block(
+                t0, pr, cache_before, len(inc.result.degraded_loops())
+            ),
         }
         if audit_payload is not None:
             payload["audit"] = audit_payload

@@ -16,7 +16,11 @@ from repro.resilience import faults
 
 @pytest.fixture(autouse=True)
 def clean_plan(monkeypatch):
-    monkeypatch.delenv(faults.ENV_VAR, raising=False)
+    # setenv first: `--inject-faults` writes os.environ directly, and a
+    # bare delenv of an unset variable records nothing to undo, which
+    # would leave the plan armed for every later test of the pytest run
+    monkeypatch.setenv(faults.ENV_VAR, "")
+    monkeypatch.delenv(faults.ENV_VAR)
     faults.reset()
     yield
     faults.reset()

@@ -2,8 +2,11 @@
 
 The load-bearing guarantee: a warm-cache run is *observationally
 identical* to a cold run — every serialized loop verdict matches — while
-actually hitting the cache.
+actually hitting the cache: an identical resubmission is served whole
+from the result tier, and a comment-only edit from the routine summaries.
 """
+
+import dataclasses
 
 import pytest
 
@@ -15,6 +18,7 @@ from repro.engine import (
     SummaryCache,
     items_from_kernel_registry,
 )
+from repro.perf import profiler
 
 
 @pytest.fixture(scope="module")
@@ -26,20 +30,56 @@ def kernel_items():
     return items
 
 
+def comment_edited(items):
+    """The items with one comment line appended: a new result key, the
+    same routine fingerprints."""
+    return [
+        dataclasses.replace(i, source=i.source + "C comment-only edit\n")
+        for i in items
+    ]
+
+
+def symbolic_hit_rate(report):
+    return profiler.hit_rate(report.telemetry.symbolic)
+
+
+def assert_served_whole(warm, cold, items):
+    """Every identical item came from the result tier, nothing was
+    stored, and the verdicts are bit-identical, program by program."""
+    assert warm.ok
+    assert warm.telemetry.cache.result_hits == len(items)
+    assert warm.telemetry.cache.stores == 0
+    assert warm.verdict_rows() == cold.verdict_rows()
+
+
+def assert_routines_served(edited, cold):
+    """A comment-only edit misses the result tier but hits every routine
+    summary the cold run stored, so its symbolic memos run warmer."""
+    assert edited.ok
+    assert edited.telemetry.cache.result_hits == 0
+    assert edited.telemetry.cache.hits == cold.telemetry.cache.stores
+    assert edited.telemetry.cache.stores == 0
+    assert symbolic_hit_rate(edited) > symbolic_hit_rate(cold)
+    assert edited.verdict_rows() == cold.verdict_rows()
+
+
 class TestBatchWarmCold:
     def test_warm_rerun_identical_and_hits(self, kernel_items, tmp_path):
+        profiler.clear_caches()  # cold symbolic memos for the cold run
         cold_engine = BatchEngine(cache_dir=tmp_path, jobs=1)
         cold = cold_engine.run(kernel_items)
         assert cold.ok, [r.error for r in cold.results if not r.ok]
         assert cold.telemetry.cache.hits == 0
+        assert cold.telemetry.cache.result_hits == 0
         assert cold.telemetry.cache.stores > 0
 
-        warm_engine = BatchEngine(cache_dir=tmp_path, jobs=1)
-        warm = warm_engine.run(kernel_items)
-        assert warm.ok
-        assert warm.telemetry.cache.hits > 0
-        # bit-identical serialized verdicts, program by program
-        assert warm.verdict_rows() == cold.verdict_rows()
+        warm = BatchEngine(cache_dir=tmp_path, jobs=1).run(kernel_items)
+        assert_served_whole(warm, cold, kernel_items)
+
+        edited = BatchEngine(cache_dir=tmp_path, jobs=1).run(
+            comment_edited(kernel_items)
+        )
+        assert_routines_served(edited, cold)
 
     def test_results_in_input_order(self, kernel_items):
         report = BatchEngine(jobs=1).run(kernel_items)
@@ -73,7 +113,9 @@ class TestBatchWarmCold:
             AnalysisOptions(symbolic=False), cache_dir=tmp_path, jobs=1
         ).run(items)
         # a run with different techniques must not be served T1 summaries
+        # nor T1 results
         assert ablated.telemetry.cache.hits == 0
+        assert ablated.telemetry.cache.result_hits == 0
 
 
 class TestBatchPool:
@@ -87,11 +129,19 @@ class TestBatchPool:
         assert pool.telemetry.jobs == 2
 
     def test_worker_deltas_warm_the_parent(self, kernel_items, tmp_path):
+        profiler.clear_caches()  # the forked workers start cold
         engine = BatchEngine(cache_dir=tmp_path, jobs=2)
-        engine.run(kernel_items)
+        cold = engine.run(kernel_items)
+        assert cold.ok
         assert len(engine.cache) > 0  # adopted from worker stores
+        # the parent stored each finalized item's result for the next run
         warm = BatchEngine(cache_dir=tmp_path, jobs=1).run(kernel_items)
-        assert warm.telemetry.cache.hits > 0
+        assert_served_whole(warm, cold, kernel_items)
+
+        edited = BatchEngine(cache_dir=tmp_path, jobs=1).run(
+            comment_edited(kernel_items)
+        )
+        assert_routines_served(edited, cold)
 
 
 TWO_ROUTINES = (

@@ -191,7 +191,7 @@ class TestCliAndCache:
 
         assert CACHE_FORMAT_VERSION >= 4
         assert options_key(ON) != options_key(OFF)
-        assert "FR=True" in options_key(ON)
+        assert "frontier=True" in options_key(ON)
 
     def test_server_accepts_no_frontier(self):
         from repro.server.service import AnalysisService, ServerConfig

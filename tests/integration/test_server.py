@@ -70,21 +70,35 @@ class TestAnalyzeIdentity:
     def test_repeat_requests_are_stable_and_warmer(self, client):
         profiler.clear_caches()  # cold contents; probes are delta-scoped
         kernel = PROGRAMS[0]
-        first = client.analyze(kernel.source, sizes=dict(kernel.sizes))
-        second = client.analyze(kernel.source, sizes=dict(kernel.sizes))
+        sizes = dict(kernel.sizes)
+        # a source text no earlier test sent, so the first request
+        # misses the result tier
+        source = kernel.source + "C repeat probe\n"
+        first = client.analyze(source, sizes=sizes)
+        second = client.analyze(source, sizes=sizes)
         assert second["loops"] == first["loops"]
-        # the resident-cache payoff, observed over the wire: the second
-        # request's symbolic hit rate is strictly higher
-        assert second["request"]["hit_rate"] > first["request"]["hit_rate"]
-        # steady state: every summarized routine replays from the cache
-        # and nothing new is written
-        assert second["request"]["summary_cache"]["hits"] > 0
+        assert first["request"]["summary_cache"]["result_hits"] == 0
+        # the resident-cache payoff, observed over the wire: the
+        # identical resubmission is served whole, writing nothing
+        assert second["request"]["summary_cache"]["result_hits"] == 1
+        assert second["request"]["summary_cache"]["hits"] == 0
         assert second["request"]["summary_cache"]["stores"] == 0
+        assert second["request"]["elapsed_ms"] < first["request"]["elapsed_ms"]
+        # a comment-only edit misses the result tier; every summarized
+        # routine replays from the cache, nothing new is written, and
+        # the symbolic hit rate is strictly higher than the first's
+        edited = client.analyze(
+            kernel.source + "C repeat probe, edited\n", sizes=sizes
+        )
+        assert edited["loops"] == first["loops"]
+        assert edited["request"]["summary_cache"]["result_hits"] == 0
+        assert edited["request"]["summary_cache"]["hits"] > 0
+        assert edited["request"]["summary_cache"]["stores"] == 0
         assert (
-            second["request"]["summary_cache"]["misses"]
+            edited["request"]["summary_cache"]["misses"]
             <= first["request"]["summary_cache"]["misses"]
         )
-        assert second["request"]["elapsed_ms"] < first["request"]["elapsed_ms"]
+        assert edited["request"]["hit_rate"] > first["request"]["hit_rate"]
 
 
 class TestConcurrency:

@@ -6,11 +6,13 @@ import json
 
 import pytest
 
-from repro.engine import GENERATOR_VERSION, generate_campaign, merge_rollups
 from repro.engine.campaign import (
+    GENERATOR_VERSION,
     build_library,
     format_scoreboard,
+    generate_campaign,
     load_rollup,
+    merge_rollups,
     parse_shard,
     shard_items,
 )
@@ -150,3 +152,26 @@ class TestRollup:
                       "count": 20, "shard": "2/2"})))
         merged = load_rollup([str(p1), str(p2)])
         assert merged["shards"] == 2
+
+
+class TestModuleEntryPoint:
+    def test_python_dash_m_runs_the_module_once(self):
+        """``python -m repro.engine.campaign`` must not find the module
+        already imported by its package: runpy then warns that the
+        module executes twice."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(repro.__file__).parents[1])
+        out = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m",
+             "repro.engine.campaign", "--list", "--count", "2"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert out.returncode == 0, out.stderr
+        assert len(out.stdout.split()) == 2

@@ -1,5 +1,6 @@
 """Unit tests for the engine's fingerprinting and two-tier summary cache."""
 
+import dataclasses
 import pickle
 
 from repro.dataflow import AnalysisOptions
@@ -14,6 +15,7 @@ from repro.engine import (
     options_key,
     unit_source_hash,
 )
+from repro.engine.cache import result_key
 from repro.fortran import analyze, parse_program
 from repro.fortran.callgraph import build_call_graph
 from repro.regions import GARList
@@ -81,6 +83,41 @@ class TestFingerprints:
             AnalysisOptions(index_array_forms=(("ix", SymExpr.const(3)),)),
         ):
             assert options_key(variant) != options_key(base)
+
+    def test_result_key_and_fingerprints_cover_every_input(self):
+        base = AnalysisOptions()
+        variants = {
+            "index_array_forms": (("ix", SymExpr.const(3)),),
+            "budget_ms": 250.0,
+            "budget_steps": 1000,
+        }
+        src = CALLER_CALLEE.format(rhs="1.0")
+        args = dict(
+            source=src, options=base, sizes={"n": 10}, machine=True,
+            audit=False, name="a.f",
+        )
+        key = result_key(**args)
+        base_fps = fingerprints(src, base)
+        for f in dataclasses.fields(AnalysisOptions):
+            value = getattr(base, f.name)
+            variant = not value if isinstance(value, bool) else variants[f.name]
+            options = dataclasses.replace(base, **{f.name: variant})
+            assert result_key(**{**args, "options": options}) != key, f.name
+            changed = fingerprints(src, options)
+            assert all(changed[r] != base_fps[r] for r in base_fps), f.name
+        for change in (
+            {"sizes": {"n": 11}},
+            {"sizes": {}},
+            {"machine": False},
+            {"audit": True},
+            {"source": src.replace("1.0", "2.0", 1)},
+            {"source": src + " "},
+        ):
+            assert result_key(**{**args, **change}) != key, change
+        # the name matters only when auditing: diagnostics carry it
+        assert result_key(**{**args, "name": "b.f"}) == key
+        audited = {**args, "audit": True}
+        assert result_key(**audited) != result_key(**{**audited, "name": "b.f"})
 
     def test_unit_source_hash_is_per_routine(self):
         program = parse_program(CALLER_CALLEE.format(rhs="1.0"))

@@ -110,12 +110,30 @@ class TestAnalyze:
         first = service.analyze({"source": FIGURE_1A})
         second = service.analyze({"source": FIGURE_1A})
         assert first["request"]["elapsed_ms"] > 0
-        # identical resubmission: every routine summary is served from
-        # the resident cache, and the symbolic memo hit rate rises
-        assert second["request"]["summary_cache"]["hits"] > 0
-        assert second["request"]["summary_cache"]["misses"] == 0
-        assert second["request"]["hit_rate"] > first["request"]["hit_rate"]
+        assert first["request"]["summary_cache"]["result_hits"] == 0
+        # identical resubmission: served whole from the result tier —
+        # no summary looked up or stored, no symbolic work done
+        block = second["request"]
+        assert block["summary_cache"]["result_hits"] == 1
+        assert block["summary_cache"]["hits"] == 0
+        assert block["summary_cache"]["stores"] == 0
+        assert block["symbolic"] == {}
+        assert second["timings"]["total"] == 0.0
+        assert second["symbolic"] == {}
         assert second["loops"] == first["loops"]
+        # a comment-only edit misses the result tier: every routine
+        # summary is served from the resident cache, and the symbolic
+        # memo hit rate rises
+        edited = service.analyze(
+            {"source": FIGURE_1A + "C comment-only edit\n"}
+        )
+        block = edited["request"]
+        assert block["summary_cache"]["result_hits"] == 0
+        assert block["summary_cache"]["hits"] > 0
+        assert block["summary_cache"]["misses"] == 0
+        assert block["summary_cache"]["stores"] == 0
+        assert block["hit_rate"] > first["request"]["hit_rate"]
+        assert edited["loops"] == first["loops"]
 
     def test_malformed_source_is_422_typed(self):
         with pytest.raises(RequestError) as err:
