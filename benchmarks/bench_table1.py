@@ -36,7 +36,7 @@ def _techniques_needed(kernel) -> list[str]:
     needed = []
     for technique in ("T1", "T2", "T3"):
         result = Panorama(
-            AnalysisOptions.ablation(technique), run_machine_model=False
+            AnalysisOptions.from_flags(ablate=[technique]), run_machine_model=False
         ).compile(kernel.source)
         report = result.loop(kernel.routine, kernel.loop_label)
         priv = report.verdict.privatization if report.verdict else None

@@ -30,7 +30,8 @@ def main() -> None:
     for kernel in KERNELS:
         needed = []
         for technique in ("T1", "T2", "T3"):
-            ok = arrays_privatized(kernel, AnalysisOptions.ablation(technique))
+            options = AnalysisOptions.from_flags(ablate=[technique])
+            ok = arrays_privatized(kernel, options)
             needed.append("Yes" if not ok else "No")
         expected = [
             "Yes" if t in kernel.techniques else "No"

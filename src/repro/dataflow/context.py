@@ -12,23 +12,29 @@ paper's Table 1:
   contents).
 * ``interprocedural`` (T3) — interprocedural propagation through the HSG.
   Off: every CALL is opaque (arrays passed or in COMMON are Ω).
+
+:meth:`AnalysisOptions.from_flags` is the one mapping from the settings
+users spell (``--ablate T2``, ``--no-fm``, a daemon request's
+``"no_frontier": true``, ...) to these fields.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
-from typing import Optional, Tuple
+from typing import Iterable, Optional, Tuple
 
 from ..regions import GARList
 from ..resilience.budget import AnalysisBudget
 from ..symbolic import Comparer, SymExpr
 
+#: Table 1 technique letter → the option ``--ablate`` switches off
+TECHNIQUES = {"T1": "symbolic", "T2": "if_conditions", "T3": "interprocedural"}
 
-def _default_frontier() -> bool:
-    """Frontier pass default: on, unless PANORAMA_NO_FRONTIER is set."""
-    return os.environ.get("PANORAMA_NO_FRONTIER", "") in ("", "0")
+#: the user-facing analysis settings, in ``from_flags`` order: the
+#: argparse dests of the CLIs' analysis group and the daemon's request
+#: option names
+ANALYSIS_FLAGS = ("ablate", "no_fm", "no_frontier", "budget_ms", "budget_steps")
 
 
 @dataclass(frozen=True)
@@ -40,7 +46,7 @@ class AnalysisOptions:
     use_fm: bool = True
     #: frontier pass: array-content domain + recurrence/scan recognizer
     #: (docs/frontier.md); off reproduces pre-frontier verdicts exactly
-    frontier: bool = field(default_factory=_default_frontier)
+    frontier: bool = True
     #: closed forms for subscript arrays (paper section 6): pairs of
     #: (array name, expression over convert.subscript_placeholder)
     index_array_forms: Tuple[Tuple[str, SymExpr], ...] = ()
@@ -62,16 +68,27 @@ class AnalysisOptions:
         )
 
     @classmethod
-    def all_on(cls) -> "AnalysisOptions":
-        return cls()
+    def from_flags(
+        cls,
+        ablate: Iterable[str] = (),
+        no_fm: bool = False,
+        no_frontier: bool = False,
+        budget_ms: Optional[float] = None,
+        budget_steps: Optional[int] = None,
+    ) -> "AnalysisOptions":
+        """Options from the user-facing settings (:data:`ANALYSIS_FLAGS`).
 
-    @classmethod
-    def ablation(cls, disable: str) -> "AnalysisOptions":
-        """Options with one technique disabled: 'T1' | 'T2' | 'T3'."""
-        key = {"T1": "symbolic", "T2": "if_conditions", "T3": "interprocedural"}[
-            disable
-        ]
-        return cls(**{key: False})  # type: ignore[arg-type]
+        *ablate* names the techniques to disable (``T1``/``T2``/``T3``,
+        see :data:`TECHNIQUES`); the rest mirror ``--no-fm``,
+        ``--no-frontier``, ``--budget-ms`` and ``--budget-steps``.
+        """
+        return cls(
+            use_fm=not no_fm,
+            frontier=not no_frontier,
+            budget_ms=budget_ms,
+            budget_steps=budget_steps,
+            **{TECHNIQUES[t]: False for t in ablate},
+        )
 
 
 @dataclass

@@ -12,8 +12,14 @@ import json
 import sys
 from pathlib import Path
 
-from ..dataflow import AnalysisOptions
 from ..perf import profiler
+from .flags import (
+    add_analysis_flags,
+    add_audit_flags,
+    add_machine_flag,
+    audit_requested,
+    options_from_args,
+)
 from .panorama import Panorama
 from .report import format_perf, format_stats, format_table, yes_no
 
@@ -29,26 +35,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("source", help="Fortran source file ('-' for stdin)")
     parser.add_argument(
-        "--ablate",
-        choices=["T1", "T2", "T3"],
-        action="append",
-        default=[],
-        help="disable a technique (repeatable): T1 symbolic, "
-        "T2 IF conditions, T3 interprocedural",
-    )
-    parser.add_argument(
-        "--no-fm",
-        action="store_true",
-        help="disable the Fourier-Motzkin fallback prover",
-    )
-    parser.add_argument(
-        "--no-frontier",
-        action="store_true",
-        help="disable the frontier pass (array-content facts and "
-        "scan/recurrence recognition; docs/frontier.md); also settable "
-        "via PANORAMA_NO_FRONTIER=1",
-    )
-    parser.add_argument(
         "--summaries",
         action="store_true",
         help="print MOD/UE loop summaries for every analyzed loop",
@@ -56,11 +42,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--dump-hsg", action="store_true", help="print the HSG of every routine"
     )
-    parser.add_argument(
-        "--no-machine",
-        action="store_true",
-        help="skip cost/speedup estimation",
-    )
+    add_machine_flag(parser)
     parser.add_argument(
         "--emit",
         choices=["omp", "sgi"],
@@ -77,38 +59,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
         help="enable the symbolic-kernel profiler and print per-phase "
         "timers plus cache hit/miss counters after the verdicts",
     )
-    parser.add_argument(
-        "--budget-ms",
-        type=float,
-        metavar="MS",
-        help="analysis deadline; on exhaustion remaining loops degrade "
-        "to conservative 'unknown (budget)' verdicts (exit 3)",
-    )
-    parser.add_argument(
-        "--budget-steps",
-        type=int,
-        metavar="N",
-        help="symbolic step budget (deterministic analogue of --budget-ms)",
-    )
-    audit = parser.add_argument_group("auditing (docs/auditing.md)")
-    audit.add_argument(
-        "--audit",
-        action="store_true",
-        help="run the static race auditor over every parallel verdict and "
-        "print its diagnostics (PAN1xx/PAN2xx/PAN3xx)",
-    )
-    audit.add_argument(
-        "--sarif",
-        metavar="PATH",
-        help="write the audit diagnostics as a SARIF 2.1.0 log "
-        "(implies --audit)",
-    )
-    audit.add_argument(
-        "--strict-audit",
-        action="store_true",
-        help="exit 4 when the audit finds a confirmed disagreement or an "
-        "internal-consistency violation (implies --audit)",
-    )
+    add_analysis_flags(parser)
+    add_audit_flags(parser)
     parser.add_argument(
         "--version",
         action="version",
@@ -131,20 +83,12 @@ def main(argv: list[str] | None = None) -> int:
     else:
         source = Path(args.source).read_text()
 
-    extra = {"frontier": False} if args.no_frontier else {}
-    options = AnalysisOptions(
-        symbolic="T1" not in args.ablate,
-        if_conditions="T2" not in args.ablate,
-        interprocedural="T3" not in args.ablate,
-        use_fm=not args.no_fm,
-        budget_ms=args.budget_ms,
-        budget_steps=args.budget_steps,
-        **extra,
-    )
     if args.profile:
         profiler.enable()
-    run_audit = args.audit or args.sarif or args.strict_audit
-    panorama = Panorama(options, run_machine_model=not args.no_machine)
+    run_audit = audit_requested(args)
+    panorama = Panorama(
+        options_from_args(args), run_machine_model=not args.no_machine
+    )
     result = panorama.compile(source)
     # 3 = degraded-but-complete: some verdicts are budget fallbacks
     exit_code = 3 if result.degraded_loops() else 0

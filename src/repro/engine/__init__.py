@@ -20,7 +20,8 @@ this package makes repeated and bulk analysis cheap in practice:
   so ``python -m repro.engine.campaign`` runs the module exactly once;
 * :mod:`repro.engine.telemetry` — counters, roll-ups, and the JSON
   serializers shared with ``panorama --json``;
-* :mod:`repro.engine.cli` — the ``panorama-batch`` entry point.
+* :mod:`repro.engine.cli` — the ``panorama-batch`` entry point, and the
+  engine flag group and run path it shares with ``panorama-campaign``.
 
 The batch pool is supervised (per-item timeouts, retries with seeded
 backoff, pool rebuild on worker crash, quarantine): see

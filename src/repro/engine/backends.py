@@ -27,9 +27,8 @@ whole-item :func:`~repro.engine.cache.result_key`; both ride the same
 checksum, quarantine and circuit-breaker code.
 
 Selection: pass ``backend="disk"|"shared"`` (or an instance) to
-``SummaryCache``/``BatchEngine``, use ``panorama-batch
---cache-backend``, or set :data:`ENV_BACKEND_VAR`
-(``PANORAMA_CACHE_BACKEND``).  The default is ``disk``.
+``SummaryCache``/``BatchEngine``, or use ``--cache-backend``.  The
+default is ``disk``.
 """
 
 from __future__ import annotations
@@ -48,9 +47,6 @@ from ..resilience.breaker import CircuitBreaker
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (cache imports us)
     from .cache import CacheStats, RoutineCacheEntry
-
-#: environment selector for the default backend kind
-ENV_BACKEND_VAR = "PANORAMA_CACHE_BACKEND"
 
 #: kinds make_backend accepts
 BACKEND_KINDS = ("disk", "shared")
@@ -573,12 +569,6 @@ class SharedSQLiteBackend(_BreakerMixin):
         return int(self._with_retry(count, default=0) or 0)
 
 
-def default_backend_kind() -> str:
-    """The backend kind selected by the environment (``disk`` default)."""
-    kind = os.environ.get(ENV_BACKEND_VAR, "").strip().lower()
-    return kind if kind in BACKEND_KINDS else "disk"
-
-
 def make_backend(
     kind: Optional[str],
     cache_dir,
@@ -587,15 +577,13 @@ def make_backend(
     """Construct the durable tier for *cache_dir*.
 
     ``cache_dir=None`` means memory-only: no backend, whatever *kind*
-    says.  ``kind=None`` defers to :data:`ENV_BACKEND_VAR` and falls
-    back to ``disk``.  Unknown kinds raise ``ValueError`` — a typo must
-    not silently select a different persistence story.
+    says.  ``kind=None`` means ``disk``.  Unknown kinds raise
+    ``ValueError`` — a typo must not silently select a different
+    persistence story.
     """
     if cache_dir is None:
         return None
-    if kind is None:
-        kind = default_backend_kind()
-    kind = kind.strip().lower()
+    kind = (kind or "disk").strip().lower()
     if kind == "disk":
         return DiskBackend(cache_dir, stats)
     if kind == "shared":

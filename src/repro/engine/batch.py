@@ -321,6 +321,32 @@ def _analyze_item(
         )
 
 
+#: how often a pool worker checks that the engine process still lives
+_PARENT_POLL_SECONDS = 0.25
+
+
+def _exit_with_parent() -> None:
+    """Pool-worker initializer: exit once the parent process is gone.
+
+    A parent that dies without shutting its pool down (``os._exit``,
+    SIGKILL, the OOM killer) leaves its workers blocked on the call
+    queue forever, still holding every inherited pipe open.  Orphaning
+    changes a process's parent, so a daemon thread watches for that.
+    """
+    parent = os.getppid()
+
+    def watch() -> None:
+        while os.getppid() == parent:
+            time.sleep(_PARENT_POLL_SECONDS)
+        os._exit(EXIT_HARD_FAILURE)
+
+    threading.Thread(target=watch, name="parent-watch", daemon=True).start()
+
+
+def _new_pool(workers: int) -> ProcessPoolExecutor:
+    return ProcessPoolExecutor(max_workers=workers, initializer=_exit_with_parent)
+
+
 def _worker_main(args: tuple) -> BatchItemResult:
     (
         item,
@@ -404,7 +430,7 @@ class BatchEngine:
         self.cache_dir = str(cache_dir) if cache_dir is not None else None
         self.jobs = max(1, jobs)
         self.run_machine_model = run_machine_model
-        #: durable-tier selection ("disk" | "shared" | None = env/default)
+        #: durable-tier selection ("disk" | "shared" | None = disk)
         self.cache_backend = cache_backend
         self.cache = SummaryCache(
             self.cache_dir, max_memory_entries, backend=cache_backend
@@ -724,7 +750,7 @@ class BatchEngine:
         pending: dict[Any, tuple[int, Optional[float]]] = {}
         rng = random.Random(self.retry_seed)
         sup = self.supervision
-        pool = ProcessPoolExecutor(max_workers=workers)
+        pool = _new_pool(workers)
         # probe mode: after a pool breakage the culprit cannot be
         # attributed, so items are dispatched one at a time until a
         # worker round-trips successfully — a persistently crashing item
@@ -778,7 +804,7 @@ class BatchEngine:
         def rebuild_pool() -> ProcessPoolExecutor:
             sup["pool_rebuilds"] += 1
             self._teardown_pool(pool)
-            return ProcessPoolExecutor(max_workers=workers)
+            return _new_pool(workers)
 
         draining = False
         drain_deadline: Optional[float] = None

@@ -283,10 +283,9 @@ class SummaryCache:
 
     With ``cache_dir=None`` the cache is memory-only (useful for tests
     and single-process warm reruns).  With a directory, *backend*
-    selects the durable tier: ``"disk"`` (pickle files, the default),
-    ``"shared"`` (multi-process SQLite), an already-built
-    :class:`CacheBackend` instance, or None to defer to
-    ``$PANORAMA_CACHE_BACKEND``.
+    selects the durable tier: ``"disk"`` (pickle files, the default
+    also for None), ``"shared"`` (multi-process SQLite), or an
+    already-built :class:`CacheBackend` instance.
 
     Whole-item results (:meth:`get_result`/:meth:`put_result`) keep a
     memory map of their own, bounded by the same *max_memory_entries*,

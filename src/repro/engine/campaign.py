@@ -8,7 +8,7 @@ rollup mode merges the per-shard ``--stats-json`` exports into a single
 scoreboard (verdict histogram, cache hit rates, wall-clock).
 
 Determinism is the contract: the corpus is a pure function of
-``(seed, generator version, count, knobs)``, every shard records that
+``(seed, generator version, count)``, every shard records that
 provenance in its stats export, and the rollup refuses to merge shards
 generated from different seeds — so any scoreboard line can be
 reproduced exactly from the line itself.
@@ -17,8 +17,11 @@ The corpus is deliberately *caller-heavy*: a pool of library routines
 (:func:`~repro.kernels.synthetic.make_routine`) repeats across many
 app items (driver + embedded library sources), so identical routines
 carry identical summary fingerprints in every item that embeds them.
-That is the workload where the shared cache tier and the topology
-scheduler earn their keep (``benchmarks/bench_campaign.py``).
+The shared cache tier and the topology scheduler were built for this
+workload (``benchmarks/bench_campaign.py``).  On a 2-vCPU container
+topo dispatch does not pay: it runs 1.18–1.39× as long as input order
+on 100-item corpora at ``--jobs`` 2 and 4 (docs/engine.md,
+"Topology-aware scheduling").
 """
 
 from __future__ import annotations
@@ -29,6 +32,8 @@ import random
 import sys
 from typing import Any, Optional, Sequence
 
+from .. import __version__
+from ..dataflow import AnalysisOptions
 from ..kernels.synthetic import (
     ROUTINE_PATTERNS,
     make_driver,
@@ -36,6 +41,7 @@ from ..kernels.synthetic import (
     make_routine,
 )
 from .batch import BatchItem
+from .cli import add_engine_flags, run_engine
 
 #: bump when the generator's output changes for a fixed seed (recorded
 #: in every rollup so old scoreboard lines stay reproducible against
@@ -288,10 +294,6 @@ def format_scoreboard(rollup: dict[str, Any]) -> str:
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
-    from .. import __version__
-    from .backends import BACKEND_KINDS
-    from .scheduler import SCHEDULE_MODES
-
     parser = argparse.ArgumentParser(
         prog="panorama-campaign",
         description=(
@@ -309,54 +311,10 @@ def build_arg_parser() -> argparse.ArgumentParser:
         help="generator seed; recorded in the stats rollup (default 0)",
     )
     parser.add_argument(
-        "--library-size", type=int, metavar="N",
-        help="routine-pool size (default: scaled from --count)",
-    )
-    parser.add_argument(
         "--shard", metavar="i/N",
         help="run only shard i of N (1-based round-robin partition)",
     )
-    parser.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="worker processes (default 1: in-process)",
-    )
-    parser.add_argument(
-        "--cache-dir", metavar="PATH",
-        help="durable summary-cache directory (share it across shards)",
-    )
-    parser.add_argument(
-        "--cache-backend", choices=list(BACKEND_KINDS),
-        help="durable-tier implementation (default: $PANORAMA_CACHE_BACKEND"
-        " or disk)",
-    )
-    parser.add_argument(
-        "--schedule", choices=list(SCHEDULE_MODES), default="auto",
-        help="dispatch order: topology-aware, arbitrary, or auto",
-    )
-    parser.add_argument(
-        "--no-machine", action="store_true",
-        help="skip cost/speedup estimation",
-    )
-    parser.add_argument(
-        "--stats-json", metavar="PATH",
-        help="write this shard's telemetry (feed the files to --rollup)",
-    )
-    parser.add_argument(
-        "--ledger", metavar="PATH",
-        help="journal shard progress to this append-only JSONL ledger "
-        "(one record per item transition; feed it to --resume)",
-    )
-    parser.add_argument(
-        "--resume", metavar="LEDGER",
-        help="resume an interrupted shard from its ledger: completed "
-        "items are served from the journal, the rest re-dispatched; "
-        "refuses a ledger from a different campaign/shard",
-    )
-    parser.add_argument(
-        "--drain-timeout", type=float, default=10.0, metavar="SECONDS",
-        help="on SIGTERM/SIGINT, give in-flight items this long to "
-        "finish before abandoning them (default 10; exit code 5)",
-    )
+    add_engine_flags(parser)
     parser.add_argument(
         "--list", action="store_true",
         help="print the generated item names and exit (no analysis)",
@@ -399,9 +357,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     try:
-        corpus = generate_campaign(
-            args.count, seed=args.seed, library_size=args.library_size
-        )
+        corpus = generate_campaign(args.count, seed=args.seed)
     except ValueError as exc:
         print(f"panorama-campaign: {exc}", file=sys.stderr)
         return 2
@@ -418,18 +374,21 @@ def main(argv: list[str] | None = None) -> int:
             print(item.name)
         return 0
 
-    from ..dataflow import AnalysisOptions
-    from ..errors import EXIT_INTERRUPTED
-    from .batch import BatchEngine
-    from .cli import install_drain_handlers, prepare_ledger
-    from .ledger import run_identity
+    def show(report) -> None:
+        print(f"shard {shard_spec}: {report.telemetry.summary_line()}")
+        for res in report.results:
+            if not res.ok:
+                print(
+                    f"--- {res.name}: ERROR ({res.error_kind}) ---\n"
+                    f"{res.error}",
+                    file=sys.stderr,
+                )
 
-    options = AnalysisOptions()
-    identity = run_identity(
-        "campaign",
+    return run_engine(
+        args,
         items,
-        options,
-        machine=not args.no_machine,
+        AnalysisOptions(),
+        show,
         campaign={
             "seed": args.seed,
             "generator_version": GENERATOR_VERSION,
@@ -437,62 +396,6 @@ def main(argv: list[str] | None = None) -> int:
             "shard": shard_spec,
         },
     )
-    try:
-        writer, replay = prepare_ledger(
-            args.ledger, args.resume, identity, "panorama-campaign"
-        )
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    engine = BatchEngine(
-        options,
-        cache_dir=args.cache_dir,
-        jobs=args.jobs,
-        run_machine_model=not args.no_machine,
-        cache_backend=args.cache_backend,
-        schedule=args.schedule,
-        ledger=writer,
-        resume=replay,
-        drain_timeout=args.drain_timeout,
-    )
-    restore_signals = install_drain_handlers(engine)
-    try:
-        report = engine.run(items)
-    finally:
-        restore_signals()
-        if writer is not None:
-            writer.close()
-    tele = report.telemetry
-    tele.campaign = {
-        "seed": args.seed,
-        "generator_version": GENERATOR_VERSION,
-        "count": args.count,
-        "shard": shard_spec,
-        "items": len(items),
-        "library_size": args.library_size,
-    }
-    if args.stats_json:
-        tele.write_json(args.stats_json)
-    print(
-        f"shard {shard_spec}: {tele.summary_line()}"
-    )
-    for res in report.results:
-        if not res.ok:
-            print(
-                f"--- {res.name}: ERROR ({res.error_kind}) ---\n{res.error}",
-                file=sys.stderr,
-            )
-    code = report.exit_code()
-    if code == EXIT_INTERRUPTED:
-        ledger_path = args.ledger or args.resume
-        hint = (
-            f" (resume with --resume {ledger_path})" if ledger_path else ""
-        )
-        print(
-            f"panorama-campaign: shard {shard_spec} interrupted; finalized "
-            f"progress is flushed and consistent{hint} (exit 5)",
-            file=sys.stderr,
-        )
-    return code
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -5,6 +5,10 @@ Examples::
     panorama-batch a.f b.f c.f --jobs 4 --cache-dir ~/.panorama-cache
     panorama-batch --kernels --jobs 4 --stats-json stats.json
     panorama-batch --kernels --json          # full machine-readable output
+
+Also home of what ``panorama-campaign`` shares with it: the engine flag
+group (:func:`add_engine_flags`) and the run path (:func:`run_engine`).
+The analysis and audit groups come from :mod:`repro.driver.flags`.
 """
 
 from __future__ import annotations
@@ -14,17 +18,78 @@ import json
 import os
 import signal
 import sys
-
 from types import SimpleNamespace
+from typing import Any, Callable, Optional, Sequence
 
 from .. import __version__
 from ..dataflow import AnalysisOptions
+from ..driver.flags import (
+    add_analysis_flags,
+    add_audit_flags,
+    add_machine_flag,
+    audit_requested,
+    options_from_args,
+)
 from ..driver.report import format_stats, format_table, yes_no
 from ..errors import EXIT_INTERRUPTED, EXIT_USAGE
-from ..resilience import faults
-from ..resilience.faults import ENV_VAR
 from . import ledger as ledger_mod
-from .batch import BatchEngine, items_from_kernel_registry, items_from_paths
+from .backends import BACKEND_KINDS
+from .batch import (
+    BatchEngine,
+    BatchItem,
+    BatchReport,
+    items_from_kernel_registry,
+    items_from_paths,
+)
+from .scheduler import SCHEDULE_MODES
+
+
+def add_engine_flags(parser: argparse.ArgumentParser) -> None:
+    """The engine group ``panorama-batch`` and ``panorama-campaign``
+    share; :func:`run_engine` reads it."""
+    group = parser.add_argument_group("engine (docs/engine.md)")
+    group.add_argument(
+        "--jobs", type=int, default=1, metavar="N",
+        help="worker processes (default 1: in-process)",
+    )
+    group.add_argument(
+        "--cache-dir", metavar="PATH",
+        help="durable summary-cache directory (shared by workers and "
+        "by shards)",
+    )
+    group.add_argument(
+        "--cache-backend", choices=list(BACKEND_KINDS),
+        help="durable tier: pickle files (disk, the default) or the "
+        "multi-process SQLite tier (shared)",
+    )
+    group.add_argument(
+        "--schedule", choices=list(SCHEDULE_MODES), default="auto",
+        help="dispatch order: topo analyzes callee-providing items first "
+        "so callers hit warm summaries; auto picks it for a pool with a "
+        "--cache-dir (default auto)",
+    )
+    add_machine_flag(group)
+    group.add_argument(
+        "--stats-json", metavar="PATH",
+        help="write the run's telemetry (timings, stats, cache counters); "
+        "campaign shards feed these files to --rollup",
+    )
+    group.add_argument(
+        "--ledger", metavar="PATH",
+        help="journal run progress to this append-only JSONL ledger "
+        "(one record per item transition; feed it to --resume)",
+    )
+    group.add_argument(
+        "--resume", metavar="LEDGER",
+        help="resume an interrupted run from its ledger: completed "
+        "items are served from the journal, in-flight and failed ones "
+        "re-dispatched; refuses a ledger written for a different run",
+    )
+    group.add_argument(
+        "--drain-timeout", type=float, default=10.0, metavar="SECONDS",
+        help="on SIGTERM/SIGINT, give in-flight items this long to "
+        "finish before abandoning them (default 10; exit code 5)",
+    )
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -46,65 +111,12 @@ def build_arg_parser() -> argparse.ArgumentParser:
         help="also analyze the built-in Perfect-benchmark kernel suite",
     )
     parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="worker processes (default 1: in-process)",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        metavar="PATH",
-        help="persistent summary cache directory (shared by workers)",
-    )
-    parser.add_argument(
-        "--cache-backend",
-        choices=["disk", "shared"],
-        help="durable cache tier: pickle files (disk) or the "
-        "multi-process SQLite tier (shared); default "
-        "$PANORAMA_CACHE_BACKEND or disk",
-    )
-    parser.add_argument(
-        "--schedule",
-        choices=["auto", "topo", "arbitrary"],
-        default="auto",
-        help="dispatch order: topo analyzes callee-providing items "
-        "first so callers hit warm summaries (default auto)",
-    )
-    parser.add_argument(
-        "--stats-json",
-        metavar="PATH",
-        help="write aggregated telemetry (timings, stats, cache counters)",
-    )
-    parser.add_argument(
         "--json",
         action="store_true",
         help="emit all results as JSON on stdout instead of tables",
     )
-    parser.add_argument(
-        "--ablate",
-        choices=["T1", "T2", "T3"],
-        action="append",
-        default=[],
-        help="disable a technique (repeatable): T1 symbolic, "
-        "T2 IF conditions, T3 interprocedural",
-    )
-    parser.add_argument(
-        "--no-fm",
-        action="store_true",
-        help="disable the Fourier-Motzkin fallback prover",
-    )
-    parser.add_argument(
-        "--no-frontier",
-        action="store_true",
-        help="disable the frontier pass (array-content facts and "
-        "scan/recurrence recognition; docs/frontier.md)",
-    )
-    parser.add_argument(
-        "--no-machine",
-        action="store_true",
-        help="skip cost/speedup estimation",
-    )
+    add_engine_flags(parser)
+    add_analysis_flags(parser)
     resilience = parser.add_argument_group(
         "resilience (docs/robustness.md)"
     )
@@ -123,66 +135,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
         help="retry a failed item up to N times before quarantining it "
         "(default 2; source errors are never retried)",
     )
-    resilience.add_argument(
-        "--budget-ms",
-        type=float,
-        metavar="MS",
-        help="per-file analysis deadline; exhaustion degrades loops to "
-        "conservative 'unknown (budget)' verdicts instead of failing",
-    )
-    resilience.add_argument(
-        "--budget-steps",
-        type=int,
-        metavar="N",
-        help="per-file symbolic step budget (deterministic analogue of "
-        "--budget-ms)",
-    )
-    resilience.add_argument(
-        "--inject-faults",
-        metavar="PLAN",
-        help="fault plan, e.g. 'worker.crash:MDG@1;cache.corrupt' "
-        f"(equivalent to setting ${ENV_VAR}; chaos testing only)",
-    )
-    resilience.add_argument(
-        "--ledger",
-        metavar="PATH",
-        help="journal run progress to this append-only JSONL ledger "
-        "(one record per item transition; feed it to --resume)",
-    )
-    resilience.add_argument(
-        "--resume",
-        metavar="LEDGER",
-        help="resume an interrupted run from its ledger: completed "
-        "items are served from the journal, in-flight and failed ones "
-        "re-dispatched; refuses a ledger written for a different run",
-    )
-    resilience.add_argument(
-        "--drain-timeout",
-        type=float,
-        default=10.0,
-        metavar="SECONDS",
-        help="on SIGTERM/SIGINT, give in-flight items this long to "
-        "finish before abandoning them (default 10; exit code 5)",
-    )
-    audit = parser.add_argument_group("auditing (docs/auditing.md)")
-    audit.add_argument(
-        "--audit",
-        action="store_true",
-        help="run the static race auditor over every parallel verdict in "
-        "every item (PAN1xx/PAN2xx/PAN3xx diagnostics)",
-    )
-    audit.add_argument(
-        "--sarif",
-        metavar="PATH",
-        help="write all audit diagnostics as one SARIF 2.1.0 log "
-        "(implies --audit)",
-    )
-    audit.add_argument(
-        "--strict-audit",
-        action="store_true",
-        help="exit 4 when the audit finds a confirmed disagreement or an "
-        "internal-consistency violation (implies --audit)",
-    )
+    add_audit_flags(parser)
     parser.add_argument(
         "--version", action="version", version=f"%(prog)s {__version__}"
     )
@@ -255,43 +208,40 @@ def install_drain_handlers(engine: BatchEngine):
     return restore
 
 
-def main(argv: list[str] | None = None) -> int:
-    """CLI entry point; returns the process exit code."""
-    args = build_arg_parser().parse_args(argv)
-    try:
-        items = items_from_paths(args.sources)
-    except OSError as exc:
-        print(f"panorama-batch: cannot read source: {exc}", file=sys.stderr)
-        return 2
-    if args.kernels:
-        items.extend(items_from_kernel_registry())
-    if not items:
-        print("panorama-batch: no sources (pass files or --kernels)",
-              file=sys.stderr)
-        return 2
+def run_engine(
+    args: argparse.Namespace,
+    items: Sequence[BatchItem],
+    options: AnalysisOptions,
+    show: Callable[[BatchReport], None],
+    *,
+    campaign: Optional[dict[str, Any]] = None,
+    audit: bool = False,
+    strict_audit: bool = False,
+    **engine_kw: Any,
+) -> int:
+    """The run path of ``panorama-batch`` and ``panorama-campaign``.
 
-    if args.inject_faults:
-        # the env var is the transport: pool workers inherit it
-        os.environ[ENV_VAR] = args.inject_faults
-        faults.reset()
-
-    extra = {"frontier": False} if args.no_frontier else {}
-    options = AnalysisOptions(
-        symbolic="T1" not in args.ablate,
-        if_conditions="T2" not in args.ablate,
-        interprocedural="T3" not in args.ablate,
-        use_fm=not args.no_fm,
-        budget_ms=args.budget_ms,
-        budget_steps=args.budget_steps,
-        **extra,
-    )
-    run_audit = bool(args.audit or args.sarif or args.strict_audit)
+    Opens the ledger the engine flags name, runs *items* on a
+    :class:`BatchEngine` built from those flags with SIGTERM/SIGINT
+    draining it, hands the report to *show*, writes ``--stats-json``
+    and returns the exit code, explaining a nonzero one on stderr.
+    *campaign* is a campaign shard's provenance (seed, generator
+    version, count, shard): it joins the ledger identity and the stats
+    export.  *engine_kw* passes further :class:`BatchEngine` settings.
+    """
+    kind = "campaign" if campaign else "batch"
+    prog = f"panorama-{kind}"
     identity = ledger_mod.run_identity(
-        "batch", items, options, audit=run_audit, machine=not args.no_machine
+        kind,
+        items,
+        options,
+        audit=audit,
+        machine=not args.no_machine,
+        campaign=campaign,
     )
     try:
         writer, replay = prepare_ledger(
-            args.ledger, args.resume, identity, "panorama-batch"
+            args.ledger, args.resume, identity, prog
         )
     except SystemExit as exc:
         return int(exc.code or 0)
@@ -300,14 +250,13 @@ def main(argv: list[str] | None = None) -> int:
         cache_dir=args.cache_dir,
         jobs=args.jobs,
         run_machine_model=not args.no_machine,
-        timeout_per_item=args.timeout_per_item,
-        max_attempts=max(1, args.retries + 1),
-        audit=run_audit,
+        audit=audit,
         cache_backend=args.cache_backend,
         schedule=args.schedule,
         ledger=writer,
         resume=replay,
         drain_timeout=args.drain_timeout,
+        **engine_kw,
     )
     restore_signals = install_drain_handlers(engine)
     try:
@@ -316,7 +265,45 @@ def main(argv: list[str] | None = None) -> int:
         restore_signals()
         if writer is not None:
             writer.close()
+    if campaign:
+        report.telemetry.campaign = {**campaign, "items": len(items)}
+    show(report)
+    if args.stats_json:
+        report.telemetry.write_json(args.stats_json)
 
+    shard = f"shard {campaign['shard']} " if campaign else ""
+    code = report.exit_code()
+    if code in (0, 3) and strict_audit and report.audit_errors():
+        # a soundness finding trumps the degraded-verdicts code
+        code = 4
+        print(
+            f"{prog}: strict audit failed: "
+            f"{len(report.audit_errors())} error-severity diagnostic(s) "
+            "(exit 4)",
+            file=sys.stderr,
+        )
+    elif code == 3:
+        print(
+            f"{prog}: {shard}completed with degradations "
+            "(see docs/robustness.md; exit 3)",
+            file=sys.stderr,
+        )
+    elif code == EXIT_INTERRUPTED:
+        ledger_path = args.ledger or args.resume
+        hint = (
+            f" (resume with --resume {ledger_path})" if ledger_path else ""
+        )
+        print(
+            f"{prog}: {shard}interrupted; finalized progress is flushed "
+            f"and consistent{hint} (exit 5)",
+            file=sys.stderr,
+        )
+    return code
+
+
+def print_report(report: BatchReport, args: argparse.Namespace) -> None:
+    """``panorama-batch`` output: JSON or per-item tables, and SARIF."""
+    run_audit = audit_requested(args)
     if args.json:
         print(
             json.dumps(
@@ -399,35 +386,31 @@ def main(argv: list[str] | None = None) -> int:
 
         write_sarif(report.audit_diagnostics(), args.sarif)
 
-    if args.stats_json:
-        report.telemetry.write_json(args.stats_json)
-    code = report.exit_code()
-    if code in (0, 3) and args.strict_audit and report.audit_errors():
-        # a soundness finding trumps the degraded-verdicts code
-        code = 4
-        print(
-            "panorama-batch: strict audit failed: "
-            f"{len(report.audit_errors())} error-severity diagnostic(s) "
-            "(exit 4)",
-            file=sys.stderr,
-        )
-    elif code == 3:
-        print(
-            "panorama-batch: completed with degradations "
-            "(see docs/robustness.md; exit 3)",
-            file=sys.stderr,
-        )
-    elif code == EXIT_INTERRUPTED:
-        ledger_path = args.ledger or args.resume
-        hint = (
-            f" (resume with --resume {ledger_path})" if ledger_path else ""
-        )
-        print(
-            "panorama-batch: interrupted; finalized progress is flushed "
-            f"and consistent{hint} (exit 5)",
-            file=sys.stderr,
-        )
-    return code
+
+def main(argv: list[str] | None = None) -> int:
+    """CLI entry point; returns the process exit code."""
+    args = build_arg_parser().parse_args(argv)
+    try:
+        items = items_from_paths(args.sources)
+    except OSError as exc:
+        print(f"panorama-batch: cannot read source: {exc}", file=sys.stderr)
+        return 2
+    if args.kernels:
+        items.extend(items_from_kernel_registry())
+    if not items:
+        print("panorama-batch: no sources (pass files or --kernels)",
+              file=sys.stderr)
+        return 2
+    return run_engine(
+        args,
+        items,
+        options_from_args(args),
+        lambda report: print_report(report, args),
+        audit=audit_requested(args),
+        strict_audit=args.strict_audit,
+        timeout_per_item=args.timeout_per_item,
+        max_attempts=max(1, args.retries + 1),
+    )
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -128,10 +128,13 @@ def resolve_schedule_mode(
 ) -> str:
     """Collapse ``auto`` to a concrete mode.
 
-    Topology ordering only pays when warm summaries can actually flow
-    between items: in-process runs share the memory tier, pool runs
-    need a durable tier (``cache_dir``).  A pool with no cache directory
-    has nothing to warm, so ordering would be pure overhead.
+    ``auto`` plans topology order only for a pool (``jobs > 1``) with a
+    durable tier (``cache_dir``), where the plan gates consumers behind
+    their providers across workers.  A pool with no cache directory has
+    nothing to warm.  An in-process run shares one memory tier, where
+    input order reuses summaries as well as a plan does (same cache
+    hits and misses), while planning parses, analyzes and fingerprints
+    every item a second time.
     """
     if mode not in SCHEDULE_MODES:
         raise ValueError(
@@ -139,9 +142,7 @@ def resolve_schedule_mode(
         )
     if mode != "auto":
         return mode
-    if item_count < 2:
-        return "arbitrary"
-    if jobs <= 1 or cache_dir is not None:
+    if item_count >= 2 and jobs > 1 and cache_dir is not None:
         return "topo"
     return "arbitrary"
 

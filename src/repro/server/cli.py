@@ -88,9 +88,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--cache-backend",
         choices=["disk", "shared"],
-        help="durable cache tier: pickle files (disk) or the "
-        "multi-process SQLite tier (shared); default "
-        "$PANORAMA_CACHE_BACKEND or disk",
+        help="durable tier: pickle files (disk, the default) or the "
+        "multi-process SQLite tier (shared)",
     )
     parser.add_argument(
         "--audit",

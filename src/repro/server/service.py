@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
 from .. import __version__
-from ..dataflow.context import AnalysisOptions
+from ..dataflow.context import ANALYSIS_FLAGS, TECHNIQUES, AnalysisOptions
 from ..driver.panorama import (
     CompilationResult,
     CompositeHooks,
@@ -80,9 +80,9 @@ class ServerConfig:
     #: optional durable tier for the summary cache (shared with the
     #: batch engine's --cache-dir format)
     cache_dir: Optional[str] = None
-    #: durable-tier implementation: "disk" | "shared" | None
-    #: (= $PANORAMA_CACHE_BACKEND or disk); "shared" lets a daemon and
-    #: concurrent batch shards serve one SQLite summary tier
+    #: durable-tier implementation: "disk" | "shared" | None (= disk);
+    #: "shared" lets a daemon and concurrent batch shards serve one
+    #: SQLite summary tier
     cache_backend: Optional[str] = None
     #: run the static soundness auditor on every analyze by default
     #: (requests can override per call)
@@ -245,32 +245,28 @@ class AnalysisService:
         raw = body.get("options") or {}
         if not isinstance(raw, dict):
             raise RequestError(400, "request", '"options" must be an object')
-        known = {"ablate", "no_fm", "no_frontier", "budget_ms", "budget_steps"}
-        unknown = set(raw) - known
+        unknown = set(raw) - set(ANALYSIS_FLAGS)
         if unknown:
             raise RequestError(
                 400, "request",
                 f"unknown option(s): {', '.join(sorted(unknown))} "
-                f"(known: {', '.join(sorted(known))})",
+                f"(known: {', '.join(sorted(ANALYSIS_FLAGS))})",
             )
         ablate = raw.get("ablate") or []
-        if not isinstance(ablate, list) or not set(ablate) <= {"T1", "T2", "T3"}:
+        if not isinstance(ablate, list) or not set(ablate) <= set(TECHNIQUES):
             raise RequestError(
                 400, "request", '"ablate" must be a list drawn from T1/T2/T3'
             )
-        budget_ms = self._clamped(raw, "budget_ms", self.config.budget_ms, float)
-        budget_steps = self._clamped(
-            raw, "budget_steps", self.config.budget_steps, int
-        )
-        extra = {"frontier": False} if raw.get("no_frontier") else {}
-        return AnalysisOptions(
-            symbolic="T1" not in ablate,
-            if_conditions="T2" not in ablate,
-            interprocedural="T3" not in ablate,
-            use_fm=not raw.get("no_fm", False),
-            budget_ms=budget_ms,
-            budget_steps=budget_steps,
-            **extra,
+        return AnalysisOptions.from_flags(
+            ablate=ablate,
+            no_fm=raw.get("no_fm", False),
+            no_frontier=raw.get("no_frontier", False),
+            budget_ms=self._clamped(
+                raw, "budget_ms", self.config.budget_ms, float
+            ),
+            budget_steps=self._clamped(
+                raw, "budget_steps", self.config.budget_steps, int
+            ),
         )
 
     @staticmethod

@@ -335,11 +335,8 @@ class TestCrashResume:
     SCOREBOARD = ("files", "errors", "loops", "parallel_loops", "verdicts")
 
     @staticmethod
-    def campaign(tmp_path, *args, env_extra=None, count=30, seed=5,
-                 capture=True):
+    def env(env_extra=None) -> dict:
         import os as _os
-        import subprocess
-        import sys as _sys
 
         env = dict(_os.environ)
         root = Path(__file__).resolve().parents[2]
@@ -347,16 +344,18 @@ class TestCrashResume:
         env.pop(faults.ENV_VAR, None)
         if env_extra:
             env.update(env_extra)
-        # capture=False for runs expected to die via os._exit: orphaned
-        # pool workers inherit the pipe fds and would stall EOF forever
-        io = dict(capture_output=True) if capture else dict(
-            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL
-        )
+        return env
+
+    def campaign(self, tmp_path, *args, env_extra=None, count=30, seed=5):
+        import subprocess
+        import sys as _sys
+
         return subprocess.run(
             [_sys.executable, "-m", "repro.engine.campaign",
              "--count", str(count), "--seed", str(seed), "--jobs", "2",
              *args],
-            env=env, cwd=tmp_path, text=True, timeout=300, **io,
+            env=self.env(env_extra), cwd=tmp_path, capture_output=True,
+            text=True, timeout=300,
         )
 
     def scoreboard(self, path) -> dict:
@@ -378,9 +377,8 @@ class TestCrashResume:
             "--ledger", str(ledger),
             "--stats-json", str(tmp_path / "crashed.json"),
             env_extra={faults.ENV_VAR: "engine.crash@7"},
-            capture=False,
         )
-        assert crashed.returncode == 86  # os._exit(86)
+        assert crashed.returncode == 86, crashed.stderr  # os._exit(86)
         assert ledger.exists()
 
         resumed = self.campaign(
@@ -393,9 +391,58 @@ class TestCrashResume:
             tmp_path / "ref.json"
         )
 
+    @staticmethod
+    def live_members(pgid: int) -> list[int]:
+        """Pids of the process group's members that are not zombies."""
+        import os as _os
+
+        pids = []
+        for entry in _os.listdir("/proc"):
+            if not entry.isdigit():
+                continue
+            try:
+                stat = Path(f"/proc/{entry}/stat").read_text()
+            except OSError:
+                continue  # exited while we looked
+            state, _ppid, group = stat.rsplit(")", 1)[1].split()[:3]
+            if int(group) == pgid and state != "Z":
+                pids.append(int(entry))
+        return pids
+
+    def test_hard_crash_leaves_no_pool_worker_alive(self, tmp_path):
+        """A pool whose parent dies without shutting it down exits too:
+        the crashed campaign's process group empties within seconds."""
+        import os as _os
+        import signal as _signal
+        import subprocess
+        import sys as _sys
+        import time as _time
+
+        if not Path("/proc/self/stat").exists():
+            pytest.skip("needs /proc to list a process group")
+        proc = subprocess.Popen(
+            [_sys.executable, "-m", "repro.engine.campaign",
+             "--count", "24", "--seed", "9", "--jobs", "2", "--no-machine",
+             "--cache-dir", str(tmp_path / "cache")],
+            env=self.env({faults.ENV_VAR: "engine.crash@4"}), cwd=tmp_path,
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+            start_new_session=True,
+        )
+        pgid = proc.pid  # a session leader's group id is its pid
+        try:
+            assert proc.wait(timeout=300) == 86
+            deadline = _time.monotonic() + 5.0
+            while self.live_members(pgid) and _time.monotonic() < deadline:
+                _time.sleep(0.05)
+            assert self.live_members(pgid) == []
+        finally:
+            try:
+                _os.killpg(pgid, _signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+
     def test_sigterm_drain_then_resume_matches_uninterrupted(self, tmp_path):
         import json
-        import os as _os
         import signal as _signal
         import subprocess
         import sys as _sys
@@ -409,10 +456,6 @@ class TestCrashResume:
         )
         assert ref.returncode == 0, ref.stderr
 
-        env = dict(_os.environ)
-        root = Path(__file__).resolve().parents[2]
-        env["PYTHONPATH"] = str(root / "src")
-        env.pop(faults.ENV_VAR, None)
         ledger = tmp_path / "drain.jsonl"
         proc = subprocess.Popen(
             [_sys.executable, "-m", "repro.engine.campaign",
@@ -420,7 +463,7 @@ class TestCrashResume:
              "--cache-dir", str(tmp_path / "cache"),
              "--ledger", str(ledger),
              "--stats-json", str(tmp_path / "drained.json")],
-            env=env, cwd=tmp_path,
+            env=self.env(), cwd=tmp_path,
             stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
         )
         try:

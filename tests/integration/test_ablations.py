@@ -34,7 +34,8 @@ def arrays_privatized(kernel, options: AnalysisOptions) -> bool:
 @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.full_id)
 @pytest.mark.parametrize("technique", ["T1", "T2", "T3"])
 def test_ablation_matrix(kernel, technique):
-    ok = arrays_privatized(kernel, AnalysisOptions.ablation(technique))
+    options = AnalysisOptions.from_flags(ablate=[technique])
+    ok = arrays_privatized(kernel, options)
     needed = technique in kernel.techniques
     if needed:
         assert not ok, (
@@ -50,4 +51,4 @@ def test_ablation_matrix(kernel, technique):
 
 @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.full_id)
 def test_all_techniques_on_succeeds(kernel):
-    assert arrays_privatized(kernel, AnalysisOptions.all_on())
+    assert arrays_privatized(kernel, AnalysisOptions())

@@ -16,11 +16,7 @@ from repro.resilience import faults
 
 @pytest.fixture(autouse=True)
 def clean_plan(monkeypatch):
-    # setenv first: `--inject-faults` writes os.environ directly, and a
-    # bare delenv of an unset variable records nothing to undo, which
-    # would leave the plan armed for every later test of the pytest run
-    monkeypatch.setenv(faults.ENV_VAR, "")
-    monkeypatch.delenv(faults.ENV_VAR)
+    monkeypatch.delenv(faults.ENV_VAR, raising=False)
     faults.reset()
     yield
     faults.reset()
@@ -107,10 +103,14 @@ class TestEndToEndMisreport:
     scan, and the frontier pass would (correctly) report it parallel,
     leaving no serial verdict for the misreport seam to flip."""
 
-    def test_strict_audit_exits_4_and_writes_sarif(self, tmp_path, capsys):
+    def test_strict_audit_exits_4_and_writes_sarif(
+        self, tmp_path, capsys, monkeypatch
+    ):
         src = tmp_path / "seeded.f"
         src.write_text(SEEDED_RACE)
         sarif_path = tmp_path / "audit.sarif"
+        monkeypatch.setenv(faults.ENV_VAR, "classifier.misreport:sweep/10")
+        faults.reset()
         code = batch_cli.main(
             [
                 str(src),
@@ -120,8 +120,6 @@ class TestEndToEndMisreport:
                 str(sarif_path),
                 "--no-machine",
                 "--no-frontier",
-                "--inject-faults",
-                "classifier.misreport:sweep/10",
             ]
         )
         assert code == 4

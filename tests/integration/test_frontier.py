@@ -180,10 +180,10 @@ class TestCliAndCache:
         off_out = capsys.readouterr().out
         assert "parallel (scan)" not in off_out and "serial" in off_out
 
-    def test_env_toggle_matches_the_flag(self, monkeypatch):
+    def test_environment_cannot_switch_the_pass_off(self, monkeypatch):
+        """``--no-frontier`` is the only spelling: the options never
+        read the environment."""
         monkeypatch.setenv("PANORAMA_NO_FRONTIER", "1")
-        assert AnalysisOptions().frontier is False
-        monkeypatch.delenv("PANORAMA_NO_FRONTIER")
         assert AnalysisOptions().frontier is True
 
     def test_toggle_reaches_the_cache_key(self):

@@ -1,0 +1,160 @@
+"""The CLIs' shared settings: one declaration, one mapping to options.
+
+``panorama``, ``panorama-batch`` and the daemon's request options must
+turn the same settings into equal :class:`AnalysisOptions`; every CLI
+keeps its option strings and defaults; and ``panorama`` imports no part
+of the engine or the daemon.
+"""
+
+from __future__ import annotations
+
+import argparse
+import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import repro
+from repro.dataflow import AnalysisOptions
+from repro.driver import cli as driver_cli
+from repro.driver.flags import options_from_args
+from repro.engine import campaign as campaign_cli
+from repro.engine import cli as batch_cli
+from repro.server import cli as serve_cli
+from repro.server.service import AnalysisService, ServerConfig
+
+TECHNIQUE_SUBSETS = [
+    combo
+    for size in range(4)
+    for combo in itertools.combinations(("T1", "T2", "T3"), size)
+]
+BUDGETS = ((None, None), (250.0, 4000))
+SETTINGS = list(
+    itertools.product(TECHNIQUE_SUBSETS, (False, True), (False, True), BUDGETS)
+)
+
+
+def _setting_id(setting) -> str:
+    ablate, no_fm, no_frontier, (budget_ms, _) = setting
+    return "-".join(
+        ["".join(ablate) or "all"]
+        + ["no_fm"] * no_fm
+        + ["no_frontier"] * no_frontier
+        + ["budget"] * (budget_ms is not None)
+    )
+
+
+@pytest.fixture(scope="module")
+def service():
+    return AnalysisService(ServerConfig())
+
+
+@pytest.mark.parametrize("setting", SETTINGS, ids=_setting_id)
+def test_every_front_end_maps_a_setting_to_the_same_options(service, setting):
+    ablate, no_fm, no_frontier, (budget_ms, budget_steps) = setting
+    argv = [flag for t in ablate for flag in ("--ablate", t)]
+    request = {"ablate": list(ablate), "no_fm": no_fm, "no_frontier": no_frontier}
+    if no_fm:
+        argv.append("--no-fm")
+    if no_frontier:
+        argv.append("--no-frontier")
+    if budget_ms is not None:
+        argv += ["--budget-ms", str(budget_ms), "--budget-steps", str(budget_steps)]
+        request.update(budget_ms=budget_ms, budget_steps=budget_steps)
+
+    expected = AnalysisOptions(
+        symbolic="T1" not in ablate,
+        if_conditions="T2" not in ablate,
+        interprocedural="T3" not in ablate,
+        use_fm=not no_fm,
+        frontier=not no_frontier,
+        budget_ms=budget_ms,
+        budget_steps=budget_steps,
+    )
+    panorama = driver_cli.build_arg_parser().parse_args(["x.f", *argv])
+    batch = batch_cli.build_arg_parser().parse_args(argv)
+    assert options_from_args(panorama) == expected
+    assert options_from_args(batch) == expected
+    assert service.build_options({"options": request}) == expected
+
+
+# The option strings and defaults of every CLI (``--help`` aside); the
+# deleted flags --inject-faults and --library-size are gone.
+SUPPRESS = argparse.SUPPRESS
+ANALYSIS = {
+    "--ablate": [], "--no-fm": False, "--no-frontier": False,
+    "--budget-ms": None, "--budget-steps": None,
+}
+AUDIT = {"--audit": False, "--sarif": None, "--strict-audit": False}
+ENGINE = {
+    "--jobs": 1, "--cache-dir": None, "--cache-backend": None,
+    "--schedule": "auto", "--no-machine": False, "--stats-json": None,
+    "--ledger": None, "--resume": None, "--drain-timeout": 10.0,
+}
+PINNED = {
+    "panorama": (driver_cli, {
+        "source": None, "--summaries": False, "--dump-hsg": False,
+        "--no-machine": False, "--emit": None, "--json": False,
+        "--profile": False, "--version": SUPPRESS, **ANALYSIS, **AUDIT,
+    }),
+    "panorama-batch": (batch_cli, {
+        "sources": None, "--kernels": False, "--json": False,
+        "--timeout-per-item": None, "--retries": 2, "--version": SUPPRESS,
+        **ENGINE, **ANALYSIS, **AUDIT,
+    }),
+    "panorama-campaign": (campaign_cli, {
+        "--count": 100, "--seed": 0, "--shard": None, "--list": False,
+        "--rollup": None, "stats_files": None, "--version": SUPPRESS,
+        **ENGINE,
+    }),
+    "panorama-serve": (serve_cli, {
+        "--host": "127.0.0.1", "--port": 8321, "--max-inflight": 8,
+        "--retry-after": 1.0, "--budget-ms": None, "--budget-steps": None,
+        "--max-body-kb": 4000, "--cache-dir": None, "--cache-backend": None,
+        "--audit": False, "--drain-timeout": 10.0, "--ready-file": None,
+        "--selftest": False, "--version": SUPPRESS,
+    }),
+}
+CHOICES = {
+    "--ablate": ["T1", "T2", "T3"],
+    "--emit": ["omp", "sgi"],
+    "--cache-backend": ["disk", "shared"],
+    "--schedule": ["auto", "topo", "arbitrary"],
+}
+
+
+@pytest.mark.parametrize("prog", sorted(PINNED))
+def test_option_strings_and_defaults_are_pinned(prog):
+    module, pinned = PINNED[prog]
+    parser = module.build_arg_parser()
+    assert parser.prog == prog
+    actions = {
+        (action.option_strings or [action.dest])[-1]: action
+        for action in parser._actions
+        if "--help" not in action.option_strings
+    }
+    assert {name: a.default for name, a in actions.items()} == pinned
+    for name, choices in CHOICES.items():
+        if name in actions:
+            assert list(actions[name].choices) == choices, name
+
+
+def test_panorama_imports_no_engine_daemon_or_sqlite():
+    """``panorama`` pays for the analysis only: the engine group and the
+    run path live under ``repro.engine``."""
+    code = (
+        "import sys\n"
+        "import repro.driver.cli\n"
+        "print(sorted(m for m in sys.modules if m == 'sqlite3'"
+        " or m.startswith(('repro.engine', 'repro.server'))))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(repro.__file__).parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "[]"

@@ -5,7 +5,12 @@ from __future__ import annotations
 import pytest
 
 from repro.dataflow import AnalysisOptions
-from repro.engine import BatchItem, plan_schedule, resolve_schedule_mode
+from repro.engine import (
+    BatchEngine,
+    BatchItem,
+    plan_schedule,
+    resolve_schedule_mode,
+)
 from repro.engine.scheduler import item_topology
 from repro.kernels.synthetic import make_driver, make_routine
 
@@ -104,7 +109,18 @@ class TestResolveMode:
         assert resolve_schedule_mode("arbitrary", 10, 1, "/tmp/c") == "arbitrary"
 
     def test_auto_in_process_runs_topo(self):
-        assert resolve_schedule_mode("auto", 10, 1, None) == "topo"
+        """In-process runs dispatch in input order under ``auto``: a
+        topo plan would re-parse every item for no cache gain."""
+        assert resolve_schedule_mode("auto", 10, 1, None) == "arbitrary"
+        assert resolve_schedule_mode("auto", 10, 1, "/tmp/c") == "arbitrary"
+
+    def test_in_process_engine_plans_no_topology(self, tmp_path):
+        items = [BatchItem("app-a", APP_A), BatchItem("lib-a", LIB_A)]
+        engine = BatchEngine(
+            OPTS, cache_dir=tmp_path, jobs=1, run_machine_model=False
+        )
+        assert engine.run(items).ok
+        assert engine.last_plan.mode == "arbitrary"
 
     def test_auto_pool_needs_durable_tier(self):
         assert resolve_schedule_mode("auto", 10, 4, "/tmp/c") == "topo"
