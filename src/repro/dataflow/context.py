@@ -20,7 +20,7 @@ users spell (``--ablate T2``, ``--no-fm``, a daemon request's
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from typing import Iterable, Optional, Tuple
 
@@ -156,3 +156,13 @@ class AnalysisStats:
         """Record a GAR-list size for the peak statistic."""
         if len(gars) > self.peak_gar_list:
             self.peak_gar_list = len(gars)
+
+    def as_dict(self) -> dict[str, int]:
+        """The ``stats`` payload view: every int counter (``symbolic``
+        rides under its own key)."""
+        return {name: getattr(self, name) for name in _STAT_COUNTERS}
+
+
+_STAT_COUNTERS = tuple(
+    f.name for f in fields(AnalysisStats) if isinstance(f.default, int)
+)

@@ -27,7 +27,7 @@ from typing import Optional
 from ..errors import BudgetExceeded
 from ..fortran.ast_nodes import Apply, Expr, NameRef
 from ..hsg.nodes import CallNode
-from ..perf.profiler import COUNTERS, timed
+from ..perf.profiler import COUNTERS
 from ..regions import GAR, GARList
 from ..resilience.budget import charge as _budget_charge
 from ..regions.gar_ops import subtract_lists, union_lists
@@ -73,7 +73,6 @@ def summarize_call(
         return _opaque_call(node, ctx)
 
 
-@timed("sum_call")
 def _summarize_call_exact(
     analyzer, node: CallNode, ctx: ConversionContext
 ) -> Summary:

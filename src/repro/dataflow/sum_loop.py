@@ -35,7 +35,7 @@ import itertools
 
 from ..errors import BudgetExceeded
 from ..hsg.nodes import LoopNode
-from ..perf.profiler import COUNTERS, timed
+from ..perf.profiler import COUNTERS
 from ..resilience.budget import charge as _budget_charge
 from ..regions import GARList
 from ..regions.gar_ops import subtract_lists, union_lists
@@ -391,7 +391,6 @@ def summarize_loop(
         return conservative_loop_record(analyzer, loop, ctx, exc.reason)
 
 
-@timed("sum_loop")
 def _summarize_loop_exact(
     analyzer, loop: LoopNode, ctx: ConversionContext
 ) -> LoopSummaryRecord:

@@ -12,7 +12,6 @@ import json
 import sys
 from pathlib import Path
 
-from ..perf import profiler
 from .flags import (
     add_analysis_flags,
     add_audit_flags,
@@ -56,8 +55,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--profile",
         action="store_true",
-        help="enable the symbolic-kernel profiler and print per-phase "
-        "timers plus cache hit/miss counters after the verdicts",
+        help="print the compile's stage timings, hot-path counters and "
+        "symbolic-cache hit/miss gauges after the verdicts",
     )
     add_analysis_flags(parser)
     add_audit_flags(parser)
@@ -83,8 +82,6 @@ def main(argv: list[str] | None = None) -> int:
     else:
         source = Path(args.source).read_text()
 
-    if args.profile:
-        profiler.enable()
     run_audit = audit_requested(args)
     panorama = Panorama(
         options_from_args(args), run_machine_model=not args.no_machine
@@ -160,7 +157,7 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.profile:
         print()
-        print(format_perf(result.analyzer.stats.symbolic))
+        print(format_perf(result.analyzer.stats.symbolic, result.timings))
 
     if args.summaries:
         for report in result.loops:

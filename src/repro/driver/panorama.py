@@ -12,7 +12,7 @@ Per-stage wall-clock timings are recorded for the Figure 4 reproduction.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Mapping, Optional
 
 from ..dataflow import AnalysisOptions, SummaryAnalyzer
@@ -69,23 +69,51 @@ class LoopReport:
 
 @dataclass
 class StageTimings:
-    """Per-stage wall-clock seconds (Figure 4 instrumentation)."""
+    """Per-stage wall-clock seconds (Figure 4 instrumentation).
+
+    The stages run back to back from parse to the machine model (see
+    :class:`_LapClock`); only pipeline hooks and the counter snapshots
+    fall outside them.
+    """
 
     parse: float = 0.0
     frontend: float = 0.0  # semantics + call graph + HSG
+    #: per-loop context setup and the conventional dependence screen
     conventional: float = 0.0
+    #: analyzer construction, content inference, SUM_*/classification
+    #: and evidence attachment
     dataflow: float = 0.0
     machine: float = 0.0
 
     @property
     def total(self) -> float:
-        return (
-            self.parse
-            + self.frontend
-            + self.conventional
-            + self.dataflow
-            + self.machine
-        )
+        return sum(getattr(self, name) for name in _STAGES)
+
+    def as_dict(self) -> dict[str, float]:
+        """The JSON view: every stage in seconds, plus ``total``."""
+        out = {name: getattr(self, name) for name in _STAGES}
+        out["total"] = self.total
+        return out
+
+
+#: the stage names, in pipeline order
+_STAGES = tuple(f.name for f in fields(StageTimings))
+
+
+class _LapClock:
+    """Back-to-back stage clock: each :meth:`lap` returns the seconds
+    since the previous one, so the time between two stages is never
+    lost.  A lap nobody charges leaves that time out of every stage."""
+
+    __slots__ = ("mark",)
+
+    def __init__(self) -> None:
+        self.mark = time.perf_counter()
+
+    def lap(self) -> float:
+        now = time.perf_counter()
+        elapsed, self.mark = now - self.mark, now
+        return elapsed
 
 
 @dataclass
@@ -246,14 +274,12 @@ class Panorama:
             profiler.clear_caches()
         perf_before = profiler.snapshot()
         timings = StageTimings()
-        t0 = time.perf_counter()
+        clock = _LapClock()
         program = parse_program(source)
-        timings.parse = time.perf_counter() - t0
-
-        t0 = time.perf_counter()
+        timings.parse = clock.lap()
         analyzed = analyze(program)
         hsg = build_hsg(analyzed)
-        timings.frontend = time.perf_counter() - t0
+        timings.frontend = clock.lap()
 
         analyzer = SummaryAnalyzer(hsg, self.options)
         if self.options.frontier and self.options.symbolic:
@@ -262,8 +288,10 @@ class Panorama:
             facts = infer_program(analyzed, self.options)
             facts.install(analyzer)
             analyzer.stats.content_facts += facts.count()
+        timings.dataflow = clock.lap()
         if self.hooks is not None:
             self.hooks.attach(analyzer, hsg)
+            clock.lap()  # hooks (engine cache I/O) stay outside the stages
         result = CompilationResult(program, analyzed, hsg, analyzer, timings=timings)
 
         budget = self.options.budget()
@@ -271,15 +299,18 @@ class Panorama:
             budget = budgets.AnalysisBudget(max_steps=0)
         with budgets.budget_scope(budget):
             for unit_name, loop in hsg.all_loops():
-                report = self._process_loop(analyzer, unit_name, loop, timings)
+                report = self._process_loop(
+                    analyzer, unit_name, loop, timings, clock
+                )
                 result.loops.append(report)
+                timings.dataflow += clock.lap()
                 if self.hooks is not None:
                     self.hooks.loop_done(report)
+                    clock.lap()
 
         if self.run_machine_model:
-            t0 = time.perf_counter()
             self._apply_machine_model(result)
-            timings.machine = time.perf_counter() - t0
+            timings.machine = clock.lap()
         analyzer.stats.symbolic = profiler.delta(perf_before, profiler.snapshot())
         if self.hooks is not None:
             self.hooks.finish(result)
@@ -291,11 +322,13 @@ class Panorama:
         unit_name: str,
         loop: LoopNode,
         timings: StageTimings,
+        clock: _LapClock,
     ) -> LoopReport:
+        """One loop's report.  Charges the context setup and the screen
+        to ``conventional``; the caller charges the rest to ``dataflow``."""
         ctx = analyzer.context_for(unit_name)
         for idx in analyzer.enclosing_indices(unit_name, loop):
             ctx = ctx.with_index(idx)
-        t0 = time.perf_counter()
         try:
             # one step per loop: gives deadline budgets a per-loop
             # checkpoint even when the loop never reaches the symbolic
@@ -306,9 +339,9 @@ class Panorama:
             else:
                 screen = ScreenReport(ScreenVerdict.POSSIBLE_DEPENDENCE)
         except BudgetExceeded as exc:
-            timings.conventional += time.perf_counter() - t0
+            timings.conventional += clock.lap()
             return self._degraded_report(analyzer, unit_name, loop, exc)
-        timings.conventional += time.perf_counter() - t0
+        timings.conventional += clock.lap()
 
         if (
             screen.verdict is ScreenVerdict.INDEPENDENT
@@ -326,7 +359,6 @@ class Panorama:
             )
             self._attach_evidence(analyzer, unit_name, loop, report)
             return report
-        t0 = time.perf_counter()
         try:
             verdict = classify_loop(analyzer, unit_name, loop)
             copy_out: list[CopyOutDecision] = []
@@ -345,11 +377,9 @@ class Panorama:
                         )
                     )
         except BudgetExceeded as exc:
-            timings.dataflow += time.perf_counter() - t0
             return self._degraded_report(
                 analyzer, unit_name, loop, exc, screen=screen
             )
-        timings.dataflow += time.perf_counter() - t0
         report = LoopReport(
             routine=unit_name,
             var=loop.var,

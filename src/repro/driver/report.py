@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
+from ..perf import profiler
+
 
 def format_table(
     headers: Sequence[str], rows: Iterable[Sequence[object]], title: str = ""
@@ -63,51 +65,41 @@ def format_stats(stats, timings=None, cache_backend=None) -> str:
         share = timings.dataflow / timings.total * 100.0
         line += f" ({share:.0f}% of time in dataflow)"
     symbolic = getattr(stats, "symbolic", None)
-    if symbolic:
-        hits = sum(
-            v for k, v in symbolic.items()
-            if k.startswith("cache.") and k.endswith(".hits")
-        )
-        misses = sum(
-            v for k, v in symbolic.items()
-            if k.startswith("cache.") and k.endswith(".misses")
-        )
+    rate = profiler.hit_rate(symbolic) if symbolic else None
+    if rate is not None:
         proves = symbolic.get("counter.prove_calls", 0)
-        if hits or misses:
-            total = hits + misses
-            rate = hits / total * 100.0 if total else 0.0
-            line += (
-                f"; symbolic caches: {int(hits)} hit(s) / "
-                f"{int(misses)} miss(es) ({rate:.0f}% hit rate), "
-                f"{int(proves)} prove call(s)"
-            )
+        line += (
+            f"; symbolic caches: {rate * 100.0:.0f}% hit rate, "
+            f"{int(proves)} prove call(s)"
+        )
     return line
 
 
-def format_perf(symbolic: dict) -> str:
-    """Render a ``repro.perf`` snapshot delta (``--profile`` output).
+def format_perf(symbolic: dict, timings=None) -> str:
+    """Render one compile's metrics (``--profile`` output).
 
-    Three sections: per-phase wall-clock timers, hot-path call counters,
-    and per-cache hit/miss/eviction gauges.  Keys follow the flat
-    ``repro.perf.profiler.snapshot`` naming scheme.
+    Three sections after the constraint backend: the
+    :class:`~repro.driver.panorama.StageTimings` stage table (when
+    *timings* is given), the hot-path call counters and the per-cache
+    hit/miss/eviction gauges of the ``repro.perf`` snapshot delta
+    *symbolic*.
     """
     from ..symbolic.matrix import backend_name
 
     sections: list[str] = [f"constraint backend: {backend_name()}"]
-    phases = sorted(
-        {k[5:].rsplit(".", 1)[0] for k in symbolic if k.startswith("time.")}
-    )
-    if phases:
+    if timings is not None:
+        stages = timings.as_dict()
+        total = stages["total"]
         rows = [
             (
-                p,
-                int(symbolic.get(f"time.{p}.calls", 0)),
-                f"{symbolic.get(f'time.{p}.seconds', 0.0) * 1000:.1f}",
+                stage,
+                f"{seconds * 1000:.1f}",
+                f"{seconds / total * 100.0:.0f}%" if total else "-",
             )
-            for p in phases
+            for stage, seconds in stages.items()
         ]
         sections.append(
-            format_table(["phase", "calls", "ms"], rows, title="phase timers")
+            format_table(["stage", "ms", "share"], rows, title="stage timings")
         )
     counters = sorted(k for k in symbolic if k.startswith("counter."))
     if counters:

@@ -55,13 +55,7 @@ from .incremental import (
     diff_revisions,
 )
 from .scheduler import SchedulePlan, plan_schedule, resolve_schedule_mode
-from .telemetry import (
-    EngineTelemetry,
-    analysis_stats_dict,
-    loop_report_row,
-    result_to_dict,
-    timings_dict,
-)
+from .telemetry import EngineTelemetry, loop_report_row, result_to_dict
 
 __all__ = [
     "BatchEngine",
@@ -82,7 +76,6 @@ __all__ = [
     "SchedulePlan",
     "SharedSQLiteBackend",
     "SummaryCache",
-    "analysis_stats_dict",
     "diff_revisions",
     "fingerprint_program",
     "items_from_kernel_registry",
@@ -93,6 +86,5 @@ __all__ = [
     "plan_schedule",
     "resolve_schedule_mode",
     "result_to_dict",
-    "timings_dict",
     "unit_source_hash",
 ]

@@ -51,6 +51,7 @@ from ..errors import (
     HARD_ERROR_KINDS,
     classify_exception,
 )
+from ..perf import profiler
 from ..resilience import faults
 from ..resilience.backoff import backoff_delay
 from .cache import (
@@ -63,7 +64,7 @@ from .cache import (
 )
 from .ledger import LedgerReplay, LedgerWriter
 from .scheduler import SchedulePlan, plan_schedule, resolve_schedule_mode
-from .telemetry import EngineTelemetry, result_to_dict
+from .telemetry import SUPERVISION_COUNTERS, EngineTelemetry, result_to_dict
 
 
 @dataclass(frozen=True)
@@ -525,13 +526,7 @@ class BatchEngine:
         flushed, and the report comes back ``interrupted``.
         """
         t0 = time.perf_counter()
-        self.supervision = {
-            "retries": 0,
-            "timeouts": 0,
-            "worker_crashes": 0,
-            "pool_rebuilds": 0,
-            "quarantined": 0,
-        }
+        self.supervision = dict.fromkeys(SUPERVISION_COUNTERS, 0)
         self.interrupted = False
         self._finalized = 0
         self._result_keys = {}
@@ -633,8 +628,7 @@ class BatchEngine:
             tele.note_cache(res.cache_stats)
             if res.degraded:
                 tele.resilience["degraded_items"] += 1
-        for key, value in self.supervision.items():
-            tele.resilience[key] = tele.resilience.get(key, 0) + value
+        profiler.merge(tele.resilience, self.supervision)
         return report
 
     def run_paths(self, paths: Iterable[str | Path]) -> BatchReport:
@@ -696,11 +690,18 @@ class BatchEngine:
         """Stop a pool that may contain hung workers.
 
         ``shutdown`` alone would join the workers and block forever on a
-        hung one, so the processes are terminated first.
+        hung one, so the processes are killed first.  SIGKILL, not
+        SIGTERM: workers fork after the CLI installs its drain handlers
+        and inherit them, so SIGTERM would only set a drain flag in a
+        hung worker.  This runs only for workers the engine has given up
+        on (past their deadline, in a broken pool, after the drain
+        timeout, or at the end of the run), and a killed worker leaves
+        no torn cache entry: disk entries land through ``os.replace``
+        and the shared tier is WAL SQLite.
         """
         for proc in list(getattr(pool, "_processes", {}).values()):
             try:
-                proc.terminate()
+                proc.kill()
             except Exception:
                 pass
         pool.shutdown(wait=False, cancel_futures=True)

@@ -34,6 +34,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import operator
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -223,54 +224,30 @@ class CacheStats:
     #: whole items served from the result tier
     result_hits: int = 0
 
+    # The fields are the one list of names; the methods below derive
+    # from it through an attrgetter (dataclasses.asdict deep-copies, and
+    # the daemon calls these on every request).
+
     def merge(self, other: "CacheStats") -> None:
-        self.hits += other.hits
-        self.misses += other.misses
-        self.memory_hits += other.memory_hits
-        self.disk_hits += other.disk_hits
-        self.stores += other.stores
-        self.evictions += other.evictions
-        self.disk_errors += other.disk_errors
-        self.quarantined += other.quarantined
-        self.shared_hits += other.shared_hits
-        self.shared_misses += other.shared_misses
-        self.contention_retries += other.contention_retries
-        self.quarantine_evicted += other.quarantine_evicted
-        self.breaker_trips += other.breaker_trips
-        self.breaker_recoveries += other.breaker_recoveries
-        self.breaker_skipped += other.breaker_skipped
-        self.result_hits += other.result_hits
+        for name, value in zip(_CACHE_COUNTERS, _cache_counts(other)):
+            setattr(self, name, getattr(self, name) + value)
 
     def copy(self) -> "CacheStats":
-        return CacheStats(**self.as_dict())
+        return CacheStats(*_cache_counts(self))
 
     def delta(self, since: "CacheStats") -> "CacheStats":
         """Counters accumulated after the *since* snapshot (per-item
         attribution when several items share one cache instance)."""
-        ours = self.as_dict()
         return CacheStats(
-            **{key: ours[key] - value for key, value in since.as_dict().items()}
+            *map(operator.sub, _cache_counts(self), _cache_counts(since))
         )
 
     def as_dict(self) -> dict[str, int]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "memory_hits": self.memory_hits,
-            "disk_hits": self.disk_hits,
-            "stores": self.stores,
-            "evictions": self.evictions,
-            "disk_errors": self.disk_errors,
-            "quarantined": self.quarantined,
-            "shared_hits": self.shared_hits,
-            "shared_misses": self.shared_misses,
-            "contention_retries": self.contention_retries,
-            "quarantine_evicted": self.quarantine_evicted,
-            "breaker_trips": self.breaker_trips,
-            "breaker_recoveries": self.breaker_recoveries,
-            "breaker_skipped": self.breaker_skipped,
-            "result_hits": self.result_hits,
-        }
+        return dict(zip(_CACHE_COUNTERS, _cache_counts(self)))
+
+
+_CACHE_COUNTERS = tuple(f.name for f in dataclasses.fields(CacheStats))
+_cache_counts = operator.attrgetter(*_CACHE_COUNTERS)
 
 
 # --------------------------------------------------------------------------- #

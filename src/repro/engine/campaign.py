@@ -10,8 +10,9 @@ scoreboard (verdict histogram, cache hit rates, wall-clock).
 Determinism is the contract: the corpus is a pure function of
 ``(seed, generator version, count)``, every shard records that
 provenance in its stats export, and the rollup refuses to merge shards
-generated from different seeds — so any scoreboard line can be
-reproduced exactly from the line itself.
+generated from different seeds, a shard twice, or shards of different
+partitions — so any scoreboard line can be reproduced exactly from the
+line itself.
 
 The corpus is deliberately *caller-heavy*: a pool of library routines
 (:func:`~repro.kernels.synthetic.make_routine`) repeats across many
@@ -40,6 +41,7 @@ from ..kernels.synthetic import (
     make_loop_nest,
     make_routine,
 )
+from ..perf import profiler
 from .batch import BatchItem
 from .cli import add_engine_flags, run_engine
 
@@ -163,38 +165,32 @@ def shard_items(
 # --------------------------------------------------------------------------- #
 
 _SUM_TOP = ("files", "errors", "loops", "parallel_loops", "jobs")
-_SUM_DICTS = ("timings", "cache", "resilience", "audit", "symbolic", "verdicts")
+_MERGE_DICTS = (
+    "timings", "stats", "cache", "resilience", "audit", "symbolic", "verdicts"
+)
 
 
 def merge_rollups(payloads: Sequence[dict[str, Any]]) -> dict[str, Any]:
     """Merge per-shard ``--stats-json`` payloads into one scoreboard.
 
-    Counters sum (``peak_gar_list`` maxes), verdict histograms add,
-    wall-clock reports both the fleet total and the critical-path max.
-    Shards carrying conflicting campaign provenance (different seed or
-    generator version) are refused: a scoreboard must describe exactly
-    one reproducible corpus.
+    Counter dicts fold by :func:`repro.perf.profiler.merge` (numbers
+    add, ``peak_*`` keys max), wall-clock reports both the fleet total
+    and the critical-path max.  A scoreboard must describe exactly one
+    reproducible corpus, each item once, so shards are refused when
+    their campaign provenance conflicts (seed, generator version or
+    count), when a shard spec repeats, or when their partitions differ
+    (``1/2`` with ``1/3``, or ``1/1`` with any ``i/2``).
     """
     if not payloads:
         raise ValueError("nothing to merge")
     out: dict[str, Any] = {"shards": len(payloads)}
     for key in _SUM_TOP:
         out[key] = sum(int(p.get(key, 0)) for p in payloads)
-    for key in _SUM_DICTS:
-        merged: dict[str, float] = {}
+    for key in _MERGE_DICTS:
+        merged: dict[str, Any] = {}
         for p in payloads:
-            for k, v in p.get(key, {}).items():
-                merged[k] = merged.get(k, 0) + v
+            profiler.merge(merged, p.get(key, {}))
         out[key] = merged
-    peak = max(
-        int(p.get("stats", {}).get("peak_gar_list", 0)) for p in payloads
-    )
-    stats: dict[str, int] = {}
-    for p in payloads:
-        for k, v in p.get("stats", {}).items():
-            stats[k] = stats.get(k, 0) + int(v)
-    stats["peak_gar_list"] = peak
-    out["stats"] = stats
     out["wall_seconds"] = {
         "total": sum(float(p.get("wall_seconds", 0.0)) for p in payloads),
         "max": max(float(p.get("wall_seconds", 0.0)) for p in payloads),
@@ -226,12 +222,24 @@ def merge_rollups(payloads: Sequence[dict[str, Any]]) -> dict[str, Any]:
             raise ValueError(
                 f"refusing to merge shards from different campaigns: {identity}"
             )
+        shards = sorted(c.get("shard", "1/1") for c in tagged)
+        repeated = sorted({s for s in shards if shards.count(s) > 1})
+        if repeated:
+            raise ValueError(
+                f"refusing to merge a repeated shard: {', '.join(repeated)}"
+            )
+        partitions = {parse_shard(s)[1] for s in shards}
+        if len(partitions) > 1:
+            raise ValueError(
+                "refusing to merge shards of different partitions: "
+                f"{', '.join(shards)}"
+            )
         seed, version, count = next(iter(identity))
         out["campaign"] = {
             "seed": seed,
             "generator_version": version,
             "count": count,
-            "shards": sorted(c.get("shard", "1/1") for c in tagged),
+            "shards": shards,
         }
     return out
 

@@ -17,12 +17,23 @@ Two jobs:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any
 
 from ..dataflow.context import AnalysisStats
 from ..driver.panorama import CompilationResult, LoopReport, StageTimings
+from ..perf import profiler
 from .cache import CacheStats
+
+#: the batch supervisor's counters (``BatchEngine.supervision``), the
+#: first five of :attr:`EngineTelemetry.resilience`
+SUPERVISION_COUNTERS = (
+    "retries",
+    "timeouts",
+    "worker_crashes",
+    "pool_rebuilds",
+    "quarantined",
+)
 
 
 def _constraint_backend() -> str:
@@ -70,33 +81,6 @@ def loop_report_row(report: LoopReport) -> dict[str, Any]:
     return row
 
 
-def timings_dict(timings: StageTimings) -> dict[str, float]:
-    """StageTimings as a JSON-ready dict of seconds."""
-    return {
-        "parse": timings.parse,
-        "frontend": timings.frontend,
-        "conventional": timings.conventional,
-        "dataflow": timings.dataflow,
-        "machine": timings.machine,
-        "total": timings.total,
-    }
-
-
-def analysis_stats_dict(stats: AnalysisStats) -> dict[str, int]:
-    """AnalysisStats as a JSON-ready dict."""
-    return {
-        "nodes_visited": stats.nodes_visited,
-        "gar_ops": stats.gar_ops,
-        "loops_summarized": stats.loops_summarized,
-        "routines_summarized": stats.routines_summarized,
-        "peak_gar_list": stats.peak_gar_list,
-        "budget_degradations": stats.budget_degradations,
-        "content_facts": stats.content_facts,
-        "recurrence_matches": stats.recurrence_matches,
-        "frontier_upgrades": stats.frontier_upgrades,
-    }
-
-
 def result_to_dict(
     result: CompilationResult,
     name: str | None = None,
@@ -112,8 +96,8 @@ def result_to_dict(
     out: dict[str, Any] = {
         "loops": [loop_report_row(r) for r in result.loops],
         "parallel_loops": len(result.parallel_loops()),
-        "timings": timings_dict(result.timings),
-        "stats": analysis_stats_dict(result.analyzer.stats),
+        "timings": result.timings.as_dict(),
+        "stats": result.analyzer.stats.as_dict(),
         # symbolic-kernel counter/cache deltas ride as their own key:
         # "stats" stays a flat int dict the roll-up can fold blindly
         "symbolic": dict(result.analyzer.stats.symbolic),
@@ -139,41 +123,19 @@ class EngineTelemetry:
     loops: int = 0
     parallel_loops: int = 0
     timings: dict[str, float] = field(
-        default_factory=lambda: {
-            "parse": 0.0,
-            "frontend": 0.0,
-            "conventional": 0.0,
-            "dataflow": 0.0,
-            "machine": 0.0,
-            "total": 0.0,
-        }
+        default_factory=lambda: StageTimings().as_dict()
     )
     stats: dict[str, int] = field(
-        default_factory=lambda: {
-            "nodes_visited": 0,
-            "gar_ops": 0,
-            "loops_summarized": 0,
-            "routines_summarized": 0,
-            "peak_gar_list": 0,
-            "budget_degradations": 0,
-            "content_facts": 0,
-            "recurrence_matches": 0,
-            "frontier_upgrades": 0,
-        }
+        default_factory=lambda: AnalysisStats().as_dict()
     )
     #: resilience counters (batch-engine supervision, section
     #: "degradation ladder" of docs/robustness.md)
     resilience: dict[str, int] = field(
-        default_factory=lambda: {
-            "retries": 0,
-            "timeouts": 0,
-            "worker_crashes": 0,
-            "pool_rebuilds": 0,
-            "quarantined": 0,
-            "degraded_items": 0,
-            "degraded_loops": 0,
-            "resumed_items": 0,
-        }
+        default_factory=lambda: dict.fromkeys(
+            SUPERVISION_COUNTERS
+            + ("degraded_items", "degraded_loops", "resumed_items"),
+            0,
+        )
     )
     #: static-audit counters (docs/auditing.md), folded from per-item
     #: ``"audit"`` payloads; all zero when the audit did not run
@@ -235,46 +197,28 @@ class EngineTelemetry:
         self.resilience["degraded_loops"] += sum(
             1 for r in rows if r.get("degraded")
         )
-        for key, value in payload.get("timings", {}).items():
-            self.timings[key] = self.timings.get(key, 0.0) + value
-        for key, value in payload.get("stats", {}).items():
-            if key == "peak_gar_list":
-                self.stats[key] = max(self.stats.get(key, 0), value)
-            else:
-                self.stats[key] = self.stats.get(key, 0) + value
-        for key, value in payload.get("symbolic", {}).items():
-            self.symbolic[key] = self.symbolic.get(key, 0) + value
+        profiler.merge(self.timings, payload.get("timings", {}))
+        profiler.merge(self.stats, payload.get("stats", {}))
+        profiler.merge(self.symbolic, payload.get("symbolic", {}))
         audit = payload.get("audit")
         if audit is not None:
             self.audit["audited_files"] += 1
-            for key, value in audit.get("counts", {}).items():
-                self.audit[key] = self.audit.get(key, 0) + value
+            profiler.merge(self.audit, audit.get("counts", {}))
 
     def note_cache(self, stats: CacheStats) -> None:
         """Fold one worker's cache counters into the roll-up."""
         self.cache.merge(stats)
 
     def as_dict(self) -> dict[str, Any]:
-        return {
-            "files": self.files,
-            "errors": self.errors,
-            "loops": self.loops,
-            "parallel_loops": self.parallel_loops,
-            "jobs": self.jobs,
-            "wall_seconds": self.wall_seconds,
-            "timings": dict(self.timings),
-            "stats": dict(self.stats),
-            "cache": self.cache.as_dict(),
-            "cache_backend": self.cache_backend,
-            "symbolic": dict(self.symbolic),
-            "constraint_backend": _constraint_backend(),
-            "resilience": dict(self.resilience),
-            "audit": dict(self.audit),
-            "sched": dict(self.sched),
-            "campaign": dict(self.campaign),
-            "verdicts": dict(self.verdicts),
-            "interrupted": self.interrupted,
-        }
+        """The ``--stats-json`` export: every field (dicts copied, the
+        cache counters as a dict) plus the constraint backend."""
+        out: dict[str, Any] = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            out[f.name] = dict(value) if isinstance(value, dict) else value
+        out["cache"] = self.cache.as_dict()
+        out["constraint_backend"] = _constraint_backend()
+        return out
 
     def to_json(self, indent: int | None = 2) -> str:
         return json.dumps(self.as_dict(), indent=indent, sort_keys=True)

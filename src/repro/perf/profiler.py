@@ -1,19 +1,25 @@
-"""Low-overhead profiling substrate for the symbolic kernels.
+"""The metrics model: always-on gauges, one delta idiom, one roll-up rule.
 
-Three instruments, all per-process:
+Two instruments, both per-process and always on:
 
 * :class:`BoundedCache` — the LRU table behind every hash-consing /
   memoization layer in :mod:`repro.symbolic`.  Each cache keeps its own
   hit/miss/eviction counters as plain integer attributes (an ``int``
-  increment per event, always on) and registers itself in a module-level
-  registry so :func:`snapshot` can read every gauge at once.
+  increment per event) and registers itself in a module-level registry
+  so :func:`snapshot` can read every gauge at once.
 * :class:`Counters` — a slotted singleton of call counters for the hot
   entry points (``Comparer.prove``, Fourier–Motzkin eliminations, the
   GAR simplifier, ``SUM_loop``/``SUM_call``).
-* phase timers — wall-clock accumulators that cost **nothing unless
-  profiling is enabled**: the :func:`timed` decorator checks the module
-  flag before touching the clock, so a disabled run pays one boolean
-  test per decorated call and the undecorated hot paths pay nothing.
+
+Wall-clock time lives in one place, the pipeline's per-compile
+:class:`~repro.driver.panorama.StageTimings`.
+
+Every counter travels as a flat ``name → number`` dict: a scope takes a
+:func:`snapshot` before its work and :func:`delta` after it, and
+roll-ups fold such dicts with :func:`merge` (numbers add, ``peak_*``
+keys take the max).  The counter dataclasses above this module
+(``StageTimings``, ``AnalysisStats``, ``CacheStats``) declare their
+names once, as fields, and export the same flat dicts.
 
 Process model: every worker process owns its own caches and counters
 (nothing here is shared or locked).  The batch engine ships each
@@ -26,18 +32,12 @@ import anything else from :mod:`repro`.
 
 from __future__ import annotations
 
-import functools
-import time
 from collections import OrderedDict
-from typing import Any, Callable, Dict, Iterable, List
+from typing import Any, Dict, Iterable, Mapping
 
 #: sentinel distinguishing "absent" from a legitimately cached ``None``
 #: (three-valued verdicts store ``None`` as a real answer)
 MISS = object()
-
-#: module flag consulted by the timing instruments; leave ``False`` for
-#: near-zero overhead, flip with :func:`enable`
-ENABLED = False
 
 
 # --------------------------------------------------------------------------- #
@@ -95,14 +95,6 @@ class BoundedCache:
         while len(self._data) > self.maxsize:
             self._data.popitem(last=False)
             self.evictions += 1
-
-    def stats(self) -> Dict[str, int]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "size": len(self._data),
-        }
 
     def __len__(self) -> int:
         return len(self._data)
@@ -185,75 +177,6 @@ COUNTERS = Counters()
 
 
 # --------------------------------------------------------------------------- #
-# phase timers
-# --------------------------------------------------------------------------- #
-
-#: phase name → [calls, accumulated seconds]
-_TIMERS: Dict[str, List[float]] = {}
-
-
-def enable() -> None:
-    """Turn the wall-clock phase timers on (counters are always on)."""
-    global ENABLED
-    ENABLED = True
-
-
-def disable() -> None:
-    """Turn the phase timers back off."""
-    global ENABLED
-    ENABLED = False
-
-
-def is_enabled() -> bool:
-    return ENABLED
-
-
-def add_time(phase: str, seconds: float) -> None:
-    """Credit *seconds* of wall clock to *phase*."""
-    entry = _TIMERS.get(phase)
-    if entry is None:
-        _TIMERS[phase] = [1, seconds]
-    else:
-        entry[0] += 1
-        entry[1] += seconds
-
-
-def timed(phase: str) -> Callable:
-    """Decorator: time the call under *phase* when profiling is enabled.
-
-    The disabled cost is one boolean test plus the wrapper call — do not
-    put this on per-comparison hot paths (those get plain counters), use
-    it on phase-granularity entry points like ``SUM_loop``.
-    """
-
-    def decorate(fn: Callable) -> Callable:
-        @functools.wraps(fn)
-        def wrapper(*args, **kwargs):
-            if not ENABLED:
-                return fn(*args, **kwargs)
-            t0 = time.perf_counter()
-            try:
-                return fn(*args, **kwargs)
-            finally:
-                add_time(phase, time.perf_counter() - t0)
-
-        return wrapper
-
-    return decorate
-
-
-def timers() -> Dict[str, Dict[str, float]]:
-    return {
-        phase: {"calls": calls, "seconds": seconds}
-        for phase, (calls, seconds) in _TIMERS.items()
-    }
-
-
-def reset_timers() -> None:
-    _TIMERS.clear()
-
-
-# --------------------------------------------------------------------------- #
 # snapshots
 # --------------------------------------------------------------------------- #
 
@@ -261,10 +184,10 @@ def reset_timers() -> None:
 def snapshot() -> Dict[str, float]:
     """Every gauge as one flat ``name → number`` dict.
 
-    Keys: ``counter.<name>``, ``cache.<name>.<hits|misses|evictions>``,
-    and (when profiling was enabled at some point) ``time.<phase>.calls``
-    / ``time.<phase>.seconds``.  Flat numbers subtract cleanly
-    (:func:`delta`) and serialize to JSON without custom encoders.
+    Keys: ``counter.<name>`` and
+    ``cache.<name>.<hits|misses|evictions>``.  Flat numbers subtract
+    cleanly (:func:`delta`), fold cleanly (:func:`merge`) and serialize
+    to JSON without custom encoders.
     """
     out: Dict[str, float] = {}
     for name, value in COUNTERS.as_dict().items():
@@ -273,9 +196,6 @@ def snapshot() -> Dict[str, float]:
         out[f"cache.{name}.hits"] = cache.hits
         out[f"cache.{name}.misses"] = cache.misses
         out[f"cache.{name}.evictions"] = cache.evictions
-    for phase, (calls, seconds) in _TIMERS.items():
-        out[f"time.{phase}.calls"] = calls
-        out[f"time.{phase}.seconds"] = seconds
     return out
 
 
@@ -288,37 +208,18 @@ def delta(before: Dict[str, float], after: Dict[str, float]) -> Dict[str, float]
     }
 
 
-class Probe:
-    """Delta scope over every gauge: one request's worth of activity.
+def merge(into: Dict[str, Any], more: Mapping[str, Any]) -> Dict[str, Any]:
+    """Fold the flat counters *more* into *into*; returns *into*.
 
-    The analysis daemon opens a probe per request so each response can
-    carry the symbolic counters *that request* caused, not the resident
-    process's lifetime totals.  Works as a context manager or via
-    explicit :meth:`finish`; ``probe.delta`` holds the flat
-    :func:`snapshot`-keyed difference afterwards.
+    The one roll-up rule: numbers add, except ``peak_*`` keys, which
+    take the max (missing keys count as zero).
     """
-
-    __slots__ = ("before", "delta")
-
-    def __init__(self) -> None:
-        self.before: Dict[str, float] = snapshot()
-        self.delta: Dict[str, float] = {}
-
-    def finish(self) -> Dict[str, float]:
-        """Close the scope; returns (and stores) the gauge delta."""
-        self.delta = delta(self.before, snapshot())
-        return self.delta
-
-    def __enter__(self) -> "Probe":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.finish()
-
-
-def probe() -> Probe:
-    """Open a :class:`Probe` at the current gauge values."""
-    return Probe()
+    for key, value in more.items():
+        if key.startswith("peak_"):
+            into[key] = max(into.get(key, 0), value)
+        else:
+            into[key] = into.get(key, 0) + value
+    return into
 
 
 def hit_rate(snap: Dict[str, float], prefix: str = "cache.") -> float | None:
@@ -343,6 +244,5 @@ def hit_rate(snap: Dict[str, float], prefix: str = "cache.") -> float | None:
 
 
 def reset() -> None:
-    """Zero the counters and timers (cache contents are untouched)."""
+    """Zero the counters (cache contents and gauges are untouched)."""
     COUNTERS.reset()
-    reset_timers()

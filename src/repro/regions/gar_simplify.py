@@ -18,7 +18,7 @@ except where noted inline.
 
 from __future__ import annotations
 
-from ..perf.profiler import COUNTERS, MISS, BoundedCache, timed
+from ..perf.profiler import COUNTERS, MISS, BoundedCache
 from ..resilience.budget import charge as _budget_charge
 from ..symbolic import Comparer, predicate_implies, predicate_unsat_many
 from .gar import GAR, GARList
@@ -63,7 +63,6 @@ def _covers(g1: GAR, g2: GAR, cmp: Comparer) -> bool:
     return region_covers(g1.region, g2.region, cmp.refine(g2.guard))
 
 
-@timed("gar_simplify")
 def simplify_gar_list(gars: GARList, cmp: Comparer) -> GARList:
     """Remove empty and redundant members; merge where possible.
 

@@ -24,8 +24,9 @@ Request semantics (docs/server.md):
   ``degraded`` in the payload, exactly like the CLI's exit-3 path.
 * **per-request observability** — each response carries the
   :mod:`repro.perf` gauge delta *this request* caused (a
-  :class:`~repro.perf.profiler.Probe` scope) plus the summary-cache
-  delta, so clients can watch the resident caches get warm.
+  ``profiler.snapshot()`` before the work, ``profiler.delta`` after it)
+  plus the summary-cache delta, so clients can watch the resident
+  caches get warm.
 * **unchanged requests are served whole** — an analyze request whose
   source, options, sizes and audit flag were answered before is served
   from the cache's result tier without parsing; a stream replays the
@@ -49,7 +50,13 @@ from ..driver.panorama import (
     Panorama,
     PipelineHooks,
 )
-from ..engine.cache import CachingHooks, SummaryCache, result_key, serves_results
+from ..engine.cache import (
+    CacheStats,
+    CachingHooks,
+    SummaryCache,
+    result_key,
+    serves_results,
+)
 from ..engine.incremental import IncrementalEngine
 from ..engine.telemetry import EngineTelemetry, loop_report_row, result_to_dict
 from ..errors import ReproError, classify_exception
@@ -305,24 +312,23 @@ class AnalysisService:
 
         t0 = time.perf_counter()
         cache_before = self.cache.stats.copy()
-        with profiler.probe() as pr:
-            payload = (
-                self.cache.get_result(key, name) if key is not None else None
+        perf_before = profiler.snapshot()
+        payload = self.cache.get_result(key, name) if key is not None else None
+        if payload is None:
+            payload = self._analyze_fresh(
+                name, source, options, sizes, run_audit, on_event
             )
-            if payload is None:
-                payload = self._analyze_fresh(
-                    name, source, options, sizes, run_audit, on_event
-                )
-                if key is not None:
-                    self.cache.put_result(key, payload)
-            elif on_event is not None:
-                events = _EventHooks(on_event)
-                for row in payload["loops"]:
-                    events.row(row)
+            if key is not None:
+                self.cache.put_result(key, payload)
+        elif on_event is not None:
+            events = _EventHooks(on_event)
+            for row in payload["loops"]:
+                events.row(row)
+        symbolic = profiler.delta(perf_before, profiler.snapshot())
         degraded_loops = sum(1 for row in payload["loops"] if row["degraded"])
         payload["degraded"] = bool(degraded_loops)
         payload["request"] = self._request_block(
-            t0, pr, cache_before, degraded_loops
+            t0, symbolic, cache_before, degraded_loops
         )
         self.telemetry.note_result(payload)
         return payload
@@ -405,10 +411,14 @@ class AnalysisService:
             ) from exc
 
     def _request_block(
-        self, t0: float, pr: profiler.Probe, cache_before, degraded_loops: int
+        self,
+        t0: float,
+        symbolic: dict[str, float],
+        cache_before: CacheStats,
+        degraded_loops: int,
     ) -> dict[str, Any]:
-        """The per-request observability payload."""
-        symbolic = pr.delta
+        """The per-request observability payload; *symbolic* is the
+        request's ``profiler.delta``."""
         return {
             "elapsed_ms": round((time.perf_counter() - t0) * 1000.0, 3),
             "degraded_loops": degraded_loops,
@@ -463,21 +473,20 @@ class AnalysisService:
         sizes = self._sizes_of(body)
         t0 = time.perf_counter()
         cache_before = self.cache.stats.copy()
-        with profiler.probe() as pr:
-            try:
-                inc = session.engine.analyze(
-                    source, name=session.name, sizes=sizes
-                )
-            except (KeyboardInterrupt, SystemExit):
-                raise
-            except ReproError as exc:
-                kind = classify_exception(exc)
-                status = 422 if kind in ("source", "analysis") else 500
-                raise RequestError(status, kind, str(exc)) from exc
-            except Exception as exc:
-                raise RequestError(
-                    500, "internal", f"{type(exc).__name__}: {exc}"
-                ) from exc
+        perf_before = profiler.snapshot()
+        try:
+            inc = session.engine.analyze(source, name=session.name, sizes=sizes)
+        except (KeyboardInterrupt, SystemExit):
+            raise
+        except ReproError as exc:
+            kind = classify_exception(exc)
+            status = 422 if kind in ("source", "analysis") else 500
+            raise RequestError(status, kind, str(exc)) from exc
+        except Exception as exc:
+            raise RequestError(
+                500, "internal", f"{type(exc).__name__}: {exc}"
+            ) from exc
+        symbolic = profiler.delta(perf_before, profiler.snapshot())
         session.revisions += 1
         audit_payload = None
         if session.audit:
@@ -503,7 +512,7 @@ class AnalysisService:
             "parallel_loops": len(inc.result.parallel_loops()),
             "degraded": bool(inc.result.degraded_loops()),
             "request": self._request_block(
-                t0, pr, cache_before, len(inc.result.degraded_loops())
+                t0, symbolic, cache_before, len(inc.result.degraded_loops())
             ),
         }
         if audit_payload is not None:

@@ -513,3 +513,67 @@ class TestCrashResume:
         )
         assert other.returncode == 2  # usage error: wrong run identity
         assert "mismatch" in other.stderr
+
+
+class TestHungItemUnderCli:
+    """A hung item must not keep ``panorama-batch`` from exiting.
+
+    The CLI installs its SIGTERM drain handler before the pool forks, so
+    the workers inherit it; tearing down the hung worker's pool must
+    still stop it.
+    """
+
+    def test_hung_item_run_exits_with_control_verdicts(self, tmp_path):
+        import json
+        import os as _os
+        import signal as _signal
+        import subprocess
+        import sys as _sys
+        import time as _time
+
+        from repro.engine.batch import items_from_paths
+        from repro.kernels import KERNELS
+
+        if not Path("/proc/self/stat").exists():
+            pytest.skip("needs /proc to list a process group")
+        paths = []
+        for program in ("ARC2D", "MDG"):
+            kernel = next(k for k in KERNELS if k.program == program)
+            path = tmp_path / f"{program.lower()}.f"
+            path.write_text(kernel.source)
+            paths.append(str(path))
+        control = BatchEngine(
+            AnalysisOptions(), jobs=1, run_machine_model=False
+        ).run(items_from_paths(paths))
+        assert control.ok
+
+        proc = subprocess.Popen(
+            [_sys.executable, "-m", "repro.engine.cli", *paths,
+             "--jobs", "2", "--timeout-per-item", "3", "--no-machine",
+             "--json"],
+            env=TestCrashResume.env({faults.ENV_VAR: "item.hang:arc2d.f@1"}),
+            cwd=tmp_path, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            text=True, start_new_session=True,
+        )
+        pgid = proc.pid  # a session leader's group id is its pid
+        try:
+            out, err = proc.communicate(timeout=60)
+            assert proc.returncode == 0, err
+            results = json.loads(out)["results"]
+            assert {r["name"]: r["loops"] for r in results} == (
+                control.verdict_rows()
+            )
+            assert json.loads(out)["telemetry"]["resilience"]["timeouts"] == 1
+            deadline = _time.monotonic() + 5.0
+            while (
+                TestCrashResume.live_members(pgid)
+                and _time.monotonic() < deadline
+            ):
+                _time.sleep(0.05)
+            assert TestCrashResume.live_members(pgid) == []
+        finally:
+            try:
+                _os.killpg(pgid, _signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            proc.wait()

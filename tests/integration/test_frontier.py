@@ -14,7 +14,7 @@ from repro import Panorama
 from repro.audit import audit_compilation
 from repro.dataflow import AnalysisOptions
 from repro.driver import cli as driver_cli
-from repro.engine.telemetry import analysis_stats_dict, loop_report_row
+from repro.engine.telemetry import loop_report_row, result_to_dict
 from repro.kernels import FRONTIER_KERNELS, get_frontier_kernel
 from repro.parallelize import LoopStatus
 
@@ -101,7 +101,7 @@ class TestCounters:
 
     def test_stats_dict_exports_the_counters(self, compiled):
         on, _ = compiled["prefix_sum"]
-        stats = analysis_stats_dict(on.analyzer.stats)
+        stats = result_to_dict(on)["stats"]
         assert stats["recurrence_matches"] == 1
         assert stats["frontier_upgrades"] == 1
         assert "content_facts" in stats

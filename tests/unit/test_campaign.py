@@ -144,6 +144,35 @@ class TestRollup:
         with pytest.raises(ValueError):
             merge_rollups([])
 
+    @staticmethod
+    def _shard(spec: str) -> dict:
+        return _payload(
+            campaign={"seed": 7, "generator_version": GENERATOR_VERSION,
+                      "count": 20, "shard": spec}
+        )
+
+    def test_repeated_shard_refused(self):
+        with pytest.raises(ValueError, match="repeated shard: 1/2"):
+            merge_rollups([self._shard("1/2"), self._shard("1/2")])
+
+    def test_whole_corpus_with_a_shard_refused(self):
+        with pytest.raises(ValueError, match="different partitions"):
+            merge_rollups([self._shard("1/1"), self._shard("1/2")])
+
+    def test_shards_of_different_partitions_refused(self):
+        with pytest.raises(ValueError, match="different partitions"):
+            merge_rollups([self._shard("1/2"), self._shard("1/3")])
+
+    def test_cli_refuses_a_repeated_shard_with_exit_2(self, tmp_path, capsys):
+        from repro.engine.campaign import main
+
+        shard = tmp_path / "s1.json"
+        shard.write_text(json.dumps(self._shard("1/2")))
+        assert main(["--rollup", "-", str(shard), str(shard)]) == 2
+        assert "rollup failed: refusing to merge a repeated shard" in (
+            capsys.readouterr().err
+        )
+
     def test_load_rollup_from_files(self, tmp_path):
         p1, p2 = tmp_path / "s1.json", tmp_path / "s2.json"
         p1.write_text(json.dumps(_payload()))

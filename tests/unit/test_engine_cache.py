@@ -310,3 +310,18 @@ class TestQuarantine:
         a.merge(b)
         assert a.quarantined == 5
         assert CacheStats(**a.as_dict()).quarantined == 5
+
+    def test_stats_methods_cover_every_field(self):
+        import dataclasses
+
+        from repro.engine import CacheStats
+
+        names = [f.name for f in dataclasses.fields(CacheStats)]
+        a = CacheStats(*range(1, len(names) + 1))
+        assert list(a.as_dict()) == names
+        assert a.as_dict() == {n: i for i, n in enumerate(names, 1)}
+        b = a.copy()
+        assert b == a and b is not a
+        b.merge(a)
+        assert b.as_dict() == {n: 2 * i for i, n in enumerate(names, 1)}
+        assert b.delta(a) == a
