@@ -32,6 +32,7 @@ loop indices — provably non-empty inner loops.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Any, Optional
 
 from ..dataflow.analyzer import SummaryAnalyzer
@@ -299,7 +300,7 @@ def _distance_proof(
                 dv = 0
             else:
                 return None, "symbolic distance"
-        frac = dv / ca
+        frac = Fraction(dv, ca)
         if frac.denominator != 1:
             return False, "non-integer distance: dimensions never align"
         dk = frac.numerator

@@ -11,6 +11,7 @@ not overlap — e.g. ``A(i)`` written and ``A(i-1)`` read overlap, while
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Optional
 
 from ..symbolic import Comparer, Predicate, Relation, SymExpr
@@ -56,7 +57,7 @@ def siv_independent(
             if cmp.eq(src_rest, dst_rest) is True:
                 return True  # distance 0: no *cross-iteration* dependence
             return None
-        distance = dv / a
+        distance = Fraction(dv, a)
         if distance.denominator != 1:
             return True  # non-integer distance: never equal
         d = distance.numerator

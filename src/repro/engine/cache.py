@@ -61,8 +61,10 @@ from .backends import CacheBackend, DiskBackend, make_backend
 #: summaries through derived index-array forms, and its toggle joined
 #: options_key — stale v3 verdicts must not be served either way;
 #: v5: options_key is derived from every AnalysisOptions field, and
-#: whole-item ResultEntry payloads share the durable tier)
-CACHE_FORMAT_VERSION = 5
+#: whole-item ResultEntry payloads share the durable tier;
+#: v6: integral SymExpr coefficients are ints, GARs carry their array,
+#: and clauses and predicates pickle through their constructors)
+CACHE_FORMAT_VERSION = 6
 
 #: on-disk container magic; the digest that follows covers the payload
 DISK_MAGIC = b"PANC\x03\n"

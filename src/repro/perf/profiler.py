@@ -2,7 +2,7 @@
 
 Two instruments, both per-process and always on:
 
-* :class:`BoundedCache` — the LRU table behind every hash-consing /
+* :class:`BoundedCache` — the bounded table behind every hash-consing /
   memoization layer in :mod:`repro.symbolic`.  Each cache keeps its own
   hit/miss/eviction counters as plain integer attributes (an ``int``
   increment per event) and registers itself in a module-level registry
@@ -41,17 +41,19 @@ MISS = object()
 
 
 # --------------------------------------------------------------------------- #
-# bounded LRU caches
+# bounded memo tables
 # --------------------------------------------------------------------------- #
 
 
 class BoundedCache:
-    """A bounded LRU mapping with always-on hit/miss/eviction gauges.
+    """A bounded mapping with always-on hit/miss/eviction gauges.
 
-    Backed by an :class:`collections.OrderedDict`: a hit refreshes the
-    entry's recency, an insert beyond ``maxsize`` evicts the least
-    recently used entry.  Values may legitimately be ``None`` — lookups
-    use the :data:`MISS` sentinel, not ``None``, for absence.
+    Backed by an :class:`collections.OrderedDict` and bounded in
+    insertion order: an insert beyond ``maxsize`` evicts the oldest
+    entry, and a hit does not refresh it (a recency refresh costs more
+    on the hot path than the hits it keeps).  Values may legitimately be
+    ``None`` — lookups use the :data:`MISS` sentinel, not ``None``, for
+    absence.
     """
 
     __slots__ = ("name", "maxsize", "hits", "misses", "evictions", "_data")
@@ -72,14 +74,12 @@ class BoundedCache:
         if value is MISS:
             self.misses += 1
             return default
-        data.move_to_end(key)
         self.hits += 1
         return value
 
     def put(self, key: Any, value: Any) -> Any:
         data = self._data
         data[key] = value
-        data.move_to_end(key)
         if len(data) > self.maxsize:
             data.popitem(last=False)
             self.evictions += 1
@@ -90,7 +90,7 @@ class BoundedCache:
         self._data.clear()
 
     def resize(self, maxsize: int) -> None:
-        """Change the bound, evicting LRU entries down to it if needed."""
+        """Change the bound, evicting the oldest entries down to it."""
         self.maxsize = max(1, maxsize)
         while len(self._data) > self.maxsize:
             self._data.popitem(last=False)

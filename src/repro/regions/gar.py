@@ -36,7 +36,7 @@ from .region import OMEGA_DIM, RegularRegion
 class GAR:
     """An immutable guarded array region ``[P, R]``."""
 
-    __slots__ = ("guard", "region", "exact", "_hash")
+    __slots__ = ("guard", "region", "exact", "array", "_hash")
 
     def __init__(
         self, guard: Predicate, region: RegularRegion, exact: bool = True
@@ -47,6 +47,8 @@ class GAR:
         self.guard = guard
         self.region = region
         self.exact = exact
+        #: the region's array, read on every pairwise simplifier test
+        self.array = region.array
         self._hash = hash((self.guard, self.region, self.exact))
 
     # -- constructors --------------------------------------------------------
@@ -67,10 +69,6 @@ class GAR:
         return cls(Predicate.unknown(), RegularRegion.omega(array, rank), exact=False)
 
     # -- tests --------------------------------------------------------------------
-
-    @property
-    def array(self) -> str:
-        return self.region.array
 
     def is_empty(self) -> bool:
         """Statically empty (guard already normalized to False)."""

@@ -18,6 +18,8 @@ except where noted inline.
 
 from __future__ import annotations
 
+from operator import itemgetter
+
 from ..perf.profiler import COUNTERS, MISS, BoundedCache
 from ..resilience.budget import charge as _budget_charge
 from ..symbolic import Comparer, predicate_implies, predicate_unsat_many
@@ -109,46 +111,70 @@ def _simplify_gar_list_uncached(gars: GARList, cmp: Comparer) -> GARList:
         return GARList(work)
     if len(work) > MAX_PAIRWISE:
         return GARList(work)
+    # GARs of different arrays never merge or cover each other, so the
+    # pairwise passes run within each array's members, tagged with their
+    # list positions.  One pass loop and one ``changed`` flag serve all
+    # arrays: an unchanged array still takes every pass a single list
+    # would give it, so the proof work done is the same.
+    groups: dict[str, list[tuple[int, GAR]]] = {}
+    for pos, g in enumerate(work):
+        groups.setdefault(g.array, []).append((pos, g))
     for _ in range(MAX_PASSES):
         changed = False
-        # pairwise merging
-        merged_out: list[GAR] = []
-        consumed: set[int] = set()
-        for i, g1 in enumerate(work):
-            if i in consumed:
-                continue
-            current = g1
-            for j in range(i + 1, len(work)):
-                if j in consumed:
-                    continue
-                candidate = _try_merge(current, work[j], cmp)
-                if candidate is not None:
-                    current = candidate
-                    consumed.add(j)
-                    changed = True
-            merged_out.append(current)
-        work = merged_out
-        # coverage-based redundancy removal
-        kept: list[GAR] = []
-        removed: set[int] = set()
-        for i, g in enumerate(work):
-            redundant = False
-            for j, other in enumerate(work):
-                if i == j or j in removed:
-                    continue
-                if _covers(other, g, cmp) and not (_covers(g, other, cmp) and j > i):
-                    redundant = True
-                    break
-            if redundant:
-                removed.add(i)
-                changed = True
-            else:
-                kept.append(g)
-        work = kept
+        for array, group in groups.items():
+            group, merged = _merge_pass(group, cmp)
+            group, dropped = _cover_pass(group, cmp)
+            groups[array] = group
+            changed = changed or merged or dropped
         # drop any newly-empty results; only a structural change (a merge
         # building new GARs) can introduce one, so skip the re-check when
         # the pass was a no-op
         if not changed:
             break
-        work = [g for g in work if not is_empty(g)]
-    return GARList(work)
+        for array, group in groups.items():
+            groups[array] = [(pos, g) for pos, g in group if not is_empty(g)]
+    survivors = sorted(
+        (tagged for group in groups.values() for tagged in group),
+        key=itemgetter(0),
+    )
+    return GARList(g for _, g in survivors)
+
+
+def _merge_pass(
+    group: list[tuple[int, GAR]], cmp: Comparer
+) -> tuple[list[tuple[int, GAR]], bool]:
+    """Pairwise merging; a merged GAR keeps its first member's position."""
+    out: list[tuple[int, GAR]] = []
+    consumed: set[int] = set()
+    changed = False
+    for i, (pos, current) in enumerate(group):
+        if i in consumed:
+            continue
+        for j in range(i + 1, len(group)):
+            if j in consumed:
+                continue
+            candidate = _try_merge(current, group[j][1], cmp)
+            if candidate is not None:
+                current = candidate
+                consumed.add(j)
+                changed = True
+        out.append((pos, current))
+    return out, changed
+
+
+def _cover_pass(
+    group: list[tuple[int, GAR]], cmp: Comparer
+) -> tuple[list[tuple[int, GAR]], bool]:
+    """Coverage-based redundancy removal (ties keep the earlier GAR)."""
+    kept: list[tuple[int, GAR]] = []
+    removed: set[int] = set()
+    for i, (_, g) in enumerate(group):
+        for j, (_, other) in enumerate(group):
+            if i == j or j in removed:
+                continue
+            if _covers(other, g, cmp) and not (_covers(g, other, cmp) and j > i):
+                removed.add(i)
+                break
+        else:
+            kept.append(group[i])
+    return kept, bool(removed)

@@ -3,19 +3,23 @@
 This is the "general expression operation library" of the paper's Figure 2:
 addition, subtraction, multiplication, and division by an integer constant,
 over expressions normalized to an ordered sum of products.  Coefficients are
-exact rationals (:class:`fractions.Fraction`) so constant division never
-loses information; expressions that appear in array subscripts are integer
-valued in well-formed programs.
+exact: an integral coefficient is stored as an ``int``, any other as a
+:class:`fractions.Fraction`, so constant division never loses information
+while the common integer case skips rational arithmetic.  Every division
+of two coefficients must therefore build a ``Fraction`` (``/`` on two
+``int`` values yields a float).  Expressions that appear in array
+subscripts are integer valued in well-formed programs.
 
 Expressions are immutable and hashable, so they can be used as dictionary
 keys throughout the region and predicate layers.
 
 Expressions are **hash-consed** like monomials: construction interns the
-canonical term tuple in a bounded LRU table, and the four arithmetic
-operations carry memoized binary-op caches keyed by the (interned)
-operands — the dominant kernel cost of re-sorting and re-hashing terms
-on every op collapses to a dict hit on repeats.  Bounded eviction only
-loses sharing, never changes a value.
+canonical term tuple in a bounded table, and the arithmetic operations
+carry memoized binary-op caches keyed by the (interned) operands — the
+dominant kernel cost of re-sorting and re-hashing terms on every op
+collapses to a dict hit on repeats.  Bounded eviction only loses
+sharing, never changes a value, so equality tests identity first and
+falls back to structure.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ ExprLike = Union["SymExpr", int, Fraction, str]
 _INTERN = BoundedCache("symexpr.intern", maxsize=16384)
 #: binary/unary op memo tables, keyed by interned operands
 _ADD_CACHE = BoundedCache("symexpr.add", maxsize=16384)
+_SUB_CACHE = BoundedCache("symexpr.sub", maxsize=16384)
 _MUL_CACHE = BoundedCache("symexpr.mul", maxsize=16384)
 _NEG_CACHE = BoundedCache("symexpr.neg", maxsize=16384)
 _SCALE_CACHE = BoundedCache("symexpr.scale", maxsize=16384)
@@ -41,31 +46,39 @@ _SCALE_CACHE = BoundedCache("symexpr.scale", maxsize=16384)
 _ATOM_CACHE = BoundedCache("symexpr.atom", maxsize=4096)
 
 
+def _number(value: Number) -> Number:
+    """*value* as an ``int`` when integral, else as a ``Fraction``."""
+    if type(value) is not Fraction:
+        value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
+
+
+def _term_order(term: Tuple[Monomial, Number]) -> tuple:
+    return term[0]._sort_key
+
+
 class SymExpr:
     """An immutable symbolic integer expression.
 
-    Stored as a mapping from :class:`Monomial` to a nonzero rational
-    coefficient.  The zero expression has an empty mapping.
+    Stored as a mapping from :class:`Monomial` to a nonzero coefficient:
+    an ``int`` when integral, a ``Fraction`` otherwise.  The zero
+    expression has an empty mapping.
     """
 
     __slots__ = ("_terms", "_hash", "_ncp")
 
     def __new__(cls, terms: Mapping[Monomial, Number] | None = None) -> "SymExpr":
-        clean: dict[Monomial, Fraction] = {}
+        clean: dict[Monomial, Number] = {}
         if terms:
             for mono, coeff in terms.items():
-                c = coeff if type(coeff) is Fraction else Fraction(coeff)
-                if c:
-                    if mono in clean:
-                        c = clean[mono] + c
-                        if c:
-                            clean[mono] = c
-                        else:
-                            del clean[mono]
-                    else:
-                        clean[mono] = c
-        key: Tuple[Tuple[Monomial, Fraction], ...] = tuple(
-            sorted(clean.items(), key=lambda kv: kv[0].sort_key())
+                if type(coeff) is not int:
+                    coeff = _number(coeff)
+                if coeff:
+                    clean[mono] = coeff
+        key: Tuple[Tuple[Monomial, Number], ...] = (
+            tuple(sorted(clean.items(), key=_term_order))
+            if len(clean) > 1
+            else tuple(clean.items())
         )
         cached = _INTERN.get(key)
         if cached is not MISS:
@@ -89,7 +102,7 @@ class SymExpr:
         cached = _ATOM_CACHE.get(key)
         if cached is not MISS:
             return cached
-        return _ATOM_CACHE.put(key, cls({Monomial.unit(): Fraction(value)}))
+        return _ATOM_CACHE.put(key, cls({Monomial.unit(): value}))
 
     @classmethod
     def var(cls, name: str) -> "SymExpr":
@@ -97,12 +110,12 @@ class SymExpr:
         cached = _ATOM_CACHE.get(key)
         if cached is not MISS:
             return cached
-        return _ATOM_CACHE.put(key, cls({Monomial.var(name): Fraction(1)}))
+        return _ATOM_CACHE.put(key, cls({Monomial.var(name): 1}))
 
     @classmethod
     def coerce(cls, value: ExprLike) -> "SymExpr":
         """Accept an expression, a number, or a variable name."""
-        if isinstance(value, SymExpr):
+        if type(value) is SymExpr:
             return value
         if isinstance(value, (int, Fraction)):
             return cls.const(value)
@@ -113,7 +126,7 @@ class SymExpr:
     # -- structure -----------------------------------------------------------
 
     @property
-    def terms(self) -> Tuple[Tuple[Monomial, Fraction], ...]:
+    def terms(self) -> Tuple[Tuple[Monomial, Number], ...]:
         return self._terms
 
     def is_zero(self) -> bool:
@@ -124,20 +137,20 @@ class SymExpr:
         """True when no symbolic variables occur."""
         return all(m.is_unit() for m, _ in self._terms)
 
-    def constant_value(self) -> Optional[Fraction]:
+    def constant_value(self) -> Optional[Number]:
         """The value if constant, else ``None``."""
         if not self._terms:
-            return Fraction(0)
+            return 0
         if len(self._terms) == 1 and self._terms[0][0].is_unit():
             return self._terms[0][1]
         return None
 
-    def constant_term(self) -> Fraction:
+    def constant_term(self) -> Number:
         """Coefficient of the unit monomial (0 if absent)."""
         for mono, coeff in self._terms:
             if mono.is_unit():
                 return coeff
-        return Fraction(0)
+        return 0
 
     def non_constant_part(self) -> "SymExpr":
         """The expression minus its constant term (computed once per
@@ -176,20 +189,20 @@ class SymExpr:
                 return False
         return True
 
-    def coeff_of_var(self, name: str) -> Fraction:
+    def coeff_of_var(self, name: str) -> Number:
         """Coefficient of the plain variable *name* (degree-1 monomial)."""
         target = Monomial.var(name)
         for mono, coeff in self._terms:
             if mono == target:
                 return coeff
-        return Fraction(0)
+        return 0
 
-    def coeff_of(self, mono: Monomial) -> Fraction:
+    def coeff_of(self, mono: Monomial) -> Number:
         """Coefficient of an arbitrary monomial (0 if absent)."""
         for m, c in self._terms:
             if m == mono:
                 return c
-        return Fraction(0)
+        return 0
 
     def monomials(self) -> Tuple[Monomial, ...]:
         """The monomials in canonical order."""
@@ -202,14 +215,15 @@ class SymExpr:
     # -- algebra --------------------------------------------------------------
 
     def __add__(self, other: ExprLike) -> "SymExpr":
-        other = SymExpr.coerce(other)
+        if type(other) is not SymExpr:
+            other = SymExpr.coerce(other)
         key = (self, other)
         cached = _ADD_CACHE.get(key)
         if cached is not MISS:
             return cached
         merged = dict(self._terms)
         for mono, coeff in other._terms:
-            merged[mono] = merged.get(mono, Fraction(0)) + coeff
+            merged[mono] = merged.get(mono, 0) + coeff
         return _ADD_CACHE.put(key, SymExpr(merged))
 
     __radd__ = __add__
@@ -221,22 +235,32 @@ class SymExpr:
         return _NEG_CACHE.put(self, SymExpr({m: -c for m, c in self._terms}))
 
     def __sub__(self, other: ExprLike) -> "SymExpr":
-        return self + (-SymExpr.coerce(other))
+        if type(other) is not SymExpr:
+            other = SymExpr.coerce(other)
+        key = (self, other)
+        cached = _SUB_CACHE.get(key)
+        if cached is not MISS:
+            return cached
+        merged = dict(self._terms)
+        for mono, coeff in other._terms:
+            merged[mono] = merged.get(mono, 0) - coeff
+        return _SUB_CACHE.put(key, SymExpr(merged))
 
     def __rsub__(self, other: ExprLike) -> "SymExpr":
         return SymExpr.coerce(other) - self
 
     def __mul__(self, other: ExprLike) -> "SymExpr":
-        other = SymExpr.coerce(other)
+        if type(other) is not SymExpr:
+            other = SymExpr.coerce(other)
         key = (self, other)
         cached = _MUL_CACHE.get(key)
         if cached is not MISS:
             return cached
-        out: dict[Monomial, Fraction] = {}
+        out: dict[Monomial, Number] = {}
         for m1, c1 in self._terms:
             for m2, c2 in other._terms:
                 mono = m1 * m2
-                out[mono] = out.get(mono, Fraction(0)) + c1 * c2
+                out[mono] = out.get(mono, 0) + c1 * c2
         return _MUL_CACHE.put(key, SymExpr(out))
 
     __rmul__ = __mul__
@@ -257,7 +281,7 @@ class SymExpr:
 
     def scaled(self, factor: Number) -> "SymExpr":
         """The expression multiplied by a rational constant."""
-        f = Fraction(factor)
+        f = factor if type(factor) is int else _number(factor)
         key = (self, "*", f)
         cached = _SCALE_CACHE.get(key)
         if cached is not MISS:
@@ -305,9 +329,15 @@ class SymExpr:
     # -- misc -------------------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction)):
+        # identity first, but never identity alone: bounded interning can
+        # leave two equal expressions alive after an eviction
+        if self is other:
+            return True
+        if not isinstance(other, SymExpr):
+            if not isinstance(other, (int, Fraction)):
+                return False
             other = SymExpr.const(other)
-        return isinstance(other, SymExpr) and self._terms == other._terms
+        return self._hash == other._hash and self._terms == other._terms
 
     def __hash__(self) -> int:
         return self._hash

@@ -49,9 +49,10 @@ MAX_VARIABLES = 24
 MAX_CONSTRAINTS = 600
 MAX_NE_SPLITS = 3
 
-#: frozen atom set → unsat verdict.  LRU-bounded: the old clear-when-full
-#: dict dropped the entire working set at the worst moment (mid-analysis
-#: of a large routine); eviction now sheds only the coldest entries.
+#: frozen atom set → unsat verdict.  Bounded entry by entry: the old
+#: clear-when-full dict dropped the entire working set at the worst
+#: moment (mid-analysis of a large routine); eviction now sheds only the
+#: oldest entries.
 _UNSAT_CACHE = BoundedCache("fm.unsat", maxsize=65536)
 #: (frozen context atoms, conclusion) → implication verdict; avoids even
 #: building the combined atom list on repeats

@@ -29,12 +29,12 @@ bit-identical to the object reference — asserted by the property suite
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 from typing import List, Optional, Sequence, Tuple
 
 from ..perf.profiler import COUNTERS
 from ..resilience.budget import charge as _budget_charge
+from .expr import Number
 from .relation import Relation, RelOp
 from .terms import Monomial
 
@@ -60,22 +60,23 @@ def _scaled_row(expr, strict: bool) -> tuple[dict, int, bool]:
 
     Scaling by the lcm of the denominators is a positive factor, so the
     constraint — and every sign/count the eliminator looks at — is
-    unchanged.
+    unchanged.  An all-``int`` expression (the common case) needs none.
     """
-    coeffs: dict[Monomial, Fraction] = {}
-    const = Fraction(0)
+    out: dict[Monomial, Number] = {}
+    const: Number = 0
+    lcm = 1
     for mono, coeff in expr.terms:
-        if mono.is_unit():
-            const += coeff
-        else:
-            coeffs[mono] = coeffs.get(mono, Fraction(0)) + coeff
-    lcm = const.denominator
-    for c in coeffs.values():
-        d = c.denominator
-        if d != 1:
+        if type(coeff) is not int:
+            d = coeff.denominator
             lcm = lcm * d // gcd(lcm, d)
-    out = {m: int(c * lcm) for m, c in coeffs.items() if c}
-    return out, int(const * lcm), strict
+        if mono.is_unit():
+            const = coeff
+        else:
+            out[mono] = coeff
+    if lcm != 1:
+        out = {m: int(c * lcm) for m, c in out.items()}
+        const = int(const * lcm)
+    return out, const, strict
 
 
 def build_systems(

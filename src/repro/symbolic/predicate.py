@@ -58,12 +58,17 @@ class Disjunction:
             if t is False:
                 continue
             kept.append(atom)
-        if not always_true:
+        if not always_true and len(kept) > 1:
             kept = self._prune(kept)
             always_true = self._is_tautology(kept)
         self.always_true = always_true
         self.atoms: frozenset[Atom] = frozenset() if always_true else frozenset(kept)
         self._hash = hash((self.always_true, self.atoms))
+
+    def __reduce__(self):
+        # rebuilt rather than restored, so the hash is the loading
+        # process's own (atom hashes involve per-process string hashes)
+        return (_rebuild_disjunction, (self.always_true, self.atoms))
 
     @staticmethod
     def _prune(atoms: list[Atom]) -> list[Atom]:
@@ -152,8 +157,11 @@ class Disjunction:
         return sorted(self.atoms, key=lambda a: a.sort_key())
 
     def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
         return (
             isinstance(other, Disjunction)
+            and self._hash == other._hash
             and self.always_true == other.always_true
             and self.atoms == other.atoms
         )
@@ -182,12 +190,24 @@ class Disjunction:
 class Predicate:
     """A guard predicate: TRUE / FALSE / UNKNOWN (Δ) / a CNF clause set."""
 
-    __slots__ = ("_kind", "clauses", "_hash")
+    __slots__ = ("_kind", "clauses", "_hash", "_settled")
 
-    def __init__(self, kind: _Kind, clauses: frozenset[Disjunction] = frozenset()):
+    def __init__(
+        self,
+        kind: _Kind,
+        clauses: frozenset[Disjunction] = frozenset(),
+        settled: bool = False,
+    ):
         self._kind = kind
         self.clauses = clauses
         self._hash = hash((kind, clauses))
+        #: a CNF of unit clauses that the simplifier left at a fixpoint,
+        #: over atoms of one integer domain (see :func:`_conj_settled`)
+        self._settled = settled
+
+    def __reduce__(self):
+        # rebuilt rather than restored, like Disjunction
+        return (Predicate, (self._kind, self.clauses, self._settled))
 
     # -- constructors ----------------------------------------------------------
 
@@ -210,11 +230,12 @@ class Predicate:
             return _TRUE
         if t is False:
             return _FALSE
-        return cls.of_clauses([Disjunction([atom])])
+        # what of_clauses makes of one unit clause, without the passes
+        return cls(_Kind.CNF, frozenset((Disjunction((atom,)),)), True)
 
     @classmethod
     def of_clauses(cls, clauses: Iterable[Disjunction]) -> "Predicate":
-        kept = _simplify_cnf(list(clauses))
+        kept, fixpoint = _simplify_cnf(list(clauses))
         if kept is None:
             return _FALSE
         if not kept:
@@ -223,7 +244,7 @@ class Predicate:
             len(c) > MAX_ATOMS_PER_CLAUSE for c in kept
         ):
             return _UNKNOWN
-        return cls(_Kind.CNF, frozenset(kept))
+        return cls(_Kind.CNF, frozenset(kept), fixpoint and _one_domain_units(kept))
 
     # -- convenience relational constructors -------------------------------------
 
@@ -277,19 +298,25 @@ class Predicate:
 
     def conj(self, other: "Predicate") -> "Predicate":
         """AND.  ``FALSE`` dominates; Δ AND P is Δ unless P is FALSE."""
-        if self.is_false() or other.is_false():
+        # kinds, not identity with _TRUE/_FALSE: an unpickled predicate
+        # is a different object
+        kind, other_kind = self._kind, other._kind
+        if kind is _Kind.FALSE or other_kind is _Kind.FALSE:
             return _FALSE
-        if self.is_true():
+        if kind is _Kind.TRUE:
             return other
-        if other.is_true():
+        if other_kind is _Kind.TRUE:
             return self
-        if self.is_unknown() or other.is_unknown():
+        if kind is _Kind.UNKNOWN or other_kind is _Kind.UNKNOWN:
             return _UNKNOWN
         key = (self, other)
         cached = _CONJ_CACHE.get(key)
         if cached is not MISS:
             return cached
-        out = Predicate.of_clauses(list(self.clauses) + list(other.clauses))
+        if self._settled and other._settled:
+            out = _conj_settled(self, other)
+        else:
+            out = Predicate.of_clauses(list(self.clauses) + list(other.clauses))
         return _CONJ_CACHE.put(key, out)
 
     def disj(self, other: "Predicate") -> "Predicate":
@@ -340,14 +367,9 @@ class Predicate:
         ]
         return _NEG_CACHE.put(self, Predicate.of_clauses(new_clauses))
 
-    def __and__(self, other: "Predicate") -> "Predicate":
-        return self.conj(other)
-
-    def __or__(self, other: "Predicate") -> "Predicate":
-        return self.disj(other)
-
-    def __invert__(self) -> "Predicate":
-        return self.negate()
+    __and__ = conj
+    __or__ = disj
+    __invert__ = negate
 
     def implies(self, other: "Predicate") -> Optional[bool]:
         """Syntactic implication test; ``None`` when it cannot tell."""
@@ -423,8 +445,11 @@ class Predicate:
     # -- identity ---------------------------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
         return (
             isinstance(other, Predicate)
+            and self._hash == other._hash
             and self._kind is other._kind
             and self.clauses == other.clauses
         )
@@ -448,23 +473,26 @@ class Predicate:
         return " .AND. ".join(f"({p})" if " .OR. " in p else p for p in parts)
 
 
-def _simplify_cnf(clauses: list[Disjunction]) -> Optional[list[Disjunction]]:
+def _simplify_cnf(
+    clauses: list[Disjunction],
+) -> tuple[Optional[list[Disjunction]], bool]:
     """Simplify a clause list; ``None`` means provably FALSE, ``[]`` TRUE.
 
     Implements the paper's pairwise strategy: unit-vs-atom propagation,
     unit-vs-unit contradiction, and clause subsumption, iterated to a
-    (bounded) fixpoint.
+    (bounded) fixpoint.  The flag says whether the last pass changed
+    nothing, i.e. the fixpoint was reached within the bound.
     """
     work = [c for c in clauses if not c.always_true]
     if any(c.is_false() for c in work):
-        return None
+        return None, True
     for _ in range(8):  # bounded fixpoint
         changed = False
         units = [c.unit_atom() for c in work if c.is_unit()]
         # unit-vs-unit contradiction
         for a, b in itertools.combinations(units, 2):
             if a.conflicts(b):
-                return None
+                return None, True
         # unit propagation into other clauses
         new_work: list[Disjunction] = []
         for clause in work:
@@ -491,7 +519,7 @@ def _simplify_cnf(clauses: list[Disjunction]) -> Optional[list[Disjunction]]:
                     changed = True
                     continue
             if clause.is_false():
-                return None
+                return None, True
             new_work.append(clause)
         work = new_work
         # subsumption: drop clause q when some other clause p subsumes it
@@ -513,7 +541,63 @@ def _simplify_cnf(clauses: list[Disjunction]) -> Optional[list[Disjunction]]:
         work = kept
         if not changed:
             break
-    return work
+    return work, not changed
+
+
+def _one_domain_units(clauses: list[Disjunction]) -> bool:
+    """Are all clauses unit clauses, with every relation atom in one
+    integer domain?  For such atoms ``conflicts`` is symmetric."""
+    domains = set()
+    for clause in clauses:
+        if len(clause.atoms) != 1:
+            return False
+        for atom in clause.atoms:
+            if isinstance(atom, Relation):
+                domains.add(atom.integer)
+    return len(domains) <= 1
+
+
+def _conj_settled(p: Predicate, q: Predicate) -> Predicate:
+    """``Predicate.of_clauses(list(p.clauses) + list(q.clauses))`` for two
+    settled predicates, testing only the pairs that cross operands.
+
+    A settled predicate's own atoms neither conflict, in either order,
+    nor imply one another (its last simplifier pass dropped nothing).  So
+    on the concatenation :func:`_simplify_cnf` can act only on cross
+    pairs, and a second pass changes nothing.  This is its first pass on
+    the cross pairs, with the same order, conflict rule and subsumption
+    tie-break; the result is settled again when it keeps one domain.
+    """
+    clauses = list(p.clauses) + list(q.clauses)
+    atoms = [c.unit_atom() for c in clauses]
+    split = len(p.clauses)
+    for a in atoms[:split]:
+        for b in atoms[split:]:
+            if a.conflicts(b):
+                return _FALSE
+    first, second = range(split), range(split, len(atoms))
+    removed: set[int] = set()
+    for i, a in enumerate(atoms):
+        for j in second if i < split else first:
+            if j in removed:
+                continue
+            b = atoms[j]
+            if b.implies(a) is True and not (a.implies(b) is True and j > i):
+                removed.add(i)
+                break
+    kept = [c for i, c in enumerate(clauses) if i not in removed]
+    if len(kept) > MAX_CLAUSES:
+        return _UNKNOWN
+    return Predicate(_Kind.CNF, frozenset(kept), _one_domain_units(kept))
+
+
+def _rebuild_disjunction(always_true: bool, atoms: frozenset) -> Disjunction:
+    """A clause from its already-simplified parts (unpickling)."""
+    clause = Disjunction.__new__(Disjunction)
+    clause.always_true = always_true
+    clause.atoms = atoms
+    clause._hash = hash((always_true, atoms))
+    return clause
 
 
 _TRUE = Predicate(_Kind.TRUE)

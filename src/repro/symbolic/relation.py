@@ -75,11 +75,11 @@ def _normalize(expr: SymExpr, op: RelOp, integer: bool) -> tuple[SymExpr, RelOp]
         if op in (RelOp.LE, RelOp.LT):
             if integer and op is RelOp.LE:
                 ceil_cg = -((-const.numerator) // g_rest)
-                expr = rest.div_const(g_rest) + Fraction(ceil_cg)
+                expr = rest.div_const(g_rest) + ceil_cg
             else:
-                expr = rest.div_const(g_rest) + const / g_rest
+                expr = rest.div_const(g_rest) + Fraction(const, g_rest)
         elif (not integer) or const.numerator % g_rest == 0:
-            expr = rest.div_const(g_rest) + const / g_rest
+            expr = rest.div_const(g_rest) + Fraction(const, g_rest)
         else:
             # no integer solution to g*x + c == 0: canonical False / True
             expr = SymExpr.const(1)
@@ -345,6 +345,11 @@ class BoolAtom:
         self.name = name
         self.value = bool(value)
         self._hash = hash((name, self.value))
+
+    def __reduce__(self):
+        # rebuilt rather than restored: the hash of the name differs from
+        # process to process
+        return (BoolAtom, (self.name, self.value))
 
     def truth(self) -> Optional[bool]:
         """Logical variables never fold to a constant."""

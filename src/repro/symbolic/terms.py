@@ -8,7 +8,7 @@ that expressions have a canonical printed form and deterministic iteration
 order.
 
 Monomials are **hash-consed**: construction interns instances in a
-bounded LRU table keyed by the canonical factor tuple, so repeated
+bounded table keyed by the canonical factor tuple, so repeated
 construction of the same monomial is a dict hit returning the existing
 object and equality can short-circuit on identity.  Eviction only drops
 the canonical-representative status — a re-created monomial is a new but
@@ -39,7 +39,7 @@ class Monomial:
     positive.  ``Monomial(())`` is the unit monomial (constant term).
     """
 
-    __slots__ = ("_factors", "_hash")
+    __slots__ = ("_factors", "_hash", "_sort_key")
 
     def __new__(cls, factors: Iterable[_Factor] = ()) -> "Monomial":
         merged: dict[str, int] = {}
@@ -55,6 +55,11 @@ class Monomial:
         self = object.__new__(cls)
         self._factors = key
         self._hash = hash(key)
+        # the canonical order is asked for on every expression build, so
+        # it is computed once per interned monomial (see sort_key)
+        self._sort_key = (
+            (sum(p for _, p in key), key) if key else (float("inf"),)
+        )
         _INTERN.put(key, self)
         return self
 
@@ -146,9 +151,7 @@ class Monomial:
         end of an expression (``i + 3`` rather than ``3 + i``), matching
         the paper's presentation of symbolic bounds.
         """
-        if self.is_unit():
-            return (float("inf"),)
-        return (self.degree(), self._factors)
+        return self._sort_key
 
     def __eq__(self, other: object) -> bool:
         if self is other:
@@ -158,7 +161,7 @@ class Monomial:
     def __lt__(self, other: "Monomial") -> bool:
         if not isinstance(other, Monomial):
             return NotImplemented
-        return self.sort_key() < other.sort_key()
+        return self._sort_key < other._sort_key
 
     def __hash__(self) -> int:
         return self._hash

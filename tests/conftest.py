@@ -2,13 +2,50 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import pytest
 
 from repro.dataflow import AnalysisOptions, SummaryAnalyzer
 from repro.fortran import analyze, parse_program
 from repro.hsg import build_hsg
 from repro.parallelize import classify_all_loops
+from repro.perf import profiler
 from repro.symbolic import Comparer
+
+
+def _cache_bounds() -> dict[str, int]:
+    return {name: cache.maxsize for name, cache in profiler.caches().items()}
+
+
+@contextmanager
+def all_caches_bounded(maxsize: int):
+    """Every registered memo table bounded at *maxsize*; on exit each
+    gets its own bound back."""
+    bounds = _cache_bounds()
+    profiler.resize_caches(maxsize)
+    try:
+        yield
+    finally:
+        for name, cache in profiler.caches().items():
+            cache.resize(bounds.get(name, cache.maxsize))
+
+
+@pytest.fixture(autouse=True)
+def _cache_bounds_restored():
+    """Fail a test that leaves a memo table's bound changed: the tables
+    live for the whole process, so a leaked bound changes every later
+    test."""
+    before = _cache_bounds()
+    yield
+    after = _cache_bounds()
+    changed = {
+        name: (bound, after[name])
+        for name, bound in before.items()
+        if after.get(name, bound) != bound
+    }
+    if changed:
+        pytest.fail(f"cache bounds left changed (before, after): {changed}")
 
 
 def compile_source(source: str, options: AnalysisOptions | None = None):

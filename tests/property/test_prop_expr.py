@@ -1,7 +1,10 @@
 """Property tests: symbolic expressions form a commutative ring and
 evaluation is a homomorphism."""
 
+from fractions import Fraction
+
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.symbolic import SymExpr, sym
 
@@ -99,3 +102,40 @@ def test_non_constant_plus_constant_partition(a, env):
     assert a.non_constant_part().evaluate(env) + a.constant_term() == a.evaluate(
         env
     )
+
+
+def _canonical_coefficients(expr: SymExpr) -> bool:
+    """Every coefficient an ``int`` when integral, a ``Fraction`` otherwise."""
+    return all(
+        type(c) is int or (type(c) is Fraction and c.denominator != 1)
+        for _, c in expr.terms
+    )
+
+
+@given(
+    sym_exprs(),
+    sym_exprs(),
+    var_names,
+    st.integers(-6, 6).filter(bool),
+    st.fractions(min_value=-4, max_value=4, max_denominator=6),
+)
+def test_integral_coefficients_stay_int(a, b, name, d, f):
+    """Rational steps that land on integers must give ``int`` back, or
+    every later operation pays for ``Fraction`` arithmetic."""
+    half = a.div_const(d)
+    results = [
+        a + b,
+        a - b,
+        a * b,
+        -a,
+        a.scaled(f),
+        half,
+        half.scaled(d),
+        half + half - a.div_const(d).scaled(-1),
+        half * sym(d),
+        a.substitute({name: b.div_const(d)}),
+        a.substitute({name: half.scaled(d)}),
+    ]
+    for expr in results:
+        assert _canonical_coefficients(expr), expr
+    assert type(half.scaled(d).constant_term()) is int

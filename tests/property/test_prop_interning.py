@@ -4,8 +4,9 @@ Three invariant families:
 
 * interned arithmetic agrees with a non-interned reference computation
   built directly from dict-of-monomial coefficient algebra;
-* bounded LRU eviction (tiny caches, or clearing mid-stream) never
-  changes any result — the caches are invisible to values;
+* bounded insertion-order eviction (tiny caches, or clearing
+  mid-stream) never changes any result — the caches are invisible to
+  values;
 * the ``Comparer`` proof memo never goes stale across ``refine()``:
   child and parent verdicts always match a freshly built comparer over
   the same context, in any interleaving.
@@ -20,6 +21,8 @@ from hypothesis import strategies as st
 
 from repro.perf import profiler
 from repro.symbolic import Comparer, Monomial, SymExpr
+
+from tests.conftest import all_caches_bounded
 
 from .strategies import predicates, relations, sym_exprs
 
@@ -79,19 +82,16 @@ def test_interning_dedups_and_equality_survives_clear(a, b):
 
 @given(sym_exprs(), sym_exprs(), st.integers(1, 4))
 @settings(max_examples=50)
-def test_tiny_lru_never_changes_results(a, b, cap):
+def test_tiny_fifo_never_changes_results(a, b, cap):
     """Shrink every cache to a handful of slots mid-computation: heavy
     eviction must still produce structurally identical results."""
     big_add = a + b
     big_mul = a * b
     big_neg = -a
-    try:
-        profiler.resize_caches(cap)
+    with all_caches_bounded(cap):
         small_add = a + b
         small_mul = a * b
         small_neg = -a
-    finally:
-        profiler.resize_caches(16384)
     assert small_add == big_add
     assert small_mul == big_mul
     assert small_neg == big_neg

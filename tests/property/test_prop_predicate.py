@@ -1,11 +1,49 @@
 """Property tests: relations, CNF predicates, and the pairwise simplifier
 agree with brute-force boolean semantics."""
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from repro.symbolic import Predicate, definitely_unsat, implied_by
+from repro.symbolic import (
+    BoolAtom,
+    Disjunction,
+    Predicate,
+    Relation,
+    RelOp,
+    definitely_unsat,
+    implied_by,
+    sym,
+)
+from repro.symbolic.predicate import _conj_settled
 
 from .strategies import atoms, envs, predicates, relations
+
+
+@st.composite
+def domain_atoms(draw, integer: bool | None = None):
+    """An atom of the given integer domain (of either when ``None``),
+    often sharing its variable part with others so that pairs imply or
+    refute each other."""
+    if integer is None:
+        integer = draw(st.booleans())
+    if draw(st.integers(0, 5)) == 0:
+        return BoolAtom(draw(st.sampled_from(["p", "q"])), draw(st.booleans()))
+    expr = sym(draw(st.integers(-4, 4)))
+    for name in draw(st.lists(st.sampled_from(["x", "y"]), min_size=1, max_size=2)):
+        expr = expr + sym(name) * draw(st.sampled_from([-2, -1, 1, 2, 3]))
+    op = draw(st.sampled_from([RelOp.LE, RelOp.LT, RelOp.EQ, RelOp.NE]))
+    return Relation(expr, op, integer)
+
+
+@st.composite
+def settled_predicates(draw):
+    """A settled all-unit CNF: the operand shape of the conjunction fast
+    path.  Mixed-domain draws must come out unsettled."""
+    integer = draw(st.sampled_from([True, False, None]))
+    units = draw(st.lists(domain_atoms(integer), min_size=1, max_size=5))
+    pred = Predicate.of_clauses([Disjunction([a]) for a in units])
+    assume(pred._settled)
+    return pred
 
 
 @given(atoms(), envs())
@@ -121,3 +159,33 @@ def test_fm_nonlinear_still_sound(a, b, env):
     """Linearized (nonlinear) atoms keep the one-sided guarantee."""
     if definitely_unsat([a, b]):
         assert not (a.evaluate(env) and b.evaluate(env))
+
+
+@given(st.booleans(), st.data())
+def test_conflicts_symmetric_within_one_domain(integer, data):
+    """The conjunction fast path relies on it: a settled operand's own
+    atoms were checked for conflicts in one order only.  (Clauses never
+    hold constant atoms.)"""
+    a = data.draw(domain_atoms(integer))
+    b = data.draw(domain_atoms(integer))
+    assume(a.truth() is None and b.truth() is None)
+    assert a.conflicts(b) == b.conflicts(a)
+
+
+@settings(max_examples=200)
+@given(settled_predicates(), settled_predicates())
+def test_settled_conjunction_matches_of_clauses(p, q):
+    reference = Predicate.of_clauses(list(p.clauses) + list(q.clauses))
+    for fast in (_conj_settled(p, q), p & q):
+        assert fast == reference
+        assert fast._kind is reference._kind
+        assert fast._settled == reference._settled
+
+
+@given(atoms())
+def test_of_atom_matches_of_clauses(atom):
+    reference = Predicate.of_clauses([Disjunction([atom])])
+    got = Predicate.of_atom(atom)
+    assert got == reference
+    assert got._kind is reference._kind
+    assert got._settled == reference._settled

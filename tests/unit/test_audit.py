@@ -117,6 +117,35 @@ class TestCleanLoops:
         assert report.findings == []
 
 
+class TestDistanceProver:
+    def test_odd_distance_over_even_coefficient(self, monkeypatch):
+        """``a(2*i)`` against ``a(2*i+1)``: integer coefficients, a
+        distance of 1/2, so the dimensions never align."""
+        from repro.audit import auditor
+
+        proofs = []
+        prove = auditor._distance_proof
+
+        def spy(*args):
+            proofs.append(prove(*args))
+            return proofs[-1]
+
+        monkeypatch.setattr(auditor, "_distance_proof", spy)
+        result, report = audit_source(
+            """\
+      subroutine odd(a, b)
+      real a(201), b(100)
+      do 10 i = 1, 100
+         a(2*i) = a(2*i+1) + b(i)
+   10 continue
+      end
+"""
+        )
+        assert result.loops[0].parallel
+        assert (False, "non-integer distance: dimensions never align") in proofs
+        assert report.clean()
+
+
 class TestMisreportedLoops:
     """Force the classifier to lie via fault injection; the auditor must
     catch the planted race."""

@@ -112,10 +112,19 @@ class TestSymbolicSiv:
         assert got is True
 
     def test_non_integer_distance(self, cmp):
+        # integer coefficients, odd distance: 2*i never meets 2*i'+1
+        assert type((sym("i") * 2).coeff_of_var("i")) is int
         got = siv_independent(
             sym("i") * 2, sym("i") * 2 + 1, "i", sym(1), sym("n"), cmp
         )
         assert got is True
+
+    def test_even_distance_over_even_coefficient(self, cmp):
+        # 2*i and 2*i+4 meet two iterations apart, within 1..10
+        got = siv_independent(
+            sym("i") * 2, sym("i") * 2 + 4, "i", sym(1), sym(10), cmp
+        )
+        assert got is False
 
     def test_invariant_same_symbol(self, cmp):
         got = siv_independent(sym("m"), sym("m"), "i", sym(1), sym("n"), cmp)

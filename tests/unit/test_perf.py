@@ -2,11 +2,21 @@
 
 from __future__ import annotations
 
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
+import repro
 from repro.perf import profiler
 from repro.perf.profiler import MISS, BoundedCache
 from repro.symbolic import Monomial, Predicate, Relation, RelOp, SymExpr
+
+
+def _other_hash_seed() -> int:
+    seed = os.environ.get("PYTHONHASHSEED", "")
+    return 2 if seed == "1" else 1
 
 
 def _cache(name: str, maxsize: int = 4) -> BoundedCache:
@@ -32,14 +42,15 @@ class TestBoundedCache:
         c = _cache("t")
         assert c.put("k", "v") == "v"
 
-    def test_lru_eviction_order(self):
+    def test_fifo_eviction_order(self):
         c = _cache("t", maxsize=2)
         c.put("a", 1)
         c.put("b", 2)
-        c.get("a")  # refresh a; b is now LRU
+        c.get("a")  # a hit does not refresh: a is still the oldest
+        c.put("a", 10)  # neither does an overwrite
         c.put("c", 3)
-        assert c.get("b") is MISS
-        assert c.get("a") == 1
+        assert c.get("a") is MISS
+        assert c.get("b") == 2
         assert c.get("c") == 3
         assert c.evictions == 1
 
@@ -59,7 +70,7 @@ class TestBoundedCache:
         c.resize(2)
         assert len(c) == 2
         assert c.evictions == 2
-        # the most recently used entries survive
+        # the most recently inserted entries survive
         assert c.get(3) == 3 and c.get(2) == 2
 
 
@@ -178,3 +189,29 @@ class TestInternedPickling:
         p = Predicate.le("i", "n") & Predicate.ge("i", 1)
         clone = pickle.loads(pickle.dumps(p))
         assert clone == p
+
+    def test_predicates_from_another_process_compare_equal(self):
+        """Cached summaries are written by other processes, whose string
+        hashes differ; equality tests hashes, so unpickled clauses and
+        predicates must carry this process's hashes."""
+        code = (
+            "import pickle, sys\n"
+            "from repro.symbolic import Predicate\n"
+            "p = Predicate.le('i', 'n') & Predicate.boolvar('p')\n"
+            "sys.stdout.buffer.write(pickle.dumps("
+            "[p, next(iter(p.clauses)), Predicate.true()]))\n"
+        )
+        env = dict(
+            os.environ,
+            PYTHONHASHSEED=str(_other_hash_seed()),
+            PYTHONPATH=str(Path(repro.__file__).parents[1]),
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True,
+            check=True, timeout=60,
+        ).stdout
+        pred, clause, true = pickle.loads(out)
+        local = Predicate.le("i", "n") & Predicate.boolvar("p")
+        assert pred == local and hash(pred) == hash(local)
+        assert clause in local.clauses
+        assert true == Predicate.true() and true.is_true()

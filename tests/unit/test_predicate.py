@@ -7,6 +7,7 @@ from repro.symbolic import (
     Disjunction,
     Predicate,
     Relation,
+    RelOp,
     sym,
 )
 from repro.symbolic.predicate import MAX_CLAUSES
@@ -115,6 +116,54 @@ class TestConjunction:
         clause = Disjunction([Relation.ge("i", 5), Relation.ge("i", 9)])
         p = Predicate.le("i", 0) & Predicate.of_clauses([clause])
         assert p.is_false()
+
+
+class TestSettledConjunction:
+    """The cross-pair fast path for conjoining settled unit CNFs.
+
+    ``x <= 1`` over the integers refutes ``x >= 3/2`` over the reals, but
+    the pair test only sees it in that order: across integer domains
+    ``conflicts`` is not symmetric."""
+
+    INT = Relation(sym("x") - 1, RelOp.LE)
+    REAL = Relation(sym("x") * -2 + 3, RelOp.LE, integer=False)
+
+    def test_unit_predicates_are_settled(self):
+        assert Predicate.le("i", 3)._settled
+        assert (Predicate.le("i", 3) & Predicate.boolvar("p"))._settled
+
+    def test_cross_pairs_keep_operand_order(self):
+        assert self.INT.conflicts(self.REAL)
+        assert not self.REAL.conflicts(self.INT)
+        int_first = Predicate.of_atom(self.INT) & Predicate.of_atom(self.REAL)
+        assert int_first.is_false()
+        real_first = Predicate.of_atom(self.REAL) & Predicate.of_atom(self.INT)
+        assert real_first == Predicate.of_clauses(
+            [Disjunction([self.REAL]), Disjunction([self.INT])]
+        )
+
+    def test_mixed_domains_are_not_settled(self):
+        # its own pair was tested in one order only, so a later
+        # conjunction must re-test it
+        mixed = Predicate.of_clauses(
+            [Disjunction([self.REAL]), Disjunction([self.INT])]
+        )
+        assert mixed.is_cnf() and not mixed._settled
+        more = Predicate.boolvar("p")
+        assert (mixed & more) == Predicate.of_clauses(
+            list(mixed.clauses) + list(more.clauses)
+        )
+
+    def test_unsettled_at_the_pass_bound(self):
+        # a chain that turns one clause into a unit per pass: its eighth
+        # and last pass makes the last unit, so no pass confirmed it
+        chain = [Disjunction([BoolAtom("p0")])] + [
+            Disjunction([BoolAtom(f"p{k}", False), BoolAtom(f"p{k + 1}")])
+            for k in range(8)
+        ]
+        pred = Predicate.of_clauses(chain)
+        assert len(pred.unit_atoms()) == len(pred.clauses) == 9
+        assert not pred._settled
 
 
 class TestDisjunctionOp:

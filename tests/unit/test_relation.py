@@ -1,5 +1,7 @@
 """Unit tests for relational atoms (repro.symbolic.relation)."""
 
+from fractions import Fraction
+
 from repro.symbolic import BoolAtom, Relation, RelOp, sym
 
 
@@ -41,6 +43,22 @@ class TestConstructorsAndNormalization:
         r = Relation(sym("x") * 2 - 3, RelOp.LE, integer=False)
         # divided by 2 exactly: x - 3/2 <= 0
         assert r.expr == sym("x") - sym(3).div_const(2)
+
+    def test_gcd_lt_real_divides_exactly(self):
+        # 3x + 1 < 0 over the reals is exactly x + 1/3 < 0
+        r = Relation(sym("x") * 3 + 1, RelOp.LT, integer=False)
+        assert r.op is RelOp.LT
+        assert r.expr.terms[-1][1] == Fraction(1, 3)
+        assert r.expr == sym("x") + sym(1).div_const(3)
+
+    def test_gcd_eq_divides_constant(self):
+        # integer 2i - 4 == 0 is i - 2 == 0, with an int constant;
+        # real 2x - 3 == 0 is x - 3/2 == 0
+        r = Relation(sym("i") * 2 - 4, RelOp.EQ)
+        assert r.expr == sym("i") - 2
+        assert type(r.expr.constant_term()) is int
+        r = Relation(sym("x") * 2 - 3, RelOp.EQ, integer=False)
+        assert r.expr.constant_term() == Fraction(-3, 2)
 
     def test_eq_unsolvable_gcd_becomes_false(self):
         # 2i - 3 == 0 has no integer solution
