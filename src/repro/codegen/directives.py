@@ -27,7 +27,7 @@ from ..driver.panorama import CompilationResult, LoopReport
 from ..fortran.ast_nodes import DoLoop, ProgramUnit, Stmt
 from ..fortran.printers import unparse_stmt
 from ..hsg.cfg import FlowGraph
-from ..hsg.nodes import BasicBlockNode, IfConditionNode, LoopNode
+from ..hsg.nodes import LoopNode
 from ..parallelize import LoopStatus
 
 
@@ -223,7 +223,7 @@ def _emit_block(
     indent: int,
     inside_parallel: bool,
 ) -> list[str]:
-    from ..fortran.ast_nodes import IfBlock, LogicalIf
+    from ..fortran.ast_nodes import IfBlock
 
     pad = "      " + "  " * (indent - 1)
     out: list[str] = []

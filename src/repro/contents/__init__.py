@@ -9,7 +9,7 @@ the paper's section-6 "forward substitution by hand" for subscript
 arrays like ARC2D's ``JPLUS``/``JMINUS``.
 """
 
-from .domain import ContentFact, Monotone, join_monotone
+from .domain import ContentFact, Monotone
 from .infer import ContentFacts, infer_program, infer_unit
 
 __all__ = [
@@ -18,5 +18,4 @@ __all__ = [
     "Monotone",
     "infer_program",
     "infer_unit",
-    "join_monotone",
 ]

@@ -20,7 +20,7 @@ instead of being dropped.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Optional
 
@@ -36,41 +36,6 @@ class Monotone(enum.Enum):
     STRICT_DEC = "strictly-decreasing"
     NONINCREASING = "nonincreasing"
     UNKNOWN = "unknown"
-
-
-#: Hasse diagram edges, child (more precise) → parents
-_ABOVE = {
-    Monotone.CONSTANT: {Monotone.NONDECREASING, Monotone.NONINCREASING},
-    Monotone.STRICT_INC: {Monotone.NONDECREASING},
-    Monotone.STRICT_DEC: {Monotone.NONINCREASING},
-    Monotone.NONDECREASING: {Monotone.UNKNOWN},
-    Monotone.NONINCREASING: {Monotone.UNKNOWN},
-    Monotone.UNKNOWN: set(),
-}
-
-
-def _ups(m: Monotone) -> set[Monotone]:
-    """The up-set {x : m ⊑ x} of one element."""
-    out = {m}
-    frontier = [m]
-    while frontier:
-        for parent in _ABOVE[frontier.pop()]:
-            if parent not in out:
-                out.add(parent)
-                frontier.append(parent)
-    return out
-
-
-def join_monotone(a: Monotone, b: Monotone) -> Monotone:
-    """Least upper bound of two monotonicity elements."""
-    # the common up-set is always a chain towards ⊤ in this lattice;
-    # its minimum is the least upper bound
-    common = _ups(a) & _ups(b)
-    best = Monotone.UNKNOWN
-    for m in common:
-        if best in _ups(m):
-            best = m
-    return best
 
 
 def monotone_of_affine(coeff: Fraction) -> Monotone:

@@ -6,15 +6,7 @@ with IF conditions attached as guards, scalars substituted on the fly,
 and loop summaries obtained through the expansion function.
 """
 
-from .analyzer import SummaryAnalyzer, analyze_program_summaries
-from .downward import downward_segment, loop_de_sets
-from .reaching import (
-    DefKind,
-    ReachingDefinitions,
-    ScalarDef,
-    compute_reaching,
-    reaching_for_unit,
-)
+from .analyzer import SummaryAnalyzer
 from .context import AnalysisOptions, AnalysisStats, LoopSummaryRecord
 from .convert import (
     ConversionContext,
@@ -29,20 +21,12 @@ __all__ = [
     "AnalysisOptions",
     "AnalysisStats",
     "ConversionContext",
-    "DefKind",
     "LoopSummaryRecord",
-    "ReachingDefinitions",
-    "ScalarDef",
     "Summary",
     "SummaryAnalyzer",
-    "analyze_program_summaries",
     "collect_uses",
-    "compute_reaching",
-    "downward_segment",
     "expand_gar",
     "expand_gar_list",
-    "loop_de_sets",
-    "reaching_for_unit",
     "reference_gar",
     "reset_opaque_counter",
     "scalar_gar",

@@ -16,11 +16,10 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from ..fortran.ast_nodes import Expr
 from ..hsg.builder import HSG
 from ..hsg.cfg import FlowGraph
 from ..hsg.nodes import IfConditionNode, LoopNode
-from ..symbolic import Comparer, Predicate
+from ..symbolic import Predicate
 from .context import AnalysisOptions, AnalysisStats, LoopSummaryRecord
 from .convert import ConversionContext, to_predicate
 from .summary import Summary
@@ -50,8 +49,6 @@ class SummaryAnalyzer:
         self._routine_cache: dict[str, Summary] = {}
         self._loop_cache: dict[tuple[int, frozenset[str]], LoopSummaryRecord] = {}
         self._cond_cache: dict[tuple[int, frozenset[str]], Predicate] = {}
-        self._de_cache: dict[tuple[int, frozenset[str]], tuple] = {}
-        self._routine_de_cache: dict[str, object] = {}
         self._in_progress: set[str] = set()
         #: external caches consulted before computing (None → always compute)
         self.summary_provider: Optional[SummaryProvider] = None
@@ -127,32 +124,6 @@ class SummaryAnalyzer:
         if cached is None:
             cached = summarize_loop(self, loop, ctx)
             self._loop_cache[key] = cached
-        return cached
-
-    def loop_de(self, loop: LoopNode, ctx: ConversionContext):
-        """Whole-loop downward-exposed use set (section 3.2.2 footnote)."""
-        return self.loop_de_sets(loop, ctx)[1]
-
-    def loop_de_sets(self, loop: LoopNode, ctx: ConversionContext):
-        """``(DE_i, DE)`` of a loop, cached like the MOD/UE summaries."""
-        from .downward import loop_de_sets
-
-        key = (loop.node_id, ctx.active_indices)
-        cached = self._de_cache.get(key)
-        if cached is None:
-            cached = loop_de_sets(self, loop, ctx)
-            self._de_cache[key] = cached
-        return cached
-
-    def routine_de(self, unit_name: str):
-        """Downward-exposed use set of a whole routine."""
-        from .downward import downward_segment
-
-        cached = self._routine_de_cache.get(unit_name)
-        if cached is None:
-            graph = self.hsg.graph(unit_name)
-            cached = downward_segment(self, graph, self.context_for(unit_name))
-            self._routine_de_cache[unit_name] = cached
         return cached
 
     def condition_predicate(
@@ -280,14 +251,3 @@ class SummaryAnalyzer:
             unit_name, loop = located
             out[self.loop_key(unit_name, loop, active)] = record
         return out
-
-
-def analyze_program_summaries(
-    hsg: HSG, options: AnalysisOptions | None = None
-) -> dict[str, Summary]:
-    """Summaries for every routine, computed bottom-up (convenience)."""
-    analyzer = SummaryAnalyzer(hsg, options)
-    out: dict[str, Summary] = {}
-    for name in hsg.call_graph.order:
-        out[name] = analyzer.routine_summary(name)
-    return out

@@ -38,7 +38,7 @@ from ..fortran.ast_nodes import (
     UnOp,
 )
 from ..fortran.semantics import SymbolTable
-from ..symbolic import BoolAtom, Predicate, Relation, SymExpr
+from ..symbolic import Predicate, Relation, SymExpr
 
 _REL_OPS = {".eq.", ".ne.", ".lt.", ".le.", ".gt.", ".ge."}
 _opaque_counter = itertools.count(1)

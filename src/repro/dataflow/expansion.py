@@ -22,7 +22,6 @@ operations of section 3.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Optional
 
 from ..regions import GAR, GARList, Range, RegularRegion
@@ -30,7 +29,6 @@ from ..regions.gar_simplify import simplify_gar_list
 from ..regions.ranges import _max_cases, _min_cases
 from ..regions.region import OMEGA_DIM
 from ..symbolic import Comparer, Predicate, Relation, RelOp, SymExpr
-from ..symbolic.predicate import Disjunction
 
 
 def expand_gar_list(
@@ -239,8 +237,6 @@ def _split_linear(expr: SymExpr, index: str) -> Optional[tuple[SymExpr, SymExpr]
     symbolic (``m * i`` splits into ``q = m``) — needed to expand
     induction subscripts with symbolic strides.
     """
-    from ..symbolic.terms import Monomial
-
     q = SymExpr()
     r = SymExpr()
     for mono, coeff in expr.terms:

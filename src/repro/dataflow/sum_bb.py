@@ -28,9 +28,9 @@ from ..fortran.ast_nodes import (
     Stmt,
 )
 from ..hsg.nodes import BasicBlockNode
-from ..regions import GAR, GARList, RegularRegion
+from ..regions import GAR, GARList
 from ..regions.gar_ops import subtract_lists, union_lists
-from ..symbolic import Predicate, SymExpr
+from ..symbolic import SymExpr
 from .convert import ConversionContext, to_symexpr
 from .summary import Summary, collect_uses, reference_gar, scalar_gar
 

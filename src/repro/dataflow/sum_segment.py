@@ -31,7 +31,7 @@ from ..regions import GAR, GARList
 from ..regions.gar_ops import union_lists
 from ..regions.gar_simplify import simplify_gar_list
 from ..symbolic import Predicate
-from .convert import ConversionContext, to_predicate
+from .convert import ConversionContext
 from .summary import Summary, collect_uses, scalar_gar
 from .sum_bb import transfer_basic_block
 from .sum_call import transfer_call

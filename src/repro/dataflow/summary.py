@@ -42,10 +42,6 @@ class Summary:
             return self
         return Summary(self.mod.substitute(bindings), self.ue.substitute(bindings))
 
-    def map_lists(self, fn) -> "Summary":
-        """Apply *fn* to both sets."""
-        return Summary(fn(self.mod), fn(self.ue))
-
     def __str__(self) -> str:
         return f"MOD={self.mod}  UE={self.ue}"
 
@@ -108,14 +104,3 @@ def collect_uses(expr: Expr, ctx: ConversionContext) -> GARList:
 
     rec(expr)
     return GARList(gars)
-
-
-def collect_arrays_mentioned(expr: Expr, ctx: ConversionContext) -> set[str]:
-    """Names of arrays referenced anywhere inside *expr*."""
-    out: set[str] = set()
-    for node in expr.walk():
-        if isinstance(node, Apply) and node.is_array:
-            out.add(node.name)
-        elif isinstance(node, NameRef) and ctx.table.is_array(node.name):
-            out.add(node.name)
-    return out

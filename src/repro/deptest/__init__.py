@@ -4,12 +4,11 @@ classical baseline its symbolic analysis improves on)."""
 from .banerjee import LoopBounds, banerjee_test, banerjee_test_dimension
 from .ddg import PairResult, ScreenReport, ScreenVerdict, screen_loop
 from .gcd import gcd_test, gcd_test_dimension
-from .range_test import overlap_possible, siv_independent
+from .range_test import siv_independent
 from .subscript import (
     AffineForm,
     ArrayReference,
     affine_form,
-    classify_pair,
     collect_references,
 )
 
@@ -23,11 +22,9 @@ __all__ = [
     "affine_form",
     "banerjee_test",
     "banerjee_test_dimension",
-    "classify_pair",
     "collect_references",
     "gcd_test",
     "gcd_test_dimension",
-    "overlap_possible",
     "screen_loop",
     "siv_independent",
 ]

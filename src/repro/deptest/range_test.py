@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional
 
-from ..symbolic import Comparer, Predicate, Relation, SymExpr
+from ..symbolic import Comparer, SymExpr
 
 
 def siv_independent(
@@ -82,24 +82,4 @@ def siv_independent(
         g = gcd(abs(a.numerator), abs(b.numerator))
         if g and diff.numerator % g != 0:
             return True
-    return None
-
-
-def overlap_possible(
-    src_lo: SymExpr,
-    src_hi: SymExpr,
-    dst_lo: SymExpr,
-    dst_hi: SymExpr,
-    cmp: Comparer,
-) -> Optional[bool]:
-    """Can the two closed symbolic ranges intersect?
-
-    ``False`` when provably disjoint (one ends before the other starts).
-    """
-    before = cmp.prove(Relation.lt(src_hi, dst_lo))
-    after = cmp.prove(Relation.lt(dst_hi, src_lo))
-    if before is True or after is True:
-        return False
-    if before is False and after is False:
-        return True
     return None

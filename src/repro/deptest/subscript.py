@@ -1,9 +1,9 @@
 """Subscript pair extraction for conventional dependence testing.
 
 Conventional (memory-disambiguation) tests work on pairs of references to
-the same array inside a loop nest.  This module collects the references,
-normalizes subscripts to affine forms over the loop indices, and
-classifies pairs (ZIV / SIV / MIV) for the numeric tests.
+the same array inside a loop nest.  This module collects the references
+and normalizes subscripts to affine forms over the loop indices for the
+numeric tests.
 """
 
 from __future__ import annotations
@@ -162,20 +162,3 @@ def collect_references(
     base = ctx.with_index(loop.var)
     scan(loop.body, (loop.var,), base)
     return out
-
-
-def classify_pair(
-    a: ArrayReference, b: ArrayReference, indices: tuple[str, ...]
-) -> str:
-    """ZIV / SIV / MIV / unknown classification of one subscript pair."""
-    if any(s is None for s in a.subscripts + b.subscripts):
-        return "unknown"
-    involved: set[str] = set()
-    for s in a.subscripts + b.subscripts:
-        assert s is not None
-        involved |= {i for i in indices if s.contains(i)}
-    if not involved:
-        return "ziv"
-    if len(involved) == 1:
-        return "siv"
-    return "miv"

@@ -20,7 +20,6 @@ from .render import (
     diagnostic_from_dict,
     diagnostic_to_dict,
     render_diagnostic,
-    render_json,
     render_text,
 )
 from .sarif import sarif_log, write_sarif
@@ -34,7 +33,6 @@ __all__ = [
     "diagnostic_from_dict",
     "diagnostic_to_dict",
     "render_diagnostic",
-    "render_json",
     "render_text",
     "resolve_span",
     "sarif_log",

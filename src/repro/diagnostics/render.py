@@ -73,8 +73,3 @@ def diagnostic_from_dict(payload: dict[str, Any]) -> Diagnostic:
         severity=Severity(payload["severity"]),
         data=dict(payload.get("data", {})),
     )
-
-
-def render_json(diags: Iterable[Diagnostic]) -> list[dict[str, Any]]:
-    """All diagnostics as JSON-ready dicts, severity-major order."""
-    return [diagnostic_to_dict(d) for d in sorted(diags, key=sort_key)]

@@ -38,11 +38,6 @@ def yes_no(flag: bool) -> str:
     return "Yes" if flag else "No"
 
 
-def fmt(value: float, digits: int = 1) -> str:
-    """Format a float with fixed digits."""
-    return f"{value:.{digits}f}"
-
-
 def format_stats(stats, timings=None, cache_backend=None) -> str:
     """One-line rendering of the analyzer's cost counters.
 

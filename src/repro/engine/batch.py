@@ -631,10 +631,6 @@ class BatchEngine:
         profiler.merge(tele.resilience, self.supervision)
         return report
 
-    def run_paths(self, paths: Iterable[str | Path]) -> BatchReport:
-        """Convenience: analyze a list of source files."""
-        return self.run(items_from_paths(paths))
-
     # -- internals ----------------------------------------------------------------
 
     def _serve_results(

@@ -63,8 +63,10 @@ from .backends import CacheBackend, DiskBackend, make_backend
 #: v5: options_key is derived from every AnalysisOptions field, and
 #: whole-item ResultEntry payloads share the durable tier;
 #: v6: integral SymExpr coefficients are ints, GARs carry their array,
-#: and clauses and predicates pickle through their constructors)
-CACHE_FORMAT_VERSION = 6
+#: and clauses and predicates pickle through their constructors;
+#: v7: GARs, regions and ranges are rebuilt when unpickled, so their
+#: hashes are the loading process's, and GAR lists pickle without theirs)
+CACHE_FORMAT_VERSION = 7
 
 #: on-disk container magic; the digest that follows covers the payload
 DISK_MAGIC = b"PANC\x03\n"

@@ -161,6 +161,3 @@ class IncrementalEngine:
         """Invalidation report of *hooks* against the remembered revision
         of *name* (does not advance the remembered revision)."""
         return diff_revisions(name, self._previous.get(name, {}), hooks)
-
-    #: kept for callers written against the pre-public spelling
-    _diff_report = diff_report

@@ -38,7 +38,7 @@ from .ast_nodes import (
 from .callgraph import CallGraph, build_call_graph
 from .lexer import tokenize
 from .parser import parse_program, parse_unit
-from .printers import unparse_expr, unparse_program, unparse_stmt, unparse_unit
+from .printers import unparse_program, unparse_stmt, unparse_unit
 from .semantics import (
     INTRINSICS,
     AnalyzedProgram,
@@ -57,6 +57,6 @@ __all__ = [
     "ParameterStmt", "Program", "ProgramUnit", "RangeSub", "RealLit",
     "Return", "Stmt", "Stop", "StringLit", "SymbolTable", "UnOp",
     "analyze", "build_call_graph", "normalize", "parse_program",
-    "parse_unit", "tokenize", "unparse_expr", "unparse_program",
-    "unparse_stmt", "unparse_unit",
+    "parse_unit", "tokenize", "unparse_program", "unparse_stmt",
+    "unparse_unit",
 ]

@@ -236,7 +236,6 @@ class Interpreter:
             BasicBlockNode,
             CallNode,
             CondensedNode,
-            EntryNode,
             ExitNode,
             IfConditionNode,
             LoopNode,

@@ -8,7 +8,6 @@ free-form style with ``ENDDO``/``ENDIF`` terminators.
 from __future__ import annotations
 
 from .ast_nodes import (
-    Apply,
     Assign,
     CallStmt,
     CommonStmt,
@@ -16,7 +15,6 @@ from .ast_nodes import (
     Declaration,
     DimensionStmt,
     DoLoop,
-    Expr,
     Goto,
     IfBlock,
     IoStmt,
@@ -29,11 +27,6 @@ from .ast_nodes import (
     Stmt,
     Stop,
 )
-
-
-def unparse_expr(expr: Expr) -> str:
-    """Render an expression as Fortran text."""
-    return str(expr)
 
 
 def unparse_stmt(stmt: Stmt, indent: int = 0) -> list[str]:

@@ -10,7 +10,7 @@ summary propagation of section 4.1 requires.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Optional
 
 from ..errors import HSGError
 from .nodes import EntryNode, ExitNode, HSGNode
@@ -132,10 +132,6 @@ class FlowGraph:
         reachable.add(self.exit)
         for node in [n for n in self.nodes if n not in reachable]:
             self.remove_node(node)
-
-    def iter_nodes(self) -> Iterator[HSGNode]:
-        """Iterate over all nodes."""
-        return iter(self.nodes)
 
     def __len__(self) -> int:
         return len(self.nodes)

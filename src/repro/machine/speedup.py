@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .costmodel import LoopCost, ProgramCost
+from .costmodel import LoopCost
 
 
 @dataclass(frozen=True)
@@ -92,16 +92,3 @@ class MachineModel:
             + self.sync_cost * (loop.trips / max(p_eff, 1.0))
         )
         return max(serial / parallel, 1.0)
-
-    def program_speedup(
-        self, cost: ProgramCost, parallel_loops: list[LoopCost]
-    ) -> float:
-        """Amdahl combination: only the given loops run in parallel."""
-        parallel_total = sum(l.total_cost for l in parallel_loops)
-        serial_total = cost.total - parallel_total
-        if cost.total <= 0:
-            return 1.0
-        new_time = serial_total
-        for loop in parallel_loops:
-            new_time += loop.total_cost / self.loop_speedup(loop)
-        return cost.total / max(new_time, 1e-9)

@@ -24,7 +24,7 @@ from ..hsg.nodes import LoopNode
 from ..privatize.privatizer import LoopPrivatization, privatize_loop
 from ..resilience import faults
 from .loop_analysis import DependenceReport, loop_dependences
-from .reductions import Reduction, find_reductions
+from .reductions import find_reductions
 
 _OPAQUE_RE = re.compile(r"@(\d+)")
 

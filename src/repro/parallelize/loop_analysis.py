@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..dataflow.context import LoopSummaryRecord
-from ..regions import GARList
 from ..regions.gar_ops import lists_intersect_empty
 from ..symbolic import Comparer
 
@@ -72,35 +71,3 @@ def loop_dependences(
         (record.mod_i.arrays() | record.ue_i.arrays()) - skip - {record.var}
     )
     return {name: variable_dependences(name, record, cmp) for name in names}
-
-
-def refined_anti_dependence(
-    name: str,
-    record: LoopSummaryRecord,
-    de_i: GARList,
-    cmp: Comparer,
-) -> bool:
-    """Anti-dependence test with the *downward-exposed* set (the paper's
-    footnote): valid even in the presence of output dependences, because a
-    use overwritten later in its own iteration cannot be anti-dependent on
-    later iterations' writes — the same-iteration write intervenes.
-    """
-    return not lists_intersect_empty(
-        de_i.for_array(name), record.mod_gt.for_array(name), cmp
-    )
-
-
-def dependence_report_with_de(
-    name: str,
-    record: LoopSummaryRecord,
-    de_i: GARList,
-    cmp: Comparer,
-) -> DependenceReport:
-    """Like :func:`variable_dependences`, with the precise anti test."""
-    base = variable_dependences(name, record, cmp)
-    return DependenceReport(
-        name,
-        base.flow,
-        base.output,
-        refined_anti_dependence(name, record, de_i, cmp),
-    )

@@ -8,7 +8,6 @@ from .gar import GAR, GARList
 from .gar_ops import (
     gar_intersect,
     gar_subtract,
-    gar_union,
     intersect_lists,
     lists_intersect_empty,
     subtract_lists,
@@ -16,17 +15,6 @@ from .gar_ops import (
 )
 from .gar_simplify import simplify_gar_list
 from .ranges import Range, range_covers, range_difference, range_intersect, range_union
-from .shapes import (
-    band,
-    diagonal,
-    dim_symbol,
-    enumerate_shaped,
-    is_shaped,
-    shaped,
-    shaped_intersect_empty,
-    shaped_provably_empty,
-    triangle,
-)
 from .region import OMEGA_DIM, RegularRegion
 from .region_ops import region_covers, region_difference, region_intersect, region_union
 
@@ -38,7 +26,6 @@ __all__ = [
     "RegularRegion",
     "gar_intersect",
     "gar_subtract",
-    "gar_union",
     "intersect_lists",
     "lists_intersect_empty",
     "range_covers",
@@ -49,16 +36,7 @@ __all__ = [
     "region_difference",
     "region_intersect",
     "region_union",
-    "band",
-    "diagonal",
-    "dim_symbol",
-    "enumerate_shaped",
-    "is_shaped",
-    "shaped",
-    "shaped_intersect_empty",
-    "shaped_provably_empty",
     "simplify_gar_list",
     "subtract_lists",
-    "triangle",
     "union_lists",
 ]

@@ -20,17 +20,10 @@ subtraction operator in :mod:`repro.regions.gar_ops` enforces that.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, Mapping, Sequence, Tuple
 
-from ..symbolic import (
-    Comparer,
-    Predicate,
-    SymExpr,
-    predicate_unsat,
-    predicate_unsat_many,
-)
-from .ranges import Range
-from .region import OMEGA_DIM, RegularRegion
+from ..symbolic import Predicate, SymExpr, predicate_unsat, predicate_unsat_many
+from .region import RegularRegion
 
 
 class GAR:
@@ -50,6 +43,11 @@ class GAR:
         #: the region's array, read on every pairwise simplifier test
         self.array = region.array
         self._hash = hash((self.guard, self.region, self.exact))
+
+    def __reduce__(self):
+        # rebuilt so the hash is the loading process's own; not through
+        # __init__, which would conjoin the region's lo <= hi again
+        return (_rebuild_gar, (self.guard, self.region, self.exact))
 
     # -- constructors --------------------------------------------------------
 
@@ -91,10 +89,6 @@ class GAR:
         return self.guard.contains(name) or self.region.contains_var(name)
 
     # -- rewriting --------------------------------------------------------------------
-
-    def with_guard(self, guard: Predicate) -> "GAR":
-        """A copy with the guard replaced."""
-        return GAR(guard, self.region, self.exact)
 
     def and_guard(self, extra: Predicate) -> "GAR":
         """Further qualify this GAR by an additional condition."""
@@ -166,6 +160,10 @@ class GARList:
         # hashing builds a frozenset (order-insensitive, matching __eq__);
         # most lists are never used as keys, so defer it
         self._hash = None
+
+    def __reduce__(self):
+        # without the cached hash, which is the writing process's
+        return (GARList, (self.gars,))
 
     @classmethod
     def empty(cls) -> "GARList":
@@ -282,6 +280,17 @@ class GARList:
         if not self.gars:
             return "{}"
         return " U ".join(str(g) for g in self.gars)
+
+
+def _rebuild_gar(guard: Predicate, region: RegularRegion, exact: bool) -> GAR:
+    """A GAR from its already-normalized parts (unpickling)."""
+    gar = GAR.__new__(GAR)
+    gar.guard = guard
+    gar.region = region
+    gar.exact = exact
+    gar.array = region.array
+    gar._hash = hash((guard, region, exact))
+    return gar
 
 
 _EMPTY = GARList(())

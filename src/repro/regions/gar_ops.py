@@ -16,19 +16,17 @@ Soundness contract
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..perf.profiler import MISS, BoundedCache
-from ..symbolic import Comparer, Predicate, predicate_implies
+from ..symbolic import Comparer
 from . import sanitize
 from .gar import GAR, GARList
 from .gar_simplify import simplify_gar_list
-from .region_ops import region_difference, region_intersect, region_union
+from .region_ops import region_difference, region_intersect
 
 #: (op tag, T1, T2, context fingerprint, symbolic flag) → GARList.  The
 #: pairwise GAR operations are pure functions of the operands and the
 #: proof context; propagation and the resident daemon repeat them
-#: constantly, so one shared memo covers intersect/union/subtract.
+#: constantly, so one shared memo covers intersect and subtract.
 _PAIR_CACHE = BoundedCache("gar.pair_ops", maxsize=32768)
 
 
@@ -54,52 +52,6 @@ def _gar_intersect_uncached(t1: GAR, t2: GAR, cmp: Comparer) -> GARList:
     if not (t1.exact and t2.exact):
         result = result.inexact()
     return result
-
-
-def gar_union(t1: GAR, t2: GAR, cmp: Comparer) -> GARList:
-    """``T1 ∪ T2`` with the paper's three special-case simplifications.
-
-    * ``R1 == R2``: ``[P1 ∨ P2, R1]``
-    * ``P1 => P2``: ``[[P1, R1 ∪ R2]] ∪ [¬P1 ∧ P2, R2]``
-    * ``P2 => P1``: symmetric
-    * otherwise the general three-piece formula, or simply the two-element
-      list when the region union does not merge.
-    """
-    key = _pair_key("u", t1, t2, cmp)
-    cached = _PAIR_CACHE.get(key)
-    if cached is not MISS:
-        return cached
-    return _PAIR_CACHE.put(key, _gar_union_uncached(t1, t2, cmp))
-
-
-def _gar_union_uncached(t1: GAR, t2: GAR, cmp: Comparer) -> GARList:
-    exact = t1.exact and t2.exact
-    if t1.region == t2.region:
-        guard = t1.guard | t2.guard
-        if guard.is_unknown() and not (t1.guard.is_unknown() or t2.guard.is_unknown()):
-            return GARList.of(t1, t2)  # don't lose precision to a Δ guard
-        return GARList.of(GAR(guard, t1.region, exact))
-    if predicate_implies(t1.guard, t2.guard, use_fm=cmp.use_fm):
-        merged = region_union(t1.region, t2.region, cmp.refine(t1.guard))
-        if merged is not None:
-            not_p1 = t1.guard.negate()
-            return GARList.of(
-                GAR(t1.guard, merged, exact),
-                GAR(not_p1 & t2.guard, t2.region, exact),
-            )
-    if predicate_implies(t2.guard, t1.guard, use_fm=cmp.use_fm):
-        merged = region_union(t1.region, t2.region, cmp.refine(t2.guard))
-        if merged is not None:
-            not_p2 = t2.guard.negate()
-            return GARList.of(
-                GAR(t2.guard, merged, exact),
-                GAR(t1.guard & not_p2, t1.region, exact),
-            )
-    if t1.guard == t2.guard:
-        merged = region_union(t1.region, t2.region, cmp.refine(t1.guard))
-        if merged is not None:
-            return GARList.of(GAR(t1.guard, merged, exact))
-    return GARList.of(t1, t2)
 
 
 def gar_subtract(t1: GAR, t2: GAR, cmp: Comparer) -> GARList:
@@ -145,7 +97,8 @@ def _gar_subtract_uncached(t1: GAR, t2: GAR, cmp: Comparer) -> GARList:
 
 
 def union_lists(a: GARList, b: GARList, cmp: Comparer) -> GARList:
-    """Union of two summaries, simplified."""
+    """Union of two summaries: their concatenation, simplified (the
+    simplifier merges same-region and same-guard pairs)."""
     result = simplify_gar_list(a.union(b), cmp)
     if sanitize.enabled():
         sanitize.check("union", a, b, result)

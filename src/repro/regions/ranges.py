@@ -42,6 +42,10 @@ class Range:
         self._hash = hash((self.lo, self.hi, self.step))
         self._nonempty = None
 
+    def __reduce__(self):
+        # rebuilt so the hash is the loading process's own
+        return (Range, (self.lo, self.hi, self.step))
+
     @classmethod
     def point(cls, at: ExprLike) -> "Range":
         e = SymExpr.coerce(at)

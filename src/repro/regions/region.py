@@ -52,6 +52,10 @@ class RegularRegion:
         self._hash = hash((self.array, self.dims))
         self._nonempty = None
 
+    def __reduce__(self):
+        # rebuilt so the hash is the loading process's own
+        return (RegularRegion, (self.array, self.dims))
+
     # -- constructors ---------------------------------------------------------
 
     @classmethod

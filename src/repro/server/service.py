@@ -44,7 +44,6 @@ from typing import Any, Callable, Optional
 from .. import __version__
 from ..dataflow.context import ANALYSIS_FLAGS, TECHNIQUES, AnalysisOptions
 from ..driver.panorama import (
-    CompilationResult,
     CompositeHooks,
     LoopReport,
     Panorama,
@@ -346,7 +345,8 @@ class AnalysisService:
         hooks: PipelineHooks = CachingHooks(self.cache)
         if on_event is not None:
             hooks = CompositeHooks(hooks, _EventHooks(on_event))
-        result = self._compile(Panorama(options, sizes=sizes, hooks=hooks), source)
+        panorama = Panorama(options, sizes=sizes, hooks=hooks)
+        result = self._compile(panorama.compile, source)
         audit_report = None
         if run_audit:
             from ..audit import audit_compilation
@@ -387,10 +387,12 @@ class AnalysisService:
         )
         return payload
 
-    def _compile(self, panorama: Panorama, source: str) -> CompilationResult:
-        """Run one compile, mapping failures onto the typed taxonomy."""
+    @staticmethod
+    def _compile(run: Callable[..., Any], *args: Any, **kwargs: Any) -> Any:
+        """Run one compile (an analyze request or a watch revision),
+        mapping its failures onto the typed taxonomy."""
         try:
-            return panorama.compile(source)
+            return run(*args, **kwargs)
         except (KeyboardInterrupt, SystemExit):
             raise
         except ReproError as exc:
@@ -474,18 +476,9 @@ class AnalysisService:
         t0 = time.perf_counter()
         cache_before = self.cache.stats.copy()
         perf_before = profiler.snapshot()
-        try:
-            inc = session.engine.analyze(source, name=session.name, sizes=sizes)
-        except (KeyboardInterrupt, SystemExit):
-            raise
-        except ReproError as exc:
-            kind = classify_exception(exc)
-            status = 422 if kind in ("source", "analysis") else 500
-            raise RequestError(status, kind, str(exc)) from exc
-        except Exception as exc:
-            raise RequestError(
-                500, "internal", f"{type(exc).__name__}: {exc}"
-            ) from exc
+        inc = self._compile(
+            session.engine.analyze, source, name=session.name, sizes=sizes
+        )
         symbolic = profiler.delta(perf_before, profiler.snapshot())
         session.revisions += 1
         audit_payload = None

@@ -135,15 +135,7 @@ class Comparer:
         r = self.eq(a, b)
         return None if r is None else not r
 
-    # -- context satisfiability -------------------------------------------------------
-
-    def context_unsat(self) -> bool:
-        """True when the context's unit atoms are jointly unsatisfiable."""
-        if self.context.is_false():
-            return True
-        if not self.use_fm:
-            return False
-        return definitely_unsat(self._context_atoms)
+    # -- context refinement ----------------------------------------------------------
 
     def refine(self, extra: Predicate) -> "Comparer":
         """A comparer whose context additionally assumes *extra*.

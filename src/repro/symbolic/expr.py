@@ -25,7 +25,7 @@ falls back to structure.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Tuple, Union
+from typing import Mapping, Optional, Tuple, Union
 
 from ..errors import SymbolicError
 from ..perf.profiler import MISS, BoundedCache
@@ -372,13 +372,3 @@ ONE = SymExpr.const(1)
 def sym(value: ExprLike) -> SymExpr:
     """Convenience coercion used pervasively in tests and examples."""
     return SymExpr.coerce(value)
-
-
-def sym_min_max_free(exprs: Iterable[SymExpr]) -> bool:
-    """All expressions are plain sums of products (no min/max markers).
-
-    The library never embeds min/max operators inside expressions (the
-    paper replaces them with explicit inequalities in guards); this helper
-    documents and checks that invariant at API boundaries.
-    """
-    return all(isinstance(e, SymExpr) for e in exprs)

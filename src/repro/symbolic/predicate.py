@@ -118,10 +118,6 @@ class Disjunction:
             any(a.implies(b) is True for b in other.atoms) for a in self.atoms
         )
 
-    def without_atoms(self, gone: set[Atom]) -> "Disjunction":
-        """The clause with the given atoms removed."""
-        return Disjunction(a for a in self.atoms if a not in gone)
-
     def substitute(self, bindings: Mapping[str, SymExpr]) -> Optional["Disjunction"]:
         """``None`` signals an unrepresentable result (a logical variable
         bound to a non-variable value) — the predicate degrades to Δ."""
@@ -437,10 +433,6 @@ class Predicate:
         if not self.is_cnf():
             return []
         return [c.unit_atom() for c in self.clauses if c.is_unit()]
-
-    def atom_count(self) -> int:
-        """Total number of atoms across the clauses."""
-        return sum(len(c) for c in self.clauses)
 
     # -- identity ---------------------------------------------------------------------------
 

@@ -187,9 +187,5 @@ class Monomial:
             value *= env[name] ** power
         return value
 
-    def substitute_key(self) -> Tuple[_Factor, ...]:
-        """The raw factor tuple (for substitution tables)."""
-        return self._factors
-
 
 _UNIT = Monomial(())

@@ -41,9 +41,6 @@ class IterationTrace:
     index_value: int
     writes: dict[str, set[tuple[int, ...]]] = field(default_factory=dict)
     exposed_reads: dict[str, set[tuple[int, ...]]] = field(default_factory=dict)
-    #: reads NOT followed by a write to the same location later in the
-    #: iteration (the dynamic counterpart of DE_i)
-    downward_reads: dict[str, set[tuple[int, ...]]] = field(default_factory=dict)
 
 
 @dataclass
@@ -74,8 +71,6 @@ class _LoopTraceCollector:
         self.iterations: list[IterationTrace] = []
         self.current: Optional[IterationTrace] = None
         self._written_this_iter: set[tuple[int, tuple]] = set()
-        #: ordered (kind, payload) event log of the current iteration
-        self._events: list[tuple[str, object]] = []
         #: (storage id, index) -> index of the iteration that last wrote it
         self.last_writer: dict[tuple[int, tuple], int] = {}
         #: exposed reads whose location was written by an earlier iteration
@@ -91,12 +86,10 @@ class _LoopTraceCollector:
     def loop_hook(self, routine: str, loop, value: int, phase: str) -> None:
         if loop is not self.target_loop:
             return
-        self._finish_iteration()
         if phase == "iter":
             self.current = IterationTrace(value)
             self.iterations.append(self.current)
             self._written_this_iter = set()
-            self._events = []
         else:  # exit
             self.current = None
             # instance boundary: for an inner loop re-entered by an outer
@@ -105,19 +98,6 @@ class _LoopTraceCollector:
             # covers them by copy-in) — only same-instance producers count
             # as loop-carried flow
             self.last_writer = {}
-
-    def _finish_iteration(self) -> None:
-        """Derive downward-exposed reads: reversed scan over the event log
-        keeps reads with no later write to the same location."""
-        if self.current is None:
-            return
-        killed: set[tuple[int, tuple]] = set()
-        for kind, payload in reversed(self._events):
-            sid, idx = payload
-            if kind == "w":
-                killed.add(payload)
-            elif payload not in killed:
-                self.current.downward_reads.setdefault(sid, set()).add(idx)
 
     def observe(self, event: AccessEvent) -> None:
         if self.current is None:
@@ -132,9 +112,7 @@ class _LoopTraceCollector:
             self.current.writes.setdefault(sid, set()).add(index)
             self._written_this_iter.add(key)
             self.last_writer[key] = len(self.iterations) - 1
-            self._events.append(("w", key))
             return
-        self._events.append(("r", key))
         if key not in self._written_this_iter:
             self.current.exposed_reads.setdefault(sid, set()).add(index)
             writer = self.last_writer.get(key)
@@ -160,7 +138,6 @@ class _LoopTraceCollector:
         for trace in self.iterations:
             trace.writes = rekey(trace.writes)
             trace.exposed_reads = rekey(trace.exposed_reads)
-            trace.downward_reads = rekey(trace.downward_reads)
         self.cross_iteration_flow = rekey(self.cross_iteration_flow)
 
 
@@ -228,10 +205,6 @@ def validate_loop(
         infer_program(analyzed, analyzer.options).install(analyzer)
     record: LoopSummaryRecord = analyzer.loop_record(unit, target)
     enclosing = set(analyzer.enclosing_indices(unit, target))
-    de_ctx = analyzer.context_for(unit)
-    for idx in analyzer.enclosing_indices(unit, target):
-        de_ctx = de_ctx.with_index(idx)
-    de_i, _de = analyzer.loop_de_sets(target, de_ctx)
 
     if env is None:
         env = {
@@ -247,7 +220,7 @@ def validate_loop(
     names.discard(var)  # the target loop's own header maintains its index
     names -= enclosing  # enclosing indices are implicitly private
     for name in sorted(names):
-        _check_containment(report, record, de_i, name, env)
+        _check_containment(report, record, name, env)
 
     table = analyzed.table(routine)
     privatization = privatize_loop(record, table, analyzer.comparer)
@@ -268,13 +241,11 @@ def validate_loop(
 def _check_containment(
     report: ValidationReport,
     record: LoopSummaryRecord,
-    de_i,
     name: str,
     base_env: Mapping[str, int],
 ) -> None:
     mod_i = record.mod_i.for_array(name)
     ue_i = record.ue_i.for_array(name)
-    de_name = de_i.for_array(name)
     fully_checked = True
     for trace in report.iterations:
         env = dict(base_env)
@@ -298,16 +269,6 @@ def _check_containment(
             report.violations.append(
                 f"UE_{record.var}({name}) at {record.var}="
                 f"{trace.index_value} misses exposed reads {extra}"
-            )
-        symbolic_de = _enumerate_gars(de_name, env)
-        actual_downward = trace.downward_reads.get(name, set())
-        if symbolic_de is None:
-            fully_checked = False
-        elif not actual_downward <= symbolic_de:
-            extra = sorted(actual_downward - symbolic_de)[:5]
-            report.violations.append(
-                f"DE_{record.var}({name}) at {record.var}="
-                f"{trace.index_value} misses downward-exposed reads {extra}"
             )
     if fully_checked and report.iterations:
         report.checked.add(name)

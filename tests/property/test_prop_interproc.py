@@ -2,7 +2,7 @@
 
 Random loop bodies call helper subroutines (conditional early returns,
 work-array fills, partial consumes) — the exact Figure 1(c) shape — and
-the trace validator checks MOD_i/UE_i/DE_i containment and privatization
+the trace validator checks MOD_i/UE_i containment and privatization
 claims against the concrete execution.
 """
 

@@ -194,52 +194,3 @@ def test_lists_intersect_empty_sound(a, b, env):
 def test_simplifier_preserves_sets(lst, env):
     got = simplify_gar_list(lst, CMP)
     assert got.enumerate(env) == lst.enumerate(env)
-
-
-# --- shaped regions (section 5.3) ----------------------------------------------
-
-
-from hypothesis import strategies as _st
-
-from repro.regions.shapes import (
-    dim_symbol,
-    enumerate_shaped,
-    shaped,
-    shaped_intersect_empty,
-    shaped_provably_empty,
-)
-from repro.regions import Range as _Range, RegularRegion as _Region
-from repro.symbolic import Predicate as _Pred
-
-
-@given(
-    _st.integers(1, 5),
-    _st.integers(-3, 3),
-    _st.integers(1, 5),
-    _st.integers(-3, 3),
-)
-@settings(max_examples=60)
-def test_shaped_disjointness_sound(n1, off1, n2, off2):
-    """If two off-diagonal bands are declared disjoint, their concrete
-    element sets must not intersect."""
-    a = shaped(
-        _Pred.eq(dim_symbol(2), dim_symbol(1) + off1),
-        _Region("a", [_Range(1, n1), _Range(1, n1)]),
-    )
-    b = shaped(
-        _Pred.eq(dim_symbol(2), dim_symbol(1) + off2),
-        _Region("a", [_Range(1, n2), _Range(1, n2)]),
-    )
-    if shaped_intersect_empty(a, b):
-        assert not (enumerate_shaped(a, Env()) & enumerate_shaped(b, Env()))
-
-
-@given(_st.integers(1, 5), _st.integers(-6, 6), _st.integers(-6, 6))
-@settings(max_examples=60)
-def test_shaped_emptiness_sound(n, lo_bound, hi_bound):
-    g = shaped(
-        _Pred.ge(dim_symbol(1), lo_bound) & _Pred.le(dim_symbol(1), hi_bound),
-        _Region("a", [_Range(1, n), _Range(1, n)]),
-    )
-    if shaped_provably_empty(g):
-        assert not enumerate_shaped(g, Env())

@@ -51,12 +51,6 @@ class TestContext:
     def test_refine_with_true_returns_self(self, cmp):
         assert cmp.refine(Predicate.true()) is cmp
 
-    def test_context_unsat(self):
-        c = Comparer(Predicate.le("i", 3) & Predicate.ge("i", 5))
-        assert c.context_unsat()
-        # the predicate layer already folds this to False
-        assert c.context.is_false()
-
     def test_ne_context(self):
         c = Comparer(Predicate.le("i", 3))
         assert c.ne("i", 5) is True

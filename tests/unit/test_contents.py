@@ -7,7 +7,6 @@ from repro.contents import (
     Monotone,
     infer_program,
     infer_unit,
-    join_monotone,
 )
 from repro.contents.domain import (
     ValueAbstract,
@@ -152,26 +151,6 @@ class TestGates:
 
 
 class TestLattice:
-    def test_join_monotone_is_commutative_lub(self):
-        elems = list(Monotone)
-        for a in elems:
-            for b in elems:
-                j = join_monotone(a, b)
-                assert j == join_monotone(b, a)
-                assert join_monotone(a, j) == j  # upper bound of a
-                assert join_monotone(b, j) == j  # upper bound of b
-        assert (
-            join_monotone(Monotone.STRICT_INC, Monotone.NONDECREASING)
-            is Monotone.NONDECREASING
-        )
-        assert (
-            join_monotone(Monotone.STRICT_INC, Monotone.STRICT_DEC)
-            is Monotone.UNKNOWN
-        )
-        assert (
-            join_monotone(Monotone.CONSTANT, Monotone.STRICT_INC)
-            is Monotone.NONDECREASING
-        )
 
     def test_join_value_same_affine_survives(self):
         a = abstract_of_affine(Fraction(2), sym("n"))

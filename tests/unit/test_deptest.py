@@ -5,17 +5,14 @@ from repro.deptest import (
     ScreenVerdict,
     affine_form,
     banerjee_test,
-    classify_pair,
-    collect_references,
     gcd_test,
-    overlap_possible,
     screen_loop,
     siv_independent,
 )
 from repro.dataflow.convert import ConversionContext
 from repro.fortran import analyze, parse_program
 from repro.hsg import build_hsg
-from repro.symbolic import Comparer, Predicate, sym
+from repro.symbolic import Comparer, sym
 
 
 class TestAffineForm:
@@ -137,23 +134,6 @@ class TestSymbolicSiv:
         assert got is True
 
 
-class TestOverlap:
-    def test_disjoint(self, cmp):
-        assert (
-            overlap_possible(sym(1), sym(5), sym(7), sym(9), cmp) is False
-        )
-
-    def test_overlapping(self, cmp):
-        assert overlap_possible(sym(1), sym(5), sym(3), sym(9), cmp) is True
-
-    def test_symbolic_with_context(self):
-        c = Comparer(Predicate.lt("u1", "l2"))
-        assert (
-            overlap_possible(sym("l1"), sym("u1"), sym("l2"), sym("u2"), c)
-            is False
-        )
-
-
 class TestScreening:
     def _screen(self, body, decls="REAL a(100), b(100)"):
         decl_lines = "".join(f"      {d}\n" for d in decls.split(";") if d)
@@ -192,18 +172,3 @@ class TestScreening:
         # the a-pairs pass the GCD test; the scalar x still flags it
         blocking = [p for p in rep.blocking_pairs() if p.src.array == "a"]
         assert not blocking
-
-    def test_classify_pair(self):
-        refs = None
-        src = (
-            "      SUBROUTINE s\n      REAL a(100)\n"
-            "      DO i = 1, n\n        a(i) = a(5)\n      ENDDO\n      END\n"
-        )
-        hsg = build_hsg(analyze(parse_program(src)))
-        (unit, loop), = hsg.all_loops()
-        ctx = ConversionContext(hsg.analyzed.table(unit)).with_index("i")
-        refs = collect_references(loop, ctx)
-        writes = [r for r in refs if r.is_write]
-        reads = [r for r in refs if not r.is_write]
-        assert classify_pair(writes[0], reads[0], ("i",)) == "siv"
-        assert classify_pair(reads[0], reads[0], ("i",)) == "ziv"

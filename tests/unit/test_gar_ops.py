@@ -8,7 +8,6 @@ from repro.regions import (
     RegularRegion,
     gar_intersect,
     gar_subtract,
-    gar_union,
     intersect_lists,
     lists_intersect_empty,
     subtract_lists,
@@ -55,25 +54,28 @@ class TestGARIntersect:
 
 
 class TestGARUnion:
+    """The paper's ``T1 ∪ T2``: list concatenation plus the simplifier's
+    same-region and same-guard merges."""
+
     def test_same_region_guards_or(self, cmp):
         t1 = gar(1, 10, Predicate.boolvar("p"))
         t2 = gar(1, 10, Predicate.boolvar("p", False))
-        out = gar_union(t1, t2, cmp)
+        out = union_lists(GARList.of(t1), GARList.of(t2), cmp)
         assert len(out) == 1
         assert out.gars[0].guard.is_true()
 
     def test_same_guard_regions_merge(self, cmp):
         t1 = gar(1, 5)
         t2 = gar(6, 10)
-        out = gar_union(t1, t2, cmp)
+        out = union_lists(GARList.of(t1), GARList.of(t2), cmp)
         assert len(out) == 1
         check_concrete(out, set(range(1, 11)))
 
     def test_paper_adjacent_symbolic(self, cmp):
-        # T1 = [a<=b, (a:b)], T2 = [b<=c, (b:c)] -> three-piece result
+        # T1 = [a<=b, (a:b)], T2 = [b<=c, (b:c)]: same set in every case
         t1 = gar("a", "b", Predicate.le("a", "b"))
         t2 = gar("b", "c", Predicate.le("b", "c"))
-        out = gar_union(t1, t2, cmp)
+        out = union_lists(GARList.of(t1), GARList.of(t2), cmp)
         for env in (Env(a=1, b=5, c=9), Env(a=5, b=2, c=9), Env(a=1, b=9, c=2)):
             expect = t1.enumerate(env) | t2.enumerate(env)
             assert out.enumerate(env) == expect
@@ -82,14 +84,14 @@ class TestGARUnion:
         c = Comparer()
         t1 = gar(1, 5, Predicate.boolvar("p") & Predicate.boolvar("q"))
         t2 = gar(6, 10, Predicate.boolvar("p"))
-        out = gar_union(t1, t2, c)
+        out = union_lists(GARList.of(t1), GARList.of(t2), c)
         for env in (Env(p=1, q=1), Env(p=1, q=0), Env(p=0, q=0)):
             assert out.enumerate(env) == t1.enumerate(env) | t2.enumerate(env)
 
     def test_unmergeable_stays_list(self, cmp):
         t1 = gar(1, 3, Predicate.boolvar("p"))
         t2 = gar(7, 9, Predicate.boolvar("q"))
-        out = gar_union(t1, t2, cmp)
+        out = union_lists(GARList.of(t1), GARList.of(t2), cmp)
         assert set(out.gars) == {t1, t2}
 
 

@@ -178,4 +178,4 @@ class TestEngineIntegration:
         engine = IncrementalEngine()
         engine.analyze(FIGURE_1C, name="fig1c.f")
         hooks = hooks_for(dict(engine._previous["fig1c.f"]))
-        assert engine._diff_report("fig1c.f", hooks).changed == []
+        assert engine.diff_report("fig1c.f", hooks).changed == []

@@ -133,15 +133,6 @@ class TestMachineModel:
         s = model.loop_speedup(self._loop(trips=4.0, body=1.0))
         assert s < 2.0
 
-    def test_program_speedup_amdahl(self):
-        model = MachineModel(processors=8, vector_factor=1.0)
-        from repro.machine.costmodel import ProgramCost
-
-        lc = self._loop(trips=100.0, body=100.0)
-        cost = ProgramCost(total=lc.total_cost * 2, loops=[lc])
-        s = model.program_speedup(cost, [lc])
-        assert 1.5 < s < 2.1  # half the program parallelizes
-
     def test_speedup_never_below_one(self):
         model = MachineModel()
         assert model.loop_speedup(self._loop(trips=1.0, body=0.5)) >= 1.0

@@ -19,6 +19,32 @@ def _other_hash_seed() -> int:
     return 2 if seed == "1" else 1
 
 
+def _pickled_in_other_process(code: str):
+    """Unpickle what *code* writes to stdout under another hash seed."""
+    env = dict(
+        os.environ,
+        PYTHONHASHSEED=str(_other_hash_seed()),
+        PYTHONPATH=str(Path(repro.__file__).parents[1]),
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True,
+        check=True, timeout=60,
+    ).stdout
+    return pickle.loads(out)
+
+
+#: binds ``mod_i``, the MOD_i of Figure 1(b)'s outer loop
+_FIGURE_1B_MOD_I = (
+    "from repro.dataflow import SummaryAnalyzer\n"
+    "from repro.fortran import analyze, parse_program\n"
+    "from repro.hsg import build_hsg\n"
+    "from repro.kernels.figure1 import FIGURE_1B\n"
+    "hsg = build_hsg(analyze(parse_program(FIGURE_1B)))\n"
+    "unit, loop = hsg.all_loops()[0]\n"
+    "mod_i = SummaryAnalyzer(hsg).loop_record(unit, loop).mod_i\n"
+)
+
+
 def _cache(name: str, maxsize: int = 4) -> BoundedCache:
     # unregistered so tests cannot pollute the global registry
     return BoundedCache(name, maxsize=maxsize, register=False)
@@ -201,17 +227,31 @@ class TestInternedPickling:
             "sys.stdout.buffer.write(pickle.dumps("
             "[p, next(iter(p.clauses)), Predicate.true()]))\n"
         )
-        env = dict(
-            os.environ,
-            PYTHONHASHSEED=str(_other_hash_seed()),
-            PYTHONPATH=str(Path(repro.__file__).parents[1]),
-        )
-        out = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True,
-            check=True, timeout=60,
-        ).stdout
-        pred, clause, true = pickle.loads(out)
+        pred, clause, true = _pickled_in_other_process(code)
         local = Predicate.le("i", "n") & Predicate.boolvar("p")
         assert pred == local and hash(pred) == hash(local)
         assert clause in local.clauses
         assert true == Predicate.true() and true.is_true()
+
+    def test_gars_from_another_process_compare_equal(self):
+        """Loop summaries loaded from another process's cache: every
+        GAR, region and range carries this process's hash, and a GAR
+        list hashed before pickling does not keep that hash."""
+        loaded = _pickled_in_other_process(
+            "import pickle, sys\n" + _FIGURE_1B_MOD_I + "hash(mod_i)\n"
+            "sys.stdout.buffer.write(pickle.dumps(mod_i))\n"
+        )
+        scope: dict = {}
+        exec(_FIGURE_1B_MOD_I, scope)
+        fresh = scope["mod_i"]
+        assert len(loaded) == len(fresh) > 1
+        for gar in loaded:
+            (twin,) = [g for g in fresh if g == gar]
+            assert hash(gar) == hash(twin)
+            assert hash(gar.region) == hash(twin.region)
+            assert list(map(hash, gar.region.dims)) == list(
+                map(hash, twin.region.dims)
+            )
+            assert gar in set(fresh)
+        assert loaded == fresh and hash(loaded) == hash(fresh)
+        assert loaded in {fresh}

@@ -265,6 +265,32 @@ class TestWatchSessions:
         assert rev["report"]["reused"]
 
 
+
+class TestFailureMapping:
+    """A watch revision maps a failed compile exactly as an analyze
+    request does (docs/server.md: 422 for refusals, 500 for OOM)."""
+
+    @pytest.mark.parametrize("endpoint", ["analyze", "watch"])
+    @pytest.mark.parametrize(
+        "exc, status, kind",
+        [(RecursionError, 422, "analysis"), (MemoryError, 500, "oom")],
+        ids=["recursion", "memory"],
+    )
+    def test_compile_failure(self, monkeypatch, endpoint, exc, status, kind):
+        def fail(*args, **kwargs):
+            raise exc()
+
+        monkeypatch.setattr(Panorama, "compile", fail)
+        service = make_service()
+        with pytest.raises(RequestError) as err:
+            if endpoint == "analyze":
+                service.analyze({"source": FIGURE_1A})
+            else:
+                sid = service.watch_open({})["session"]
+                service.watch_submit(sid, {"source": FIGURE_1A})
+        assert (err.value.status, err.value.kind) == (status, kind)
+
+
 class TestIntrospection:
     def test_health_shape(self):
         health = make_service().health()
