@@ -12,6 +12,7 @@ import json
 import sys
 from pathlib import Path
 
+from ..errors import EXIT_HARD_FAILURE, EXIT_USAGE, classify_exception, describe_failure
 from .flags import (
     add_analysis_flags,
     add_audit_flags,
@@ -77,26 +78,38 @@ def _version_string() -> str:
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = build_arg_parser().parse_args(argv)
-    if args.source == "-":
-        source = sys.stdin.read()
-    else:
-        source = Path(args.source).read_text()
+    name = Path(str(args.source)).name
+    try:
+        if args.source == "-":
+            source = sys.stdin.read()
+        else:
+            source = Path(args.source).read_text()
+    except OSError as exc:
+        print(f"panorama: cannot read source: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
-    run_audit = audit_requested(args)
     panorama = Panorama(
         options_from_args(args), run_machine_model=not args.no_machine
     )
-    result = panorama.compile(source)
+    audit_report = None
+    try:
+        result = panorama.compile(source)
+        if audit_requested(args):
+            from ..audit import audit_compilation
+
+            audit_report = audit_compilation(result, name, source=source)
+    except Exception as exc:
+        # a refused program gets the daemon's one-line answer; any other
+        # kind is a bug or a fault, and its traceback is worth reading
+        kind = classify_exception(exc)
+        if kind not in ("source", "analysis"):
+            raise
+        print(f"panorama: {kind} error: {describe_failure(exc)}", file=sys.stderr)
+        return EXIT_HARD_FAILURE
     # 3 = degraded-but-complete: some verdicts are budget fallbacks
     exit_code = 3 if result.degraded_loops() else 0
 
-    audit_report = None
-    if run_audit:
-        from ..audit import audit_compilation
-
-        audit_report = audit_compilation(
-            result, Path(str(args.source)).name, source=source
-        )
+    if audit_report is not None:
         if args.sarif:
             from ..diagnostics import write_sarif
 
@@ -113,11 +126,7 @@ def main(argv: list[str] | None = None) -> int:
 
         print(
             json.dumps(
-                result_to_dict(
-                    result,
-                    name=Path(str(args.source)).name,
-                    audit=audit_report,
-                ),
+                result_to_dict(result, name=name, audit=audit_report),
                 indent=2,
                 sort_keys=True,
             )
@@ -148,7 +157,7 @@ def main(argv: list[str] | None = None) -> int:
             ["loop", "index", "status", "dataflow", "privatized",
              "reductions", "est. speedup"],
             rows,
-            title=f"Panorama verdicts ({Path(str(args.source)).name})",
+            title=f"Panorama verdicts ({name})",
         )
     )
     print()

@@ -11,9 +11,11 @@ this package makes repeated and bulk analysis cheap in practice:
 * :mod:`repro.engine.scheduler` — call-graph-topology-aware dispatch
   planning (providers before consumers, cycle-safe);
 * :mod:`repro.engine.batch` — :class:`BatchEngine`, fanning many sources
-  over a process pool that shares the durable cache tier;
-* :mod:`repro.engine.incremental` — :class:`IncrementalEngine`,
-  re-summarizing only routines an edit (transitively) touched;
+  over a process pool that shares the durable cache tier, and
+  :func:`compile_item`, the one cached compile of an item that the
+  batch worker and the daemon's requests run;
+* :mod:`repro.engine.incremental` — :func:`diff_revisions`, the report
+  of which routines an edit (transitively) touched;
 * :mod:`repro.engine.campaign` — seeded mass corpora, ``--shard i/N``
   partitioning, and stats rollups (``panorama-campaign``); import its
   names from the module itself: the package does not re-export them,
@@ -34,6 +36,7 @@ from .batch import (
     BatchItem,
     BatchItemResult,
     BatchReport,
+    compile_item,
     items_from_kernel_registry,
     items_from_paths,
 )
@@ -48,12 +51,7 @@ from .cache import (
     options_key,
     unit_source_hash,
 )
-from .incremental import (
-    IncrementalEngine,
-    IncrementalReport,
-    IncrementalResult,
-    diff_revisions,
-)
+from .incremental import IncrementalReport, diff_revisions
 from .scheduler import SchedulePlan, plan_schedule, resolve_schedule_mode
 from .telemetry import EngineTelemetry, loop_report_row, result_to_dict
 
@@ -69,13 +67,12 @@ __all__ = [
     "DISK_MAGIC",
     "DiskBackend",
     "EngineTelemetry",
-    "IncrementalEngine",
     "IncrementalReport",
-    "IncrementalResult",
     "RoutineCacheEntry",
     "SchedulePlan",
     "SharedSQLiteBackend",
     "SummaryCache",
+    "compile_item",
     "diff_revisions",
     "fingerprint_program",
     "items_from_kernel_registry",

@@ -12,9 +12,10 @@
   served before anything is parsed or planned.
 
 Workers return *serialized* verdict rows (the same dicts ``panorama
---json`` prints) plus their cache delta — the fingerprints they wrote to
-the shared disk tier — which the parent merges back into its own memory
-tier, so a follow-up in-process run is warm without touching disk.
+--json`` prints); what they summarized lands in the durable tier, where
+the next item or run that needs it finds it.  :func:`compile_item` is
+the one cached compile of an item: the batch worker, the daemon's
+analyze request and its watch revision all run it.
 
 The pool is *supervised* (docs/robustness.md): every item carries a
 typed error kind instead of a bare traceback, futures get per-item
@@ -38,10 +39,15 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Mapping, Optional, Sequence
 
 from ..dataflow.context import AnalysisOptions
-from ..driver.panorama import Panorama
+from ..driver.panorama import (
+    CompilationResult,
+    CompositeHooks,
+    Panorama,
+    PipelineHooks,
+)
 from ..errors import (
     EXIT_DEGRADED,
     EXIT_HARD_FAILURE,
@@ -65,6 +71,9 @@ from .cache import (
 from .ledger import LedgerReplay, LedgerWriter
 from .scheduler import SchedulePlan, plan_schedule, resolve_schedule_mode
 from .telemetry import SUPERVISION_COUNTERS, EngineTelemetry, result_to_dict
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..audit.auditor import AuditReport
 
 
 @dataclass(frozen=True)
@@ -107,10 +116,6 @@ class BatchItemResult:
     name: str
     payload: Optional[dict[str, Any]] = None  # result_to_dict output
     cache_stats: CacheStats = field(default_factory=CacheStats)
-    #: cache delta: fingerprints this item wrote to the shared disk tier
-    stored_fingerprints: list[str] = field(default_factory=list)
-    reused_routines: list[str] = field(default_factory=list)
-    computed_routines: list[str] = field(default_factory=list)
     error: Optional[str] = None
     #: typed taxonomy of the failure (repro.errors.classify_exception):
     #: "source" | "analysis" | "internal" | "timeout" | "worker-crash" |
@@ -158,9 +163,9 @@ class BatchReport:
     #: was interrupted, in which case undispatched items have none)
     complete: bool = True
     #: True when a drain request or KeyboardInterrupt stopped the run
-    #: early; everything finalized so far was flushed (cache deltas,
-    #: ledger records), so the partial state is consistent and a
-    #: ledger resume continues exactly where this run stopped
+    #: early; everything finalized so far was flushed (result-tier
+    #: stores, ledger records), so the partial state is consistent and
+    #: a ledger resume continues exactly where this run stopped
     interrupted: bool = False
 
     def result(self, name: str) -> BatchItemResult:
@@ -242,8 +247,42 @@ class BatchReport:
 
 
 # --------------------------------------------------------------------------- #
-# the worker body (top level: must be picklable by the process pool)
+# the item path: one cached compile, and the worker body around it (top
+# level: must be picklable by the process pool)
 # --------------------------------------------------------------------------- #
+
+
+def compile_item(
+    item: BatchItem,
+    options: AnalysisOptions,
+    cache: SummaryCache,
+    *,
+    machine: bool,
+    audit: bool,
+    hooks: Optional[PipelineHooks] = None,
+) -> tuple[CompilationResult, Optional["AuditReport"], CachingHooks]:
+    """Compile one item against *cache*, then audit it when asked.
+
+    Returns the compilation, the audit report (None without *audit*) and
+    the :class:`CachingHooks` that rode the compile (what it served and
+    stored, and the unit hashes a watch revision diffs).  Extra *hooks*
+    run after the cache's own.  Failures propagate: each caller maps
+    them through :func:`~repro.errors.classify_exception`.
+    """
+    caching = CachingHooks(cache)
+    panorama = Panorama(
+        options,
+        sizes=item.sizes,
+        run_machine_model=machine,
+        hooks=caching if hooks is None else CompositeHooks(caching, hooks),
+    )
+    result = panorama.compile(item.source)
+    audit_report = None
+    if audit:
+        from ..audit import audit_compilation
+
+        audit_report = audit_compilation(result, item.name, source=item.source)
+    return result, audit_report, caching
 
 
 def _analyze_item(
@@ -256,7 +295,7 @@ def _analyze_item(
     audit: bool = False,
     cache_backend: Optional[str] = None,
 ) -> BatchItemResult:
-    """Analyze one item with a cache-wired pipeline.
+    """Analyze one item through :func:`compile_item`.
 
     Never raises for analysis failures — every exception comes back as a
     typed :class:`BatchItemResult` — but interrupt-style exceptions
@@ -280,28 +319,13 @@ def _analyze_item(
             else SummaryCache(cache_dir, backend=cache_backend)
         )
         before = own_cache.stats.copy()
-        hooks = CachingHooks(own_cache)
-        panorama = Panorama(
-            options,
-            sizes=item.sizes,
-            run_machine_model=run_machine_model,
-            hooks=hooks,
+        result, audit_report, _ = compile_item(
+            item, options, own_cache, machine=run_machine_model, audit=audit
         )
-        result = panorama.compile(item.source)
-        audit_report = None
-        if audit:
-            from ..audit import audit_compilation
-
-            audit_report = audit_compilation(
-                result, item.name, source=item.source
-            )
         return BatchItemResult(
             name=item.name,
             payload=result_to_dict(result, name=item.name, audit=audit_report),
             cache_stats=own_cache.stats.delta(before),
-            stored_fingerprints=list(hooks.stored_fingerprints),
-            reused_routines=sorted(hooks.reused),
-            computed_routines=sorted(hooks.computed),
             attempts=attempt,
         )
     except (KeyboardInterrupt, SystemExit, GeneratorExit):
@@ -372,10 +396,10 @@ def _worker_main(args: tuple) -> BatchItemResult:
 def _result_from_ledger(record: Mapping[str, Any]) -> BatchItemResult:
     """Rehydrate a ledger ``done`` record into a served result.
 
-    The payload (and its cache-delta attribution) is exactly what the
-    original process computed — replay already verified the digest — so
-    a resumed run's report folds the same verdict data the uninterrupted
-    run would have.
+    The payload and its cache counters are exactly what the original
+    process computed — replay already verified the digest — so a resumed
+    run's report folds the same verdict data the uninterrupted run would
+    have.
     """
     known = CacheStats().as_dict()
     raw = record.get("cache_stats") or {}
@@ -385,9 +409,6 @@ def _result_from_ledger(record: Mapping[str, Any]) -> BatchItemResult:
         cache_stats=CacheStats(
             **{k: int(v) for k, v in raw.items() if k in known}
         ),
-        stored_fingerprints=list(record.get("stored_fingerprints", [])),
-        reused_routines=list(record.get("reused_routines", [])),
-        computed_routines=list(record.get("computed_routines", [])),
         attempts=int(record.get("attempt", 1)),
         from_ledger=True,
     )
@@ -403,10 +424,9 @@ class BatchEngine:
 
     ``jobs=1`` runs in-process against the engine's own two-tier cache;
     ``jobs>1`` fans items across a process pool whose workers share the
-    *disk* tier (``cache_dir``) and ship their cache deltas back.  With
-    ``jobs>1`` and no ``cache_dir`` each worker still caches privately
-    in memory, but nothing is shared — pass a directory to get the
-    amortization the engine exists for.
+    durable tier (``cache_dir``).  With ``jobs>1`` and no ``cache_dir``
+    each worker still caches privately in memory, but nothing is shared
+    — pass a directory to get the amortization the engine exists for.
     """
 
     def __init__(
@@ -517,13 +537,12 @@ class BatchEngine:
         """Analyze every item; results come back in input order.
 
         With a ``resume`` replay, items whose ledger records say
-        ``done`` are served from the ledger (their cache deltas adopted
-        into the memory tier).  Every other item is looked up in the
-        result tier before anything is parsed or planned: a hit is
-        served whole, and only the misses are analyzed.  A drain
+        ``done`` are served from the ledger.  Every other item is looked
+        up in the result tier before anything is parsed or planned: a
+        hit is served whole, and only the misses are analyzed.  A drain
         request or KeyboardInterrupt stops the run early: everything
-        finalized keeps its result, cache deltas and ledger records are
-        flushed, and the report comes back ``interrupted``.
+        finalized keeps its result, result-tier stores and ledger
+        records are flushed, and the report comes back ``interrupted``.
         """
         t0 = time.perf_counter()
         self.supervision = dict.fromkeys(SUPERVISION_COUNTERS, 0)
@@ -539,14 +558,6 @@ class BatchEngine:
                     resumed[idx] = _result_from_ledger(record)
             for idx, res in resumed.items():
                 results_by_idx[idx] = res
-            if resumed and self.cache_dir is not None:
-                # their summaries are already in the durable tier: prime
-                # the memory tier so re-analyzed items start warm
-                self.cache.adopt(
-                    fp
-                    for res in resumed.values()
-                    for fp in res.stored_fingerprints
-                )
         active = [i for i in range(len(items)) if i not in resumed]
         if serves_results(self.options):
             active = self._serve_results(items, active, results_by_idx)
@@ -718,9 +729,8 @@ class BatchEngine:
         provider must never strand its consumers).  A drain request
         empties the dispatch queues, gives in-flight items
         ``drain_timeout`` seconds, then abandons the rest (their ledger
-        state stays ``dispatched``, so a resume re-runs them) — either
-        way the cache-delta merge below still happens, so nothing
-        finalized is lost.
+        state stays ``dispatched``, so a resume re-runs them); everything
+        finalized keeps its result.
 
         *index_map* translates local indexes to the caller's item space
         (ledger records must carry original indexes when a resume has
@@ -975,17 +985,8 @@ class BatchEngine:
                     break
         except KeyboardInterrupt:
             # Ctrl-C without a drain handler installed: salvage every
-            # finalized result instead of dropping the whole batch; the
-            # delta merge below still flushes the warm summaries the
-            # workers shipped before the interrupt
+            # finalized result instead of dropping the whole batch
             self.interrupted = True
         finally:
             self._teardown_pool(pool)
-        # merge the workers' cache deltas into this process's memory tier
-        if self.cache_dir is not None:
-            delta: list[str] = []
-            for res in results:
-                if res is not None:
-                    delta.extend(res.stored_fingerprints)
-            self.cache.adopt(delta)
         return results

@@ -38,7 +38,7 @@ import operator
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Optional, Union
+from typing import Any, Mapping, Optional, Union
 
 from ..dataflow.analyzer import LoopKey
 from ..dataflow.context import AnalysisOptions, LoopSummaryRecord
@@ -336,22 +336,6 @@ class SummaryCache:
         if self.backend is not None:
             self.backend.put(entry)
 
-    def adopt(self, fingerprints: Iterable[str]) -> int:
-        """Prime the memory tier with entries another process wrote to the
-        shared durable tier (the batch engine's cache-delta merge).
-        Returns the number of entries actually loaded."""
-        if self.backend is None:
-            return 0
-        loaded = 0
-        for fp in fingerprints:
-            if fp in self._memory:
-                continue
-            entry = self.backend.get(fp)
-            if entry is not None:
-                self._remember(fp, entry)
-                loaded += 1
-        return loaded
-
     # -- whole-item results -------------------------------------------------------
 
     def get_result(self, key: str, name: str) -> Optional[dict[str, Any]]:
@@ -431,8 +415,8 @@ class CachingHooks(PipelineHooks):
 
     One instance covers one ``Panorama.compile`` call; after ``finish``
     the instance exposes what happened (``fingerprints``, ``reused``,
-    ``computed``, ``stored_fingerprints``) for telemetry and the batch
-    engine's cache-delta merge.
+    ``computed``, ``unit_hashes``) for a watch revision's
+    :func:`~repro.engine.incremental.diff_revisions`.
     """
 
     def __init__(self, cache: SummaryCache) -> None:
@@ -446,8 +430,6 @@ class CachingHooks(PipelineHooks):
         self.reused: set[str] = set()
         #: routines whose summaries had to be computed this run
         self.computed: set[str] = set()
-        #: fingerprints written to the cache by this compile (the delta)
-        self.stored_fingerprints: list[str] = []
         #: True when step budgets force the hooks inert (see attach)
         self._bypass = False
         self._entries: dict[str, RoutineCacheEntry] = {}
@@ -533,7 +515,6 @@ class CachingHooks(PipelineHooks):
                     loop_records=dict(by_routine.get(routine, {})),
                 )
             )
-            self.stored_fingerprints.append(fp)
 
     def _force_provider_summaries(self, analyzer) -> None:
         """Materialize summaries of caller-less routines.

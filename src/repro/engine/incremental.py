@@ -6,10 +6,11 @@ separate mechanism: editing a routine changes its fingerprint and the
 fingerprint of every transitive caller, so exactly those routines miss
 the cache on the next run while everything else is served warm.
 
-:class:`IncrementalEngine` adds the bookkeeping on top — it remembers
-the fingerprints of the previous revision of each named source, so each
-``analyze`` call can report *which* routines changed, which were
-invalidated through a callee, and which were reused.
+:func:`diff_revisions` adds the report on top: given the unit hashes of
+the previous revision and the hooks of a compile of the new one
+(:func:`~repro.engine.batch.compile_item`), it says *which* routines
+changed, which were invalidated through a callee, and which were reused.
+The daemon's watch sessions keep the previous revision.
 """
 
 from __future__ import annotations
@@ -17,9 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from ..dataflow.context import AnalysisOptions
-from ..driver.panorama import CompilationResult, Panorama
-from .cache import CachingHooks, SummaryCache
+from .cache import CachingHooks
 
 
 @dataclass
@@ -112,52 +111,3 @@ def diff_revisions(
     report.changed = sorted(own_changed)
     report.invalidated = sorted(invalidated)
     return report
-
-
-@dataclass
-class IncrementalResult:
-    """The full pipeline result plus the incremental bookkeeping."""
-
-    result: CompilationResult
-    report: IncrementalReport
-
-
-class IncrementalEngine:
-    """Re-analyze evolving sources against a persistent summary cache."""
-
-    def __init__(
-        self,
-        options: AnalysisOptions | None = None,
-        cache: SummaryCache | None = None,
-        cache_dir=None,
-        run_machine_model: bool = True,
-    ) -> None:
-        self.options = options or AnalysisOptions()
-        self.cache = cache if cache is not None else SummaryCache(cache_dir)
-        self.run_machine_model = run_machine_model
-        #: previous revision fingerprints, keyed by source name
-        self._previous: dict[str, dict[str, str]] = {}
-
-    def analyze(
-        self,
-        source: str,
-        name: str = "<source>",
-        sizes: Mapping[str, int] | None = None,
-    ) -> IncrementalResult:
-        """Analyze one (possibly edited) source, reusing cached summaries."""
-        hooks = CachingHooks(self.cache)
-        panorama = Panorama(
-            self.options,
-            sizes=sizes,
-            run_machine_model=self.run_machine_model,
-            hooks=hooks,
-        )
-        result = panorama.compile(source)
-        report = self.diff_report(name, hooks)
-        self._previous[name] = dict(hooks.unit_hashes)
-        return IncrementalResult(result=result, report=report)
-
-    def diff_report(self, name: str, hooks: CachingHooks) -> IncrementalReport:
-        """Invalidation report of *hooks* against the remembered revision
-        of *name* (does not advance the remembered revision)."""
-        return diff_revisions(name, self._previous.get(name, {}), hooks)

@@ -21,7 +21,7 @@ items finished, so the whole shard re-runs.  The ledger is that journal
   journal would silently serve wrong verdicts.
 * **item transitions**: ``dispatched`` when an attempt starts, then
   ``done`` (with the full verdict payload, its canonical digest, and
-  the cache-delta fingerprints) or ``failed``/``quarantined``.  Replay
+  its cache counters) or ``failed``/``quarantined``.  Replay
   classifies each item by its *last* decodable record — ``done`` items
   are served straight from the ledger on resume; ``dispatched``-only
   (in-flight at the crash) and failed items are re-dispatched.
@@ -216,9 +216,6 @@ class LedgerWriter:
                 "attempt": result.attempts,
                 "payload": result.payload,
                 "digest": payload_digest(result.payload),
-                "stored_fingerprints": list(result.stored_fingerprints),
-                "reused_routines": list(result.reused_routines),
-                "computed_routines": list(result.computed_routines),
                 "cache_stats": result.cache_stats.as_dict(),
             }
         )

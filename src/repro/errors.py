@@ -112,8 +112,10 @@ def classify_exception(exc: BaseException) -> str:
     Returns one of: ``source`` (bad input text), ``analysis`` (the
     library refused the program), ``budget``, ``oom``, ``worker-crash``,
     ``timeout``, or ``internal`` (a programming error — a traceback worth
-    reading).  ``KeyboardInterrupt``/``SystemExit`` are never classified;
-    callers must re-raise them.
+    reading).  A program nested past the interpreter's recursion limit is
+    refused like any other program the analyzer cannot take, so
+    ``RecursionError`` is ``analysis``.  ``KeyboardInterrupt``/
+    ``SystemExit`` are never classified; callers must re-raise them.
     """
     if isinstance(exc, BudgetExceeded):
         return "budget"
@@ -123,8 +125,20 @@ def classify_exception(exc: BaseException) -> str:
         return "worker-crash"
     if isinstance(exc, SourceError):
         return "source"
-    if isinstance(exc, ReproError):
+    if isinstance(exc, (ReproError, RecursionError)):
         return "analysis"
     if isinstance(exc, MemoryError):
         return "oom"
     return "internal"
+
+
+def describe_failure(exc: BaseException) -> str:
+    """The one-line message a daemon answer or the ``panorama`` CLI gives
+    for a failed compile (the batch engine keeps the full traceback)."""
+    if isinstance(exc, ReproError):
+        return str(exc)
+    if isinstance(exc, RecursionError):
+        return "program nesting exceeds analyzer limits"
+    if isinstance(exc, MemoryError):
+        return "analysis ran out of memory"
+    return f"{type(exc).__name__}: {exc}"

@@ -226,7 +226,17 @@ class PanoramaServer:
             if method != "POST":
                 self._write(writer, self._method_not_allowed("POST"))
                 return False
-            return await self._analyze(request, writer)
+            body = request.json()  # ProtocolError (400) propagates to the handler
+            if request.wants_ndjson():
+                return await self._admitted(
+                    writer,
+                    "analyze_stream",
+                    lambda emit: service.analyze_stream(body, emit),
+                    stream=True,
+                )
+            return await self._admitted(
+                writer, "analyze", lambda: service.analyze(body)
+            )
 
         if path == "/v1/watch":
             if method != "POST":
@@ -241,7 +251,10 @@ class PanoramaServer:
         if path.startswith("/v1/watch/"):
             sid = path[len("/v1/watch/"):]
             if method == "POST":
-                return await self._watch_submit(sid, request, writer)
+                body = request.json()
+                return await self._admitted(
+                    writer, "watch_submit", lambda: service.watch_submit(sid, body)
+                )
             if method == "DELETE":
                 service.note_request("watch_close")
                 self._write(
@@ -262,50 +275,24 @@ class PanoramaServer:
 
     # -- the analysis endpoints ---------------------------------------------------
 
-    async def _analyze(self, request: Request, writer) -> bool:
+    async def _admitted(
+        self, writer, endpoint: str, run, stream: bool = False
+    ) -> bool:
+        """Count one analysis request, admit it, run it on the analysis
+        thread and write its answer; returns True when the response
+        streamed.  *run* takes the stream's ``emit`` when *stream*."""
         service = self.service
-        body = request.json()  # ProtocolError (400) propagates to the handler
-        stream = request.wants_ndjson()
-        service.note_request("analyze_stream" if stream else "analyze")
-
-        rejection = self._admit()
-        if rejection is not None:
-            self._write(writer, rejection)
-            return False
-
-        loop = asyncio.get_running_loop()
-        try:
-            if not stream:
-                payload = await loop.run_in_executor(
-                    self._executor, lambda: service.analyze(body)
-                )
-                self._write(writer, self._json(200, payload))
-                return False
-            await self._stream(
-                writer,
-                loop,
-                lambda emit: service.analyze_stream(body, emit),
-            )
-            return True
-        except RequestError as exc:
-            self._write(writer, self._json(exc.status, exc.body()))
-            return False
-        finally:
-            service.admission["in_flight"] -= 1
-
-    async def _watch_submit(self, sid: str, request: Request, writer) -> bool:
-        service = self.service
-        body = request.json()
-        service.note_request("watch_submit")
+        service.note_request(endpoint)
         rejection = self._admit()
         if rejection is not None:
             self._write(writer, rejection)
             return False
         loop = asyncio.get_running_loop()
         try:
-            payload = await loop.run_in_executor(
-                self._executor, lambda: service.watch_submit(sid, body)
-            )
+            if stream:
+                await self._stream(writer, loop, run)
+                return True
+            payload = await loop.run_in_executor(self._executor, run)
             self._write(writer, self._json(200, payload))
         except RequestError as exc:
             self._write(writer, self._json(exc.status, exc.body()))

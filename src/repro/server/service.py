@@ -4,15 +4,16 @@
 worth running — the content-addressed :class:`~repro.engine.cache.SummaryCache`
 (memory tier, optionally disk-backed), the process-global interning and
 proof-memo tables in :mod:`repro.symbolic` (warm by virtue of the
-process staying alive), and the watch sessions' incremental engines —
+process staying alive), and the watch sessions' previous revisions —
 and exposes plain-Python request methods the asyncio layer calls from
-its single analysis thread.
+its single analysis thread.  Every compile goes through
+:func:`repro.engine.batch.compile_item`, the batch worker's item path.
 
 Request semantics (docs/server.md):
 
 * **typed errors, not crashes** — every failure becomes a
-  :class:`RequestError` carrying the HTTP status mapped from the
-  :func:`repro.errors.classify_exception` taxonomy: bad source / refused
+  :class:`RequestError` whose HTTP status comes from its
+  :func:`repro.errors.classify_exception` kind: bad source / refused
   programs → 422, malformed request shapes → 400, anything else → 500.
   The resident caches survive all of them: the summary cache is
   content-addressed (a failed compile stores nothing under a key a good
@@ -43,22 +44,12 @@ from typing import Any, Callable, Optional
 
 from .. import __version__
 from ..dataflow.context import ANALYSIS_FLAGS, TECHNIQUES, AnalysisOptions
-from ..driver.panorama import (
-    CompositeHooks,
-    LoopReport,
-    Panorama,
-    PipelineHooks,
-)
-from ..engine.cache import (
-    CacheStats,
-    CachingHooks,
-    SummaryCache,
-    result_key,
-    serves_results,
-)
-from ..engine.incremental import IncrementalEngine
+from ..driver.panorama import LoopReport, PipelineHooks
+from ..engine.batch import BatchItem, compile_item
+from ..engine.cache import CacheStats, SummaryCache, result_key, serves_results
+from ..engine.incremental import diff_revisions
 from ..engine.telemetry import EngineTelemetry, loop_report_row, result_to_dict
-from ..errors import ReproError, classify_exception
+from ..errors import classify_exception, describe_failure
 from ..perf import profiler
 from ..symbolic.matrix import backend_name as _matrix_backend
 
@@ -151,15 +142,15 @@ class _EventHooks(PipelineHooks):
 
 @dataclass
 class _WatchSession:
-    """One LSP-style watch: an incremental engine pinned to options."""
+    """One LSP-style watch: a named source pinned to options."""
 
     sid: str
     name: str
-    engine: IncrementalEngine
     options: AnalysisOptions
     audit: bool
     revisions: int = 0
-    created_at: float = field(default_factory=time.time)
+    #: routine -> normalized-source hash of the last accepted revision
+    previous: dict[str, str] = field(default_factory=dict)
 
 
 class AnalysisService:
@@ -314,9 +305,13 @@ class AnalysisService:
         perf_before = profiler.snapshot()
         payload = self.cache.get_result(key, name) if key is not None else None
         if payload is None:
-            payload = self._analyze_fresh(
-                name, source, options, sizes, run_audit, on_event
+            result, audit_report, _ = self._compile(
+                BatchItem(name, source, sizes),
+                options,
+                run_audit,
+                _EventHooks(on_event) if on_event is not None else None,
             )
+            payload = result_to_dict(result, name=name, audit=audit_report)
             if key is not None:
                 self.cache.put_result(key, payload)
         elif on_event is not None:
@@ -331,28 +326,6 @@ class AnalysisService:
         )
         self.telemetry.note_result(payload)
         return payload
-
-    def _analyze_fresh(
-        self,
-        name: str,
-        source: str,
-        options: AnalysisOptions,
-        sizes: dict[str, int],
-        run_audit: bool,
-        on_event: Callable[[dict[str, Any]], None] | None,
-    ) -> dict[str, Any]:
-        """Compile (and audit) one source into its serialized payload."""
-        hooks: PipelineHooks = CachingHooks(self.cache)
-        if on_event is not None:
-            hooks = CompositeHooks(hooks, _EventHooks(on_event))
-        panorama = Panorama(options, sizes=sizes, hooks=hooks)
-        result = self._compile(panorama.compile, source)
-        audit_report = None
-        if run_audit:
-            from ..audit import audit_compilation
-
-            audit_report = audit_compilation(result, name, source=source)
-        return result_to_dict(result, name=name, audit=audit_report)
 
     def analyze_stream(
         self,
@@ -387,30 +360,26 @@ class AnalysisService:
         )
         return payload
 
-    @staticmethod
-    def _compile(run: Callable[..., Any], *args: Any, **kwargs: Any) -> Any:
-        """Run one compile (an analyze request or a watch revision),
-        mapping its failures onto the typed taxonomy."""
+    def _compile(
+        self,
+        item: BatchItem,
+        options: AnalysisOptions,
+        audit: bool,
+        hooks: Optional[PipelineHooks] = None,
+    ):
+        """Compile and audit one item (an analyze request or a watch
+        revision): :func:`compile_item`'s triple, or a typed
+        :class:`RequestError`."""
         try:
-            return run(*args, **kwargs)
-        except (KeyboardInterrupt, SystemExit):
-            raise
-        except ReproError as exc:
+            return compile_item(
+                item, options, self.cache, machine=True, audit=audit, hooks=hooks
+            )
+        except Exception as exc:
             kind = classify_exception(exc)
             # "budget" cannot reach here (SUM_* degrade in band), but if
             # it ever did, failing the one request is the safe answer
             status = 422 if kind in ("source", "analysis") else 500
-            raise RequestError(status, kind, str(exc)) from exc
-        except RecursionError as exc:
-            raise RequestError(
-                422, "analysis", "program nesting exceeds analyzer limits"
-            ) from exc
-        except MemoryError as exc:
-            raise RequestError(500, "oom", "analysis ran out of memory") from exc
-        except Exception as exc:
-            raise RequestError(
-                500, "internal", f"{type(exc).__name__}: {exc}"
-            ) from exc
+            raise RequestError(status, kind, describe_failure(exc)) from exc
 
     def _request_block(
         self,
@@ -451,7 +420,6 @@ class AnalysisService:
         self._watch_sessions[sid] = _WatchSession(
             sid=sid,
             name=name,
-            engine=IncrementalEngine(options, cache=self.cache),
             options=options,
             audit=self._audit_of(body, False),
         )
@@ -476,40 +444,30 @@ class AnalysisService:
         t0 = time.perf_counter()
         cache_before = self.cache.stats.copy()
         perf_before = profiler.snapshot()
-        inc = self._compile(
-            session.engine.analyze, source, name=session.name, sizes=sizes
+        result, audit_report, hooks = self._compile(
+            BatchItem(session.name, source, sizes), session.options, session.audit
         )
+        report = diff_revisions(session.name, session.previous, hooks)
+        session.previous = dict(hooks.unit_hashes)
         symbolic = profiler.delta(perf_before, profiler.snapshot())
         session.revisions += 1
-        audit_payload = None
-        if session.audit:
-            from ..audit import audit_compilation
-
-            audit_payload = audit_compilation(
-                inc.result, session.name, source=source
-            ).to_payload()
-        report = inc.report
         affected = set(report.affected())
-        rows = [
-            loop_report_row(r)
-            for r in inc.result.loops
-            if r.routine in affected
-        ]
+        rows = [loop_report_row(r) for r in result.loops if r.routine in affected]
         payload: dict[str, Any] = {
             "session": sid,
             "revision": session.revisions,
             "name": name,
             "report": report.to_dict(),
             "loops": rows,
-            "total_loops": len(inc.result.loops),
-            "parallel_loops": len(inc.result.parallel_loops()),
-            "degraded": bool(inc.result.degraded_loops()),
+            "total_loops": len(result.loops),
+            "parallel_loops": len(result.parallel_loops()),
+            "degraded": bool(result.degraded_loops()),
             "request": self._request_block(
-                t0, symbolic, cache_before, len(inc.result.degraded_loops())
+                t0, symbolic, cache_before, len(result.degraded_loops())
             ),
         }
-        if audit_payload is not None:
-            payload["audit"] = audit_payload
+        if audit_report is not None:
+            payload["audit"] = audit_report.to_payload()
         return payload
 
     def watch_close(self, sid: str) -> dict[str, Any]:

@@ -14,9 +14,11 @@ from repro.dataflow import AnalysisOptions
 from repro.engine import (
     BatchEngine,
     BatchItem,
-    IncrementalEngine,
     SummaryCache,
+    compile_item,
+    diff_revisions,
     items_from_kernel_registry,
+    result_to_dict,
 )
 from repro.perf import profiler
 
@@ -52,14 +54,16 @@ def assert_served_whole(warm, cold, items):
     assert warm.verdict_rows() == cold.verdict_rows()
 
 
-def assert_routines_served(edited, cold):
+def assert_routines_served(edited, cold, warmer=True):
     """A comment-only edit misses the result tier but hits every routine
-    summary the cold run stored, so its symbolic memos run warmer."""
+    summary the cold run stored, so (in the cold run's process) its
+    symbolic memos run warmer."""
     assert edited.ok
     assert edited.telemetry.cache.result_hits == 0
     assert edited.telemetry.cache.hits == cold.telemetry.cache.stores
     assert edited.telemetry.cache.stores == 0
-    assert symbolic_hit_rate(edited) > symbolic_hit_rate(cold)
+    if warmer:
+        assert symbolic_hit_rate(edited) > symbolic_hit_rate(cold)
     assert edited.verdict_rows() == cold.verdict_rows()
 
 
@@ -124,24 +128,23 @@ class TestBatchPool:
         pool = BatchEngine(cache_dir=tmp_path, jobs=2).run(kernel_items)
         assert pool.ok, [r.error for r in pool.results if not r.ok]
         assert pool.verdict_rows() == seq.verdict_rows()
-        # the workers' cache delta landed in the parent's memory tier
         assert len(pool.results) == len(kernel_items)
         assert pool.telemetry.jobs == 2
 
-    def test_worker_deltas_warm_the_parent(self, kernel_items, tmp_path):
+    def test_worker_stores_serve_the_next_run(self, kernel_items, tmp_path):
         profiler.clear_caches()  # the forked workers start cold
-        engine = BatchEngine(cache_dir=tmp_path, jobs=2)
-        cold = engine.run(kernel_items)
+        cold = BatchEngine(cache_dir=tmp_path, jobs=2).run(kernel_items)
         assert cold.ok
-        assert len(engine.cache) > 0  # adopted from worker stores
         # the parent stored each finalized item's result for the next run
         warm = BatchEngine(cache_dir=tmp_path, jobs=1).run(kernel_items)
         assert_served_whole(warm, cold, kernel_items)
 
+        # the workers' routine summaries are in the durable tier; the
+        # symbolic memos they warmed died with them
         edited = BatchEngine(cache_dir=tmp_path, jobs=1).run(
             comment_edited(kernel_items)
         )
-        assert_routines_served(edited, cold)
+        assert_routines_served(edited, cold, warmer=False)
 
 
 TWO_ROUTINES = (
@@ -173,35 +176,45 @@ TWO_ROUTINES = (
 )
 
 
+def revise(cache, source, previous):
+    """One watch revision: compile against *cache*, then diff the unit
+    hashes of the *previous* revision; returns (result, report, hashes)."""
+    result, _, hooks = compile_item(
+        BatchItem("prog", source), AnalysisOptions(), cache,
+        machine=True, audit=False,
+    )
+    report = diff_revisions("prog", previous, hooks)
+    return result, report, dict(hooks.unit_hashes)
+
+
 class TestIncremental:
     def test_callee_edit_reanalyzes_only_the_chain(self):
-        engine = IncrementalEngine(cache=SummaryCache())
-        first = engine.analyze(TWO_ROUTINES.format(value="2.0"), name="prog")
-        assert sorted(first.report.changed) == ["bystander", "fill", "top"]
-        assert first.report.reused == []
+        cache = SummaryCache()
+        _, first, hashes = revise(cache, TWO_ROUTINES.format(value="2.0"), {})
+        assert sorted(first.changed) == ["bystander", "fill", "top"]
+        assert first.reused == []
 
-        second = engine.analyze(TWO_ROUTINES.format(value="3.0"), name="prog")
-        assert second.report.changed == ["fill"]
-        assert second.report.invalidated == ["top"]
-        assert "bystander" in second.report.reused
+        _, second, _ = revise(cache, TWO_ROUTINES.format(value="3.0"), hashes)
+        assert second.changed == ["fill"]
+        assert second.invalidated == ["top"]
+        assert "bystander" in second.reused
 
     def test_unchanged_rerun_reuses_everything(self):
-        engine = IncrementalEngine(cache=SummaryCache())
+        cache = SummaryCache()
         src = TWO_ROUTINES.format(value="2.0")
-        engine.analyze(src, name="prog")
-        again = engine.analyze(src, name="prog")
-        assert again.report.changed == []
-        assert again.report.invalidated == []
-        assert len(again.report.reused) > 0
+        _, _, hashes = revise(cache, src, {})
+        _, again, _ = revise(cache, src, hashes)
+        assert again.changed == []
+        assert again.invalidated == []
+        assert len(again.reused) > 0
 
     def test_verdicts_survive_the_cache(self):
         cache = SummaryCache()
-        engine = IncrementalEngine(cache=cache)
         src = TWO_ROUTINES.format(value="2.0")
-        from repro.engine import result_to_dict
-
-        cold = result_to_dict(engine.analyze(src, name="prog").result)
-        warm = result_to_dict(engine.analyze(src, name="prog").result)
+        first, _, hashes = revise(cache, src, {})
+        second, _, _ = revise(cache, src, hashes)
+        cold = result_to_dict(first)
+        warm = result_to_dict(second)
         # timings and work counters legitimately shrink when warm; the
         # verdicts themselves must not move at all
         assert cold["loops"] == warm["loops"]

@@ -111,8 +111,7 @@ EXPECTED = {
     "panorama-batch --stats-json": telemetry(),
     "ledger done record": {
         "": (
-            "attempt cache_stats computed_routines digest index name "
-            "payload reused_routines state stored_fingerprints type"
+            "attempt cache_stats digest index name payload state type"
         ),
         "cache_stats": CACHE,
         **{f"payload.{k}" if k else "payload": v for k, v in PAYLOAD.items()},

@@ -141,6 +141,42 @@ class TestCli:
         assert "analysis cost:" in out
         assert "HSG nodes visited" in out
 
+    def test_cli_unreadable_source_is_a_usage_error(self, tmp_path, capsys):
+        rc = cli_main([str(tmp_path / "missing.f")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("panorama: cannot read source: ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "source, expected",
+        [
+            (
+                "      this is not fortran ][\n",
+                "panorama: source error: unexpected character ']'",
+            ),
+            (
+                "      SUBROUTINE s(a, n)\n      REAL a(100)\n"
+                "      INTEGER n, i\n      DO i = 1, n\n"
+                "        a(i) = " + "(" * 2000 + "i" + ")" * 2000 + "\n"
+                "      ENDDO\n      END\n",
+                "panorama: analysis error: program nesting exceeds analyzer "
+                "limits",
+            ),
+        ],
+        ids=["lexer", "deep-nesting"],
+    )
+    def test_cli_refused_program_is_one_line(
+        self, tmp_path, capsys, source, expected
+    ):
+        f = tmp_path / "bad.f"
+        f.write_text(source)
+        assert cli_main([str(f)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(expected)
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+
 
 class TestReportHelpers:
     def test_format_table(self):

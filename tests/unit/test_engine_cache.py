@@ -207,14 +207,6 @@ class TestSummaryCache:
         fresh = SummaryCache(tmp_path)
         assert fresh.get(entry.fingerprint) is None
 
-    def test_adopt_primes_memory_tier(self, tmp_path):
-        entry = make_entry()
-        SummaryCache(tmp_path).put(entry)
-        fresh = SummaryCache(tmp_path)
-        assert fresh.adopt([entry.fingerprint]) == 1
-        fresh.get(entry.fingerprint)
-        assert fresh.stats.memory_hits == 1
-
     def test_stats_delta(self):
         cache = SummaryCache()
         entry = make_entry()

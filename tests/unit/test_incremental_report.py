@@ -5,11 +5,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.engine.incremental import (
-    IncrementalEngine,
-    IncrementalReport,
-    diff_revisions,
-)
+from repro.dataflow import AnalysisOptions
+from repro.engine.batch import BatchItem, compile_item
+from repro.engine.cache import SummaryCache
+from repro.engine.incremental import IncrementalReport, diff_revisions
 from repro.kernels.figure1 import FIGURE_1C
 
 
@@ -148,34 +147,26 @@ class TestReportSerialization:
 
 class TestEngineIntegration:
     def test_engine_edit_propagates_through_callers(self):
-        engine = IncrementalEngine()
-        first = engine.analyze(FIGURE_1C, name="fig1c.f")
-        assert first.report.invalidated == []
-        assert sorted(first.report.changed) == first.report.affected()
+        cache = SummaryCache()
+
+        def revise(source, previous):
+            _, _, hooks = compile_item(
+                BatchItem("fig1c.f", source), AnalysisOptions(), cache,
+                machine=True, audit=False,
+            )
+            return diff_revisions("fig1c.f", previous, hooks), hooks.unit_hashes
+
+        first, hashes = revise(FIGURE_1C, {})
+        assert first.invalidated == []
+        assert sorted(first.changed) == first.affected()
 
         # edit only subroutine `in`; `main` calls it, `out` does not
         edited = FIGURE_1C.replace("B(J) = x", "B(J) = x * 1.0")
         assert edited != FIGURE_1C
-        second = engine.analyze(edited, name="fig1c.f")
-        report = second.report
+        report, _ = revise(edited, hashes)
         assert len(report.changed) == 1
         assert report.invalidated  # the caller
         assert report.reused  # the untouched sibling
         assert set(report.reused).isdisjoint(report.affected())
         # the changed routine plus every affected one was recomputed
         assert set(report.affected()) <= set(report.computed)
-
-    def test_diff_report_does_not_advance_revision(self):
-        engine = IncrementalEngine()
-        engine.analyze(FIGURE_1C, name="fig1c.f")
-        before = dict(engine._previous["fig1c.f"])
-        hooks = hooks_for(before)  # same hashes as the stored revision
-        report = engine.diff_report("fig1c.f", hooks)
-        assert report.changed == []
-        assert engine._previous["fig1c.f"] == before
-
-    def test_legacy_alias_still_answers(self):
-        engine = IncrementalEngine()
-        engine.analyze(FIGURE_1C, name="fig1c.f")
-        hooks = hooks_for(dict(engine._previous["fig1c.f"]))
-        assert engine.diff_report("fig1c.f", hooks).changed == []

@@ -42,7 +42,6 @@ def done_result(name: str = "a.f") -> BatchItemResult:
         payload={"loops": [], "parallel_loops": 0, "name": name},
         cache_stats=CacheStats(hits=1),
         attempts=1,
-        stored_fingerprints=["f" * 64],
     )
 
 
@@ -130,7 +129,6 @@ class TestTransitions:
         record = rep.done[0]
         assert record["name"] == "a.f"
         assert record["payload"]["name"] == "a.f"
-        assert record["stored_fingerprints"] == ["f" * 64]
         assert record["cache_stats"]["hits"] == 1
 
     def test_dispatched_without_done_is_in_flight(self, tmp_path):

@@ -210,6 +210,7 @@ class TestClassifyException:
         assert classify_exception(WorkerCrash("w")) == "worker-crash"
         assert classify_exception(ParseError("bad")) == "source"
         assert classify_exception(SemanticError("bad")) == "analysis"
+        assert classify_exception(RecursionError()) == "analysis"
         assert classify_exception(MemoryError()) == "oom"
         assert classify_exception(RuntimeError("bug")) == "internal"
         assert classify_exception(ValueError("bug")) == "internal"
