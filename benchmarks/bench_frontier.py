@@ -39,7 +39,7 @@ from repro import Panorama
 from repro.audit import audit_compilation
 from repro.dataflow import AnalysisOptions
 from repro.driver.report import format_table
-from repro.engine.telemetry import loop_report_row
+from repro.driver.report import loop_report_row
 from repro.kernels import FRONTIER_KERNELS, KERNELS
 
 CHECK_ONLY = bool(os.environ.get("PANORAMA_BENCH_CHECK_ONLY"))

@@ -34,7 +34,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from repro import Panorama
 from repro.driver.report import format_table
-from repro.engine.telemetry import loop_report_row
+from repro.driver.report import loop_report_row
 from repro.kernels import KERNELS
 from repro.perf import profiler
 from repro.symbolic import Comparer, Predicate, Relation, SymExpr

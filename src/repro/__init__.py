@@ -27,11 +27,12 @@ Quickstart::
         print(loop.loop_id(), loop.status.value)
 """
 
+# set before the imports below: modules they load read it
+__version__ = "1.0.0"
+
 from .dataflow import AnalysisOptions, SummaryAnalyzer
 from .driver import CompilationResult, LoopReport, Panorama
 from .parallelize import LoopStatus
-
-__version__ = "1.0.0"
 
 __all__ = [
     "AnalysisOptions",

@@ -41,12 +41,14 @@ from ..deptest.banerjee import LoopBounds, banerjee_test
 from ..deptest.ddg import _numeric_bounds, _scalar_writes
 from ..deptest.gcd import gcd_test
 from ..deptest.subscript import ArrayReference, collect_references
-from ..diagnostics import Diagnostic, diagnostic_to_dict, resolve_span
-from ..driver.panorama import CompilationResult, LoopReport
+from ..diagnostics import Diagnostic, Severity, diagnostic_to_dict, resolve_span
+from ..driver.panorama import CompilationResult, LoopReport, content_inference
 from ..hsg.cfg import FlowGraph
 from ..hsg.nodes import CondensedNode, IfConditionNode, LoopNode
+from ..parallelize import LoopStatus, find_recurrences
 from ..regions import sanitize
 from ..symbolic import Comparer, Predicate, SymExpr
+from .lint import lint_program
 
 #: vote values
 INDEPENDENT = "independent"
@@ -157,8 +159,6 @@ class AuditReport:
 
     def errors(self) -> list[Diagnostic]:
         """Error-severity diagnostics (what --strict-audit fails on)."""
-        from ..diagnostics import Severity
-
         return [d for d in self.diagnostics() if d.level is Severity.ERROR]
 
     def clean(self) -> bool:
@@ -548,9 +548,6 @@ def _replay_evidence(
     recurrence record at all is also ``PAN105`` — the schedule has
     nothing to stand on.
     """
-    from ..parallelize.classifier import LoopStatus
-    from ..parallelize.recurrences import find_recurrences
-
     findings: list[AuditFinding] = []
     loop_id = loop_report.loop_id()
 
@@ -572,9 +569,7 @@ def _replay_evidence(
         if kind == "content":
             unit = payload.get("unit", loop_report.routine)
             if unit not in fact_cache:
-                from ..contents import infer_unit
-
-                fact_cache[unit] = infer_unit(
+                fact_cache[unit] = content_inference().infer_unit(
                     result.analyzed, unit, result.analyzer.options
                 )
             if not any(
@@ -669,8 +664,6 @@ def audit_compilation(
         )
 
     if run_lint:
-        from .lint import lint_program
-
         report.lint = lint_program(result, name, source)
     if sanitize.enabled():
         report.sanitizer = sanitize.drain()

@@ -24,11 +24,11 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..driver.panorama import CompilationResult, LoopReport
-from ..fortran.ast_nodes import DoLoop, ProgramUnit, Stmt
+from ..fortran.ast_nodes import DoLoop, IfBlock, ProgramUnit, Stmt
 from ..fortran.printers import unparse_stmt
 from ..hsg.cfg import FlowGraph
 from ..hsg.nodes import LoopNode
-from ..parallelize import LoopStatus
+from ..parallelize import LoopStatus, find_reductions
 
 
 @dataclass(frozen=True)
@@ -65,8 +65,6 @@ def clauses_for(report: LoopReport, result: CompilationResult) -> DirectiveClaus
     privatized = list(verdict.privatized) if verdict else []
     reductions: list[tuple[str, str]] = []
     if verdict:
-        from ..parallelize.reductions import find_reductions
-
         ops = {}
         if loop_node is not None:
             ops = {r.name: r.operator for r in find_reductions(loop_node.body)}
@@ -223,8 +221,6 @@ def _emit_block(
     indent: int,
     inside_parallel: bool,
 ) -> list[str]:
-    from ..fortran.ast_nodes import IfBlock
-
     pad = "      " + "  " * (indent - 1)
     out: list[str] = []
     for stmt in stmts:

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Optional
 
+from ..dataflow.convert import subscript_placeholder
 from ..symbolic import SymExpr
 
 
@@ -144,8 +145,6 @@ class ContentFact:
         """Index-array closed form over ``subscript_placeholder(1)``."""
         if self.kind != "affine" or self.coeff is None or self.base is None:
             return None
-        from ..dataflow.convert import subscript_placeholder
-
         return subscript_placeholder(1).scaled(self.coeff) + self.base
 
     def to_payload(self) -> dict[str, Any]:

@@ -31,12 +31,15 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Iterator, Optional
 
+from ..dataflow.context import AnalysisOptions
+from ..dataflow.convert import ConversionContext, to_symexpr
 from ..fortran.ast_nodes import (
     Apply,
     Assign,
     BinOp,
     CallStmt,
     Continue,
+    Declaration,
     DoLoop,
     Expr,
     IfBlock,
@@ -64,8 +67,6 @@ def element_type(table, name: str) -> str:
     ``SymbolTable.type_of`` only records declared types for *scalars*;
     arrays keep their element type in the Declaration statement.
     """
-    from ..fortran.ast_nodes import Declaration
-
     for decl in table.unit.decls:
         if isinstance(decl, Declaration):
             for entity, _dims in decl.entities:
@@ -259,8 +260,6 @@ def _affine_rhs(
     value: Expr, ctx, loop_var: str
 ) -> Optional[tuple[Fraction, SymExpr]]:
     """``(coeff, base)`` of an affine-in-the-index right-hand side."""
-    from ..dataflow.convert import to_symexpr
-
     sym = to_symexpr(value, ctx)
     if sym is None or not sym.is_linear_in(loop_var):
         return None
@@ -275,8 +274,6 @@ def _recurrence_rhs(
     value: Expr, array: str, loop_var: str, ctx
 ) -> Optional[Fraction]:
     """The constant step of ``X(v) = X(v-1) ± c``, or ``None``."""
-    from ..dataflow.convert import to_symexpr
-
     if not isinstance(value, BinOp) or value.op not in ("+", "-"):
         return None
     sides = [(value.left, value.right, 1 if value.op == "+" else -1)]
@@ -402,8 +399,6 @@ def _covers_reads(
     comparer,
 ) -> bool:
     """Every read outside the defining loop provably hits ``[lo, hi]``."""
-    from ..dataflow.convert import to_symexpr
-
     lo = to_symexpr(loop.start, ctx)
     hi = to_symexpr(loop.stop, ctx)
     if lo is None or hi is None:
@@ -500,9 +495,6 @@ def infer_unit(
     analyzed: AnalyzedProgram, unit_name: str, options=None
 ) -> list[ContentFact]:
     """Content facts of one unit (pure function of its source + options)."""
-    from ..dataflow.context import AnalysisOptions
-    from ..dataflow.convert import ConversionContext
-
     options = options or AnalysisOptions()
     if not (options.frontier and options.symbolic):
         return []
@@ -538,8 +530,6 @@ def infer_unit(
         if_conditions=options.if_conditions,
     )
     comparer = options.comparer()
-    from ..dataflow.convert import to_symexpr
-
     facts: list[ContentFact] = []
     for name in sorted(scan.uses):
         use = scan.uses[name]

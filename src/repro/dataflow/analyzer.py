@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
+from ..errors import CallGraphError
 from ..hsg.builder import HSG
 from ..hsg.cfg import FlowGraph
 from ..hsg.nodes import IfConditionNode, LoopNode
@@ -96,8 +97,6 @@ class SummaryAnalyzer:
                 self.provided_summaries.add(unit_name)
                 return provided
         if unit_name in self._in_progress:  # guarded by callgraph check too
-            from ..errors import CallGraphError
-
             raise CallGraphError(f"recursive summary request for {unit_name}")
         self._in_progress.add(unit_name)
         try:

@@ -31,15 +31,20 @@ or unknown steps expand with opaque bounds and inexact ordering sets.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 
 from ..errors import BudgetExceeded
-from ..hsg.nodes import LoopNode
+from ..fortran.ast_nodes import Apply, Assign, BinOp, Expr, NameRef, Stmt
+from ..fortran.semantics import INTRINSICS
+from ..hsg.nodes import BasicBlockNode, CallNode, IfConditionNode, LoopNode
 from ..perf.profiler import COUNTERS
 from ..resilience.budget import charge as _budget_charge
-from ..regions import GARList
+from ..regions import GAR, GARList
 from ..regions.gar_ops import subtract_lists, union_lists
-from ..symbolic import SymExpr
+from ..regions.ranges import Range
+from ..regions.region import OMEGA_DIM, RegularRegion
+from ..symbolic import Predicate, SymExpr
 from .context import LoopSummaryRecord
 from .convert import ConversionContext, to_symexpr
 from .expansion import expand_gar_list
@@ -62,16 +67,6 @@ def _referenced_names(loop: LoopNode) -> set[str]:
     arguments, and nested loop indices/bounds.  Over-collection is fine
     (the fallback over-approximates anyway); under-collection is not.
     """
-    import dataclasses
-
-    from ..fortran.ast_nodes import Apply, Expr, NameRef, Stmt
-    from ..hsg.nodes import (
-        BasicBlockNode,
-        CallNode,
-        IfConditionNode,
-        LoopNode as _Loop,
-    )
-
     names: set[str] = set()
 
     def walk(obj) -> None:
@@ -93,7 +88,7 @@ def _referenced_names(loop: LoopNode) -> set[str]:
                 walk(node.cond)
             elif isinstance(node, CallNode):
                 walk(node.call.args)
-            elif isinstance(node, _Loop):
+            elif isinstance(node, LoopNode):
                 names.add(node.var)
                 for expr in (node.start, node.stop, node.step):
                     if expr is not None:
@@ -112,11 +107,6 @@ def declared_bounds_gar(table, name: str, ctx: ConversionContext):
     become Ω.  Always marked inexact: it is an over-approximation and
     must never kill.
     """
-    from ..regions import GAR
-    from ..regions.ranges import Range
-    from ..regions.region import OMEGA_DIM, RegularRegion
-    from ..symbolic import Predicate
-
     info = table.arrays[name]
     dims = []
     for lo_expr, hi_expr in info.bounds:
@@ -147,8 +137,6 @@ def conservative_loop_record(
     """
     table = ctx.table
     known_units = set(analyzer.hsg.analyzed.unit_names())
-    from ..fortran.semantics import INTRINSICS
-
     gars = []
     referenced = _referenced_names(loop) | {loop.var}
     for names in table.commons.values():
@@ -273,9 +261,6 @@ def _induction_closed_form(
     body, with ``c`` convertible and loop-invariant (no loop index, no
     scalar assigned in the body).
     """
-    from ..fortran.ast_nodes import Apply, Assign, BinOp, NameRef
-    from ..hsg.nodes import BasicBlockNode, LoopNode as _Loop
-
     updates: list[tuple] = []  # (top_level_node_or_None, stmt)
     assigned_names: set[str] = set()
 
@@ -293,7 +278,7 @@ def _induction_closed_form(
                         stmt.target, Apply
                     ):
                         pass
-            elif isinstance(node, _Loop):
+            elif isinstance(node, LoopNode):
                 assigned_names.add(node.var)
                 scan(node.body, False)
 
@@ -350,11 +335,6 @@ def _on_all_paths(graph, node) -> bool:
 
 def _omega_out_symbol(gars: GARList, name: str) -> GARList:
     """Sound over-approximation removing all knowledge tied to *name*."""
-    from ..regions import GAR
-    from ..regions.ranges import Range
-    from ..regions.region import OMEGA_DIM, RegularRegion
-    from ..symbolic import Predicate
-
     out = []
     for gar in gars:
         if not gar.contains_var(name):

@@ -15,7 +15,7 @@ negation) as a guard.
 from __future__ import annotations
 
 from ..errors import AnalysisError
-from ..fortran.ast_nodes import Apply, NameRef
+from ..fortran.ast_nodes import Apply, Assign, IoStmt, NameRef
 from ..hsg.cfg import FlowGraph
 from ..hsg.nodes import (
     BasicBlockNode,
@@ -124,8 +124,6 @@ def _transfer_condensed(
                     scalars_read.add(sub.name)
 
     def scan_member(member: HSGNode) -> None:
-        from ..fortran.ast_nodes import Assign, IoStmt
-
         if isinstance(member, BasicBlockNode):
             for stmt in member.stmts:
                 if isinstance(stmt, Assign):

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from ..fortran.ast_nodes import Apply, Expr, NameRef
-from ..regions import GAR, GARList, RegularRegion
+from ..regions import GAR, OMEGA_DIM, GARList, Range, RegularRegion
 from ..symbolic import Predicate, SymExpr
 from .convert import ConversionContext, to_symexpr
 
@@ -64,9 +64,6 @@ def reference_gar(ref: Apply, ctx: ConversionContext) -> GAR:
     subs: list[Optional[SymExpr]] = [to_symexpr(arg, ctx) for arg in ref.args]
     if all(s is not None for s in subs):
         return GAR.of_reference(ref.name, subs)  # type: ignore[arg-type]
-    from ..regions.region import OMEGA_DIM
-    from ..regions.ranges import Range
-
     dims = [
         Range.point(s) if s is not None else OMEGA_DIM  # type: ignore[arg-type]
         for s in subs

@@ -23,7 +23,9 @@ from itertools import combinations
 from typing import Optional
 
 from ..dataflow.convert import ConversionContext, to_symexpr
-from ..hsg.nodes import LoopNode
+from ..fortran.ast_nodes import Assign, NameRef
+from ..hsg.cfg import FlowGraph
+from ..hsg.nodes import BasicBlockNode, LoopNode
 from ..symbolic import Comparer, SymExpr
 from .banerjee import LoopBounds, banerjee_test
 from .gcd import gcd_test
@@ -161,10 +163,6 @@ def screen_loop(
 
 
 def _scalar_writes(loop: LoopNode, ctx: ConversionContext) -> set[str]:
-    from ..fortran.ast_nodes import Assign, NameRef
-    from ..hsg.cfg import FlowGraph
-    from ..hsg.nodes import BasicBlockNode
-
     out: set[str] = set()
 
     def scan(graph: FlowGraph) -> None:

@@ -19,6 +19,8 @@ import enum
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Optional
 
+from ..fortran.source import normalize
+
 
 class Severity(enum.Enum):
     """Diagnostic severity; values match SARIF 2.1.0 ``level`` strings."""
@@ -180,8 +182,6 @@ def resolve_span(
     """
     snippet: Optional[str] = None
     if source is not None and lineno > 0:
-        from ..fortran.source import normalize
-
         try:
             lines = normalize(source)
         except Exception:

@@ -14,6 +14,7 @@ import json
 from pathlib import Path
 from typing import Any, Iterable
 
+from .. import __version__
 from .diagnostic import RULES, Diagnostic, sort_key
 
 SARIF_VERSION = "2.1.0"
@@ -62,8 +63,6 @@ def _result_to_sarif(
 
 def sarif_log(diags: Iterable[Diagnostic]) -> dict[str, Any]:
     """A complete SARIF 2.1.0 log as a JSON-ready dict."""
-    from .. import __version__
-
     ordered = sorted(diags, key=sort_key)
     used_codes = sorted({d.code for d in ordered})
     rule_index = {code: i for i, code in enumerate(used_codes)}

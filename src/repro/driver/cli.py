@@ -12,6 +12,8 @@ import json
 import sys
 from pathlib import Path
 
+from .. import __version__
+from ..diagnostics import render_text, write_sarif
 from ..errors import EXIT_HARD_FAILURE, EXIT_USAGE, classify_exception, describe_failure
 from .flags import (
     add_analysis_flags,
@@ -21,7 +23,7 @@ from .flags import (
     options_from_args,
 )
 from .panorama import Panorama
-from .report import format_perf, format_stats, format_table, yes_no
+from .report import format_perf, format_stats, format_table, result_to_dict, yes_no
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -64,15 +66,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--version",
         action="version",
-        version=_version_string(),
+        version=f"%(prog)s {__version__}",
     )
     return parser
-
-
-def _version_string() -> str:
-    from .. import __version__
-
-    return f"%(prog)s {__version__}"
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -111,8 +107,6 @@ def main(argv: list[str] | None = None) -> int:
 
     if audit_report is not None:
         if args.sarif:
-            from ..diagnostics import write_sarif
-
             write_sarif(audit_report.diagnostics(), args.sarif)
         if args.strict_audit and audit_report.errors():
             # 4 = the audit found a confirmed disagreement; it trumps
@@ -122,8 +116,6 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.json:
         # same serializer the batch engine ships results with
-        from ..engine.telemetry import result_to_dict
-
         print(
             json.dumps(
                 result_to_dict(result, name=name, audit=audit_report),
@@ -175,8 +167,6 @@ def main(argv: list[str] | None = None) -> int:
                 print(report.verdict.record)
 
     if audit_report is not None:
-        from ..diagnostics import render_text
-
         print()
         print(audit_report.summary_line())
         diags = audit_report.diagnostics()

@@ -21,8 +21,8 @@ from ..perf import profiler
 from ..resilience import budget as budgets
 from ..resilience import faults
 from ..deptest.ddg import ScreenReport, ScreenVerdict, screen_loop
-from ..fortran import AnalyzedProgram, Program, analyze, parse_program
-from ..hsg import HSG, LoopNode, build_hsg
+from ..fortran import AnalyzedProgram, Apply, NameRef, Program, analyze, parse_program
+from ..hsg import HSG, BasicBlockNode, IfConditionNode, LoopNode, build_hsg
 from ..machine.costmodel import CostModel, LoopCost, ProgramCost
 from ..machine.speedup import MachineModel
 from ..parallelize import LoopStatus, LoopVerdict, classify_loop
@@ -153,10 +153,6 @@ class CompilationResult:
 def _index_context_arrays(loop: LoopNode) -> set[str]:
     """Names used where content facts bite: subscripts of other array
     references, IF guards, and inner loop headers."""
-    from ..fortran.ast_nodes import Apply, NameRef
-    from ..hsg.nodes import BasicBlockNode, IfConditionNode
-    from ..hsg.nodes import LoopNode as _LoopNode
-
     used: set[str] = set()
 
     def names_of(expr) -> None:
@@ -179,7 +175,7 @@ def _index_context_arrays(loop: LoopNode) -> set[str]:
                                     names_of(arg)
             elif isinstance(node, IfConditionNode):
                 names_of(node.cond)
-            elif isinstance(node, _LoopNode):
+            elif isinstance(node, LoopNode):
                 names_of(node.start)
                 names_of(node.stop)
                 if node.step is not None:
@@ -188,6 +184,19 @@ def _index_context_arrays(loop: LoopNode) -> set[str]:
 
     exprs_of(loop.body)
     return used
+
+
+def content_inference():
+    """The :mod:`repro.contents` package, imported on first use.
+
+    Only the frontier pass and the audit's replay of its evidence infer
+    array contents; importing the package with this module would add
+    ~13 ms to the start of every process that loads the pipeline,
+    whether or not it runs the frontier pass.
+    """
+    from .. import contents
+
+    return contents
 
 
 class PipelineHooks:
@@ -283,9 +292,7 @@ class Panorama:
 
         analyzer = SummaryAnalyzer(hsg, self.options)
         if self.options.frontier and self.options.symbolic:
-            from ..contents import infer_program
-
-            facts = infer_program(analyzed, self.options)
+            facts = content_inference().infer_program(analyzed, self.options)
             facts.install(analyzer)
             analyzer.stats.content_facts += facts.count()
         timings.dataflow = clock.lap()

@@ -1,10 +1,19 @@
-"""Plain-text table formatting for the experiment harnesses."""
+"""The pipeline's output forms: plain-text tables and JSON rows.
+
+:func:`loop_report_row` and :func:`result_to_dict` are the *single*
+machine-readable form of a verdict: ``panorama --json`` prints it, the
+batch workers ship it across process boundaries (dicts of primitives
+travel cheaply and diff cleanly, unlike pickled ASTs), and the daemon
+answers with it.
+"""
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Any, Iterable, Sequence
 
 from ..perf import profiler
+from ..symbolic.matrix import backend_name
+from .panorama import CompilationResult, LoopReport
 
 
 def format_table(
@@ -79,8 +88,6 @@ def format_perf(symbolic: dict, timings=None) -> str:
     hit/miss/eviction gauges of the ``repro.perf`` snapshot delta
     *symbolic*.
     """
-    from ..symbolic.matrix import backend_name
-
     sections: list[str] = [f"constraint backend: {backend_name()}"]
     if timings is not None:
         stages = timings.as_dict()
@@ -127,3 +134,65 @@ def format_perf(symbolic: dict, timings=None) -> str:
     if len(sections) == 1:
         return sections[0] + "\nno profiling data recorded"
     return "\n\n".join(sections)
+
+
+def loop_report_row(report: LoopReport) -> dict[str, Any]:
+    """One loop verdict as a flat JSON-ready dict."""
+    verdict = report.verdict
+    row: dict[str, Any] = {
+        "loop": report.loop_id(),
+        "routine": report.routine,
+        "var": report.var,
+        "label": report.source_label,
+        "lineno": report.lineno,
+        "status": report.status.value,
+        "parallel": report.parallel,
+        "degraded": report.degraded,
+        "used_dataflow": report.used_dataflow,
+        "screen": report.screen.verdict.value,
+        "privatized": list(verdict.privatized) if verdict else [],
+        "reductions": list(verdict.reductions) if verdict else [],
+        "inductions": list(verdict.inductions) if verdict else [],
+        "scans": list(verdict.scans) if verdict else [],
+        "serial_reasons": list(verdict.serial_reasons) if verdict else [],
+        "schedule": report.schedule,
+        "evidence": [dict(e) for e in report.evidence],
+        # the privatizer's offending intersections for candidates that
+        # failed the MOD_<i ∩ UE_i test (empty when nothing failed)
+        "conflicts": verdict.conflicts() if verdict else {},
+        "speedup": round(report.speedup, 4),
+        "pct_sequential": round(report.pct_sequential, 4),
+        "copy_out": [
+            {"name": d.name, "needs_copy_out": d.needs_copy_out}
+            for d in report.copy_out
+        ],
+    }
+    return row
+
+
+def result_to_dict(
+    result: CompilationResult,
+    name: str | None = None,
+    audit: "Any | None" = None,
+) -> dict[str, Any]:
+    """A whole compilation result as a JSON-ready dict.
+
+    *audit* is an optional :class:`~repro.audit.AuditReport`; when given
+    its counters and diagnostics ride under the ``"audit"`` key (the
+    form ``EngineTelemetry.note_result`` folds and the batch workers
+    ship).
+    """
+    out: dict[str, Any] = {
+        "loops": [loop_report_row(r) for r in result.loops],
+        "parallel_loops": len(result.parallel_loops()),
+        "timings": result.timings.as_dict(),
+        "stats": result.analyzer.stats.as_dict(),
+        # symbolic-kernel counter/cache deltas ride as their own key:
+        # "stats" stays a flat int dict the roll-up can fold blindly
+        "symbolic": dict(result.analyzer.stats.symbolic),
+    }
+    if audit is not None:
+        out["audit"] = audit.to_payload()
+    if name is not None:
+        out["name"] = name
+    return out

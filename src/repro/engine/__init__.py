@@ -20,8 +20,8 @@ this package makes repeated and bulk analysis cheap in practice:
   partitioning, and stats rollups (``panorama-campaign``); import its
   names from the module itself: the package does not re-export them,
   so ``python -m repro.engine.campaign`` runs the module exactly once;
-* :mod:`repro.engine.telemetry` — counters, roll-ups, and the JSON
-  serializers shared with ``panorama --json``;
+* :mod:`repro.engine.telemetry` — counters and roll-ups (the JSON
+  serializers of a verdict live in :mod:`repro.driver.report`);
 * :mod:`repro.engine.cli` — the ``panorama-batch`` entry point, and the
   engine flag group and run path it shares with ``panorama-campaign``.
 
@@ -53,7 +53,7 @@ from .cache import (
 )
 from .incremental import IncrementalReport, diff_revisions
 from .scheduler import SchedulePlan, plan_schedule, resolve_schedule_mode
-from .telemetry import EngineTelemetry, loop_report_row, result_to_dict
+from .telemetry import EngineTelemetry
 
 __all__ = [
     "BatchEngine",
@@ -77,11 +77,9 @@ __all__ = [
     "fingerprint_program",
     "items_from_kernel_registry",
     "items_from_paths",
-    "loop_report_row",
     "make_backend",
     "options_key",
     "plan_schedule",
     "resolve_schedule_mode",
-    "result_to_dict",
     "unit_source_hash",
 ]

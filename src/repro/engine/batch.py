@@ -42,12 +42,14 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterable, Mapping, Optional, Sequence
 
 from ..dataflow.context import AnalysisOptions
+from ..diagnostics import Severity, diagnostic_from_dict
 from ..driver.panorama import (
     CompilationResult,
     CompositeHooks,
     Panorama,
     PipelineHooks,
 )
+from ..driver.report import result_to_dict
 from ..errors import (
     EXIT_DEGRADED,
     EXIT_HARD_FAILURE,
@@ -70,7 +72,7 @@ from .cache import (
 )
 from .ledger import LedgerReplay, LedgerWriter
 from .scheduler import SchedulePlan, plan_schedule, resolve_schedule_mode
-from .telemetry import SUPERVISION_COUNTERS, EngineTelemetry, result_to_dict
+from .telemetry import SUPERVISION_COUNTERS, EngineTelemetry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..audit.auditor import AuditReport
@@ -203,8 +205,6 @@ class BatchReport:
         workers ship them as dicts inside the payload's ``"audit"`` key).
         Empty when the engine ran without ``audit=True``.
         """
-        from ..diagnostics import diagnostic_from_dict
-
         out = []
         for res in self.results:
             if res.payload is None:
@@ -219,8 +219,6 @@ class BatchReport:
 
     def audit_errors(self) -> list:
         """Error-severity audit diagnostics (what --strict-audit fails on)."""
-        from ..diagnostics import Severity
-
         return [
             d for d in self.audit_diagnostics() if d.level is Severity.ERROR
         ]

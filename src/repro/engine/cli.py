@@ -23,6 +23,7 @@ from typing import Any, Callable, Optional, Sequence
 
 from .. import __version__
 from ..dataflow import AnalysisOptions
+from ..diagnostics import render_text, write_sarif
 from ..driver.flags import (
     add_analysis_flags,
     add_audit_flags,
@@ -375,15 +376,11 @@ def print_report(report: BatchReport, args: argparse.Namespace) -> None:
                 f"{a['oracle_conflicts']} oracle conflict(s), "
                 f"{a['lint']} lint, {a['sanitizer']} sanitizer"
             )
-            from ..diagnostics import render_text
-
             diags = report.audit_diagnostics()
             if diags:
                 print(render_text(diags))
 
     if run_audit and args.sarif:
-        from ..diagnostics import write_sarif
-
         write_sarif(report.audit_diagnostics(), args.sarif)
 
 

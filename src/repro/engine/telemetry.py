@@ -1,17 +1,14 @@
-"""Structured counters and the JSON serializers shared by the CLIs.
+"""The engine's roll-up of analysis cost.
 
-Two jobs:
+:class:`EngineTelemetry` aggregates per-file
+:class:`~repro.driver.panorama.StageTimings`,
+:class:`~repro.dataflow.context.AnalysisStats`, and
+:class:`~repro.engine.cache.CacheStats` into the ``--stats-json`` export
+(the Figure 4 "analysis costs little" claim, at batch scale).
 
-* serialize pipeline results — :func:`loop_report_row` /
-  :func:`result_to_dict` are the *single* machine-readable form of a
-  verdict, used by ``panorama --json``, by ``panorama-batch``, and by
-  the batch workers to ship results across process boundaries (dicts of
-  primitives travel cheaply and diff cleanly, unlike pickled ASTs);
-* roll analysis cost up — :class:`EngineTelemetry` aggregates per-file
-  :class:`~repro.driver.panorama.StageTimings`,
-  :class:`~repro.dataflow.context.AnalysisStats`, and
-  :class:`~repro.engine.cache.CacheStats` into the ``--stats-json``
-  export (the Figure 4 "analysis costs little" claim, at batch scale).
+The JSON serializers of a verdict live in :mod:`repro.driver.report`;
+this module keeps their names only because the benchmark harness
+(``perfbench/``) wraps and imports them here.
 """
 
 from __future__ import annotations
@@ -21,8 +18,10 @@ from dataclasses import dataclass, field, fields
 from typing import Any
 
 from ..dataflow.context import AnalysisStats
-from ..driver.panorama import CompilationResult, LoopReport, StageTimings
+from ..driver.panorama import StageTimings
+from ..driver.report import loop_report_row, result_to_dict
 from ..perf import profiler
+from ..symbolic.matrix import backend_name
 from .cache import CacheStats
 
 #: the batch supervisor's counters (``BatchEngine.supervision``), the
@@ -36,87 +35,10 @@ SUPERVISION_COUNTERS = (
 )
 
 
-def _constraint_backend() -> str:
-    from ..symbolic.matrix import backend_name
-
-    return backend_name()
-
-
-# --------------------------------------------------------------------------- #
-# serializers (shared by `panorama --json` and the batch engine)
-# --------------------------------------------------------------------------- #
-
-
-def loop_report_row(report: LoopReport) -> dict[str, Any]:
-    """One loop verdict as a flat JSON-ready dict."""
-    verdict = report.verdict
-    row: dict[str, Any] = {
-        "loop": report.loop_id(),
-        "routine": report.routine,
-        "var": report.var,
-        "label": report.source_label,
-        "lineno": report.lineno,
-        "status": report.status.value,
-        "parallel": report.parallel,
-        "degraded": report.degraded,
-        "used_dataflow": report.used_dataflow,
-        "screen": report.screen.verdict.value,
-        "privatized": list(verdict.privatized) if verdict else [],
-        "reductions": list(verdict.reductions) if verdict else [],
-        "inductions": list(verdict.inductions) if verdict else [],
-        "scans": list(verdict.scans) if verdict else [],
-        "serial_reasons": list(verdict.serial_reasons) if verdict else [],
-        "schedule": report.schedule,
-        "evidence": [dict(e) for e in report.evidence],
-        # the privatizer's offending intersections for candidates that
-        # failed the MOD_<i ∩ UE_i test (empty when nothing failed)
-        "conflicts": verdict.conflicts() if verdict else {},
-        "speedup": round(report.speedup, 4),
-        "pct_sequential": round(report.pct_sequential, 4),
-        "copy_out": [
-            {"name": d.name, "needs_copy_out": d.needs_copy_out}
-            for d in report.copy_out
-        ],
-    }
-    return row
-
-
-def result_to_dict(
-    result: CompilationResult,
-    name: str | None = None,
-    audit: "Any | None" = None,
-) -> dict[str, Any]:
-    """A whole compilation result as a JSON-ready dict.
-
-    *audit* is an optional :class:`~repro.audit.AuditReport`; when given
-    its counters and diagnostics ride under the ``"audit"`` key (the
-    form ``EngineTelemetry.note_result`` folds and the batch workers
-    ship).
-    """
-    out: dict[str, Any] = {
-        "loops": [loop_report_row(r) for r in result.loops],
-        "parallel_loops": len(result.parallel_loops()),
-        "timings": result.timings.as_dict(),
-        "stats": result.analyzer.stats.as_dict(),
-        # symbolic-kernel counter/cache deltas ride as their own key:
-        # "stats" stays a flat int dict the roll-up can fold blindly
-        "symbolic": dict(result.analyzer.stats.symbolic),
-    }
-    if audit is not None:
-        out["audit"] = audit.to_payload()
-    if name is not None:
-        out["name"] = name
-    return out
-
-
-# --------------------------------------------------------------------------- #
-# roll-ups
-# --------------------------------------------------------------------------- #
-
-
 @dataclass
 class EngineTelemetry:
-    """Aggregated counters for one batch/incremental engine run."""
+    """Aggregated counters for one engine run (``panorama-batch``,
+    ``panorama-campaign``, or the daemon's lifetime)."""
 
     files: int = 0
     errors: int = 0
@@ -217,7 +139,7 @@ class EngineTelemetry:
             value = getattr(self, f.name)
             out[f.name] = dict(value) if isinstance(value, dict) else value
         out["cache"] = self.cache.as_dict()
-        out["constraint_backend"] = _constraint_backend()
+        out["constraint_backend"] = backend_name()
         return out
 
     def to_json(self, indent: int | None = 2) -> str:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from ..errors import HSGError
-from .nodes import EntryNode, ExitNode, HSGNode
+from .nodes import EntryNode, ExitNode, HSGNode, LoopNode
 
 EdgeLabel = Optional[bool]
 
@@ -138,8 +138,6 @@ class FlowGraph:
 
     def dump(self, indent: str = "") -> str:
         """Human-readable listing (diagnostics and doc examples)."""
-        from .nodes import LoopNode
-
         lines = []
         for node in self.topological():
             succs = ", ".join(

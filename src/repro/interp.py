@@ -22,8 +22,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from ..errors import ReproError
-from .ast_nodes import (
+from .errors import ReproError
+from .fortran.ast_nodes import (
     Apply,
     Assign,
     BinOp,
@@ -42,7 +42,17 @@ from .ast_nodes import (
     StringLit,
     UnOp,
 )
-from .semantics import AnalyzedProgram, SymbolTable
+from .fortran.parser import parse_program
+from .fortran.semantics import AnalyzedProgram, SymbolTable, analyze
+from .hsg import (
+    BasicBlockNode,
+    CallNode,
+    CondensedNode,
+    ExitNode,
+    IfConditionNode,
+    LoopNode,
+    build_hsg,
+)
 
 
 class InterpreterError(ReproError):
@@ -98,12 +108,44 @@ class AccessEvent:
 
 Observer = Callable[[AccessEvent], None]
 
+
+def _idiv(a: int, b: int) -> int:
+    """Integer division truncating toward zero (Fortran ``/``)."""
+    q = abs(a) // abs(b)
+    return q if (a >= 0) == (b >= 0) else -q
+
+
+def _mod(a, p):
+    """Fortran ``MOD``: the remainder takes the sign of *a*."""
+    if isinstance(a, int) and isinstance(p, int):
+        return a - _idiv(a, p) * p
+    return math.fmod(a, p)
+
+
+def _nint(x) -> int:
+    """Fortran ``NINT``: nearest integer, halves away from zero."""
+    whole = int(x)
+    if abs(x - whole) >= 0.5:
+        return whole + (1 if x > 0 else -1)
+    return whole
+
+
+def _as_type(table: SymbolTable, name: str, value):
+    """*value* converted to the type of scalar *name*, as a Fortran
+    assignment converts it (INTEGER truncates toward zero)."""
+    kind = table.type_of(name)
+    if kind == "integer":
+        return int(value)
+    if kind in ("real", "doubleprecision"):
+        return float(value)
+    return value
+
+
 _INTRINSICS: dict[str, Callable] = {
     "abs": abs, "iabs": abs, "dabs": abs,
     "max": max, "max0": max, "amax1": max, "dmax1": max,
     "min": min, "min0": min, "amin1": min, "dmin1": min,
-    "mod": lambda a, b: math.fmod(a, b) if isinstance(a, float) else a % b,
-    "amod": math.fmod, "dmod": math.fmod,
+    "mod": _mod, "amod": math.fmod, "dmod": math.fmod,
     "sqrt": math.sqrt, "dsqrt": math.sqrt,
     "exp": math.exp, "dexp": math.exp,
     "log": math.log, "alog": math.log, "dlog": math.log,
@@ -112,7 +154,7 @@ _INTRINSICS: dict[str, Callable] = {
     "atan": math.atan, "atan2": math.atan2, "datan": math.atan,
     "int": int, "ifix": int, "idint": int,
     "float": float, "real": float, "dble": float, "sngl": float,
-    "nint": lambda x: int(round(x)), "idnint": lambda x: int(round(x)),
+    "nint": _nint, "idnint": _nint,
     "sign": lambda a, b: abs(a) if b >= 0 else -abs(a),
     "isign": lambda a, b: abs(a) if b >= 0 else -abs(a),
 }
@@ -129,7 +171,7 @@ class Frame:
         """The scalar cell for *name*, created on first use."""
         obj = self.storage.get(name)
         if obj is None:
-            obj = ScalarCell(name, 0 if name[0] in "ijklmn" else 0.0)
+            obj = ScalarCell(name, _as_type(self.table, name, 0))
             self.storage[name] = obj
         if not isinstance(obj, ScalarCell):
             raise InterpreterError(f"{name} used as both scalar and array")
@@ -159,8 +201,6 @@ class Interpreter:
         max_steps: int = 5_000_000,
         hsg=None,
     ) -> None:
-        from ..hsg import build_hsg  # local import: avoid cycles
-
         self.analyzed = analyzed
         self.hsg = hsg if hsg is not None else build_hsg(analyzed)
         self.observer = observer
@@ -222,7 +262,9 @@ class Interpreter:
                             name, table.arrays[name].rank
                         )
                     else:
-                        self.commons[key] = ScalarCell(name)
+                        self.commons[key] = ScalarCell(
+                            name, _as_type(table, name, 0)
+                        )
                 frame.storage[name] = self.commons[key]
         return frame
 
@@ -232,15 +274,6 @@ class Interpreter:
         self._run_graph(self.hsg.graph(unit_name), unit_name, frame)
 
     def _run_graph(self, graph, unit_name: str, frame: Frame) -> None:
-        from ..hsg.nodes import (
-            BasicBlockNode,
-            CallNode,
-            CondensedNode,
-            ExitNode,
-            IfConditionNode,
-            LoopNode,
-        )
-
         node = graph.entry
         while node is not None:
             self.steps += 1
@@ -353,7 +386,7 @@ class Interpreter:
                 self._notify("write", target.name, idx, True, storage)
             else:
                 cell = frame.cell(target.name)
-                cell.set(value)
+                cell.set(_as_type(frame.table, target.name, value))
                 self._notify("write", target.name, (), False, cell)
             return
         if isinstance(stmt, Continue):
@@ -435,10 +468,11 @@ class Interpreter:
                 return left * right
             if op == "/":
                 if isinstance(left, int) and isinstance(right, int):
-                    q = abs(left) // abs(right)
-                    return q if (left >= 0) == (right >= 0) else -q
+                    return _idiv(left, right)
                 return left / right
             if op == "**":
+                if isinstance(left, int) and isinstance(right, int) and right < 0:
+                    return _idiv(1, left ** -right)
                 return left ** right
             if op == ".eq.":
                 return left == right
@@ -462,8 +496,5 @@ class Interpreter:
 
 def run_program(source: str, observer: Optional[Observer] = None) -> Frame:
     """Parse, analyze, and execute a whole program (convenience)."""
-    from .parser import parse_program
-    from .semantics import analyze
-
     interp = Interpreter(analyze(parse_program(source)), observer)
     return interp.run_main()

@@ -20,10 +20,12 @@ from enum import Enum
 
 from ..dataflow.analyzer import SummaryAnalyzer
 from ..dataflow.context import LoopSummaryRecord
+from ..dataflow.sum_loop import recognized_inductions
 from ..hsg.nodes import LoopNode
 from ..privatize.privatizer import LoopPrivatization, privatize_loop
 from ..resilience import faults
 from .loop_analysis import DependenceReport, loop_dependences
+from .recurrences import find_recurrences
 from .reductions import find_reductions
 
 _OPAQUE_RE = re.compile(r"@(\d+)")
@@ -177,13 +179,9 @@ def classify_loop(
             "loop has a premature exit (GOTO/RETURN out of the body)"
         )
         return verdict
-    from ..dataflow.sum_loop import recognized_inductions
-
     reductions = {r.name: r for r in find_reductions(loop.body)}
     recurrences = {}
     if analyzer.options.frontier:
-        from .recurrences import find_recurrences
-
         recurrences = {m.name: m for m in find_recurrences(loop)}
     ctx = analyzer.context_for(unit_name)
     for idx in analyzer.enclosing_indices(unit_name, loop):

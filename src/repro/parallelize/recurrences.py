@@ -35,7 +35,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Optional
 
-from ..fortran.ast_nodes import Apply, Assign, BinOp, Continue, Expr, NameRef
+from ..fortran.ast_nodes import (
+    Apply,
+    Assign,
+    BinOp,
+    Continue,
+    Expr,
+    IntLit,
+    NameRef,
+    UnOp,
+)
 from ..hsg.cfg import FlowGraph
 from ..hsg.nodes import (
     BasicBlockNode,
@@ -44,7 +53,7 @@ from ..hsg.nodes import (
     IfConditionNode,
     LoopNode,
 )
-from .reductions import _REDUCTION_INTRINSICS
+from .reductions import _REDUCTION_INTRINSICS, _reduction_shape
 
 #: shapes the recognizer emits
 PREFIX_SCAN = "prefix_scan"
@@ -171,8 +180,6 @@ def _stream_ready(exprs: list[Expr], written: set[str], loop_var: str) -> bool:
 
 def _linear_form(expr: Expr) -> Optional[tuple[dict[str, int], int]]:
     """``(coefficients by name, constant)`` of an integer-linear expr."""
-    from ..fortran.ast_nodes import IntLit, UnOp
-
     if isinstance(expr, IntLit):
         return {}, expr.value
     if isinstance(expr, NameRef):
@@ -476,8 +483,6 @@ def _scalar_scans(
     conds: list[IfConditionNode],
     written: set[str],
 ) -> list[RecurrenceMatch]:
-    from .reductions import _reduction_shape
-
     by_name: dict[str, list[Assign]] = {}
     for stmt in assigns:
         if isinstance(stmt.target, NameRef):

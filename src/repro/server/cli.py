@@ -22,8 +22,11 @@ import sys
 from pathlib import Path
 
 from .. import __version__
+from ..driver.panorama import Panorama
+from ..driver.report import loop_report_row
 from ..errors import EXIT_INTERRUPTED
 from .app import PanoramaServer, ServerThread
+from .client import PanoramaClient, ServiceError
 from .service import AnalysisService, ServerConfig
 
 
@@ -214,11 +217,8 @@ def run_selftest(config: ServerConfig) -> int:
     deterministic 429 saturation (the ceiling is dropped to zero for
     one request — in-process, so no race).  Exit 0 iff everything held.
     """
-    from ..driver.panorama import Panorama
-    from ..engine.telemetry import loop_report_row
     from ..kernels import KERNELS
     from ..kernels.figure1 import FIGURE_1A
-    from .client import PanoramaClient, ServiceError
 
     config.port = 0  # never collide with a real deployment
     failures: list[str] = []

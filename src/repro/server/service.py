@@ -45,10 +45,11 @@ from typing import Any, Callable, Optional
 from .. import __version__
 from ..dataflow.context import ANALYSIS_FLAGS, TECHNIQUES, AnalysisOptions
 from ..driver.panorama import LoopReport, PipelineHooks
+from ..driver.report import loop_report_row, result_to_dict
 from ..engine.batch import BatchItem, compile_item
 from ..engine.cache import CacheStats, SummaryCache, result_key, serves_results
 from ..engine.incremental import diff_revisions
-from ..engine.telemetry import EngineTelemetry, loop_report_row, result_to_dict
+from ..engine.telemetry import EngineTelemetry
 from ..errors import classify_exception, describe_failure
 from ..perf import profiler
 from ..symbolic.matrix import backend_name as _matrix_backend

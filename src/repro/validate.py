@@ -23,13 +23,15 @@ require a minimum of non-vacuous coverage.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Mapping, Optional
 
+from .contents import Monotone, infer_program, infer_unit
 from .dataflow import SummaryAnalyzer
 from .dataflow.context import LoopSummaryRecord
 from .fortran import analyze, parse_program
-from .fortran.interp import AccessEvent, Interpreter
 from .hsg import build_hsg
+from .interp import AccessEvent, ArrayStorage, Interpreter
 from .privatize import privatize_loop
 from .regions import GARList
 
@@ -200,8 +202,6 @@ def validate_loop(
 
     analyzer = SummaryAnalyzer(hsg, options)
     if analyzer.options.frontier and analyzer.options.symbolic:
-        from .contents import infer_program
-
         infer_program(analyzed, analyzer.options).install(analyzer)
     record: LoopSummaryRecord = analyzer.loop_record(unit, target)
     enclosing = set(analyzer.enclosing_indices(unit, target))
@@ -296,11 +296,6 @@ def validate_content_facts(
     every cell, monotone facts must hold between consecutive cells.
     Returns the violations (empty = all facts validated).
     """
-    from fractions import Fraction
-
-    from .contents import infer_unit
-    from .fortran.interp import ArrayStorage
-
     analyzed = analyze(parse_program(source))
     facts = infer_unit(analyzed, routine, options)
     hsg = build_hsg(analyzed)
@@ -369,8 +364,6 @@ def _check_fact_cells(fact, cells, env) -> list[str]:
                     f"{fact.array}({k2}) - {fact.array}({k1}) = {v2 - v1}, "
                     f"recurrence step is {fact.delta}"
                 )
-    from .contents import Monotone
-
     checks = {
         Monotone.STRICT_INC: lambda a, b: b > a,
         Monotone.STRICT_DEC: lambda a, b: b < a,

@@ -9,7 +9,7 @@ sweeps evict thousands of times; their verdict rows must not move.
 from __future__ import annotations
 
 from repro import Panorama
-from repro.engine.telemetry import loop_report_row
+from repro.driver.report import loop_report_row
 from repro.kernels import FRONTIER_KERNELS, KERNELS
 from repro.perf import profiler
 

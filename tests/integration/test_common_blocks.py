@@ -47,7 +47,7 @@ class TestCommonWorkArray:
 
     def test_interpreter_shares_common_storage(self):
         from repro.fortran import analyze, parse_program
-        from repro.fortran.interp import Interpreter
+        from repro.interp import Interpreter
 
         interp = Interpreter(analyze(parse_program(SRC)))
         frame = interp.run_routine(

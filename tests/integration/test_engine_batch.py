@@ -18,8 +18,8 @@ from repro.engine import (
     compile_item,
     diff_revisions,
     items_from_kernel_registry,
-    result_to_dict,
 )
+from repro.driver.report import result_to_dict
 from repro.perf import profiler
 
 

@@ -14,7 +14,7 @@ from repro import Panorama
 from repro.audit import audit_compilation
 from repro.dataflow import AnalysisOptions
 from repro.driver import cli as driver_cli
-from repro.engine.telemetry import loop_report_row, result_to_dict
+from repro.driver.report import loop_report_row, result_to_dict
 from repro.kernels import FRONTIER_KERNELS, get_frontier_kernel
 from repro.parallelize import LoopStatus
 

@@ -9,7 +9,7 @@ problem sizes.
 import pytest
 
 from repro.fortran import analyze, parse_program
-from repro.fortran.interp import Interpreter
+from repro.interp import Interpreter
 from repro.kernels import KERNELS
 from repro.validate import validate_loop
 

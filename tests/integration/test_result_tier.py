@@ -32,7 +32,7 @@ from repro.engine.cache import result_key
 from repro.engine.campaign import generate_campaign
 from repro.engine.campaign import main as campaign_main
 from repro.engine.ledger import replay
-from repro.engine.telemetry import loop_report_row, result_to_dict
+from repro.driver.report import loop_report_row, result_to_dict
 from repro.kernels import FRONTIER_KERNELS
 from repro.regions import sanitize
 from repro.resilience import faults

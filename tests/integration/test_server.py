@@ -18,7 +18,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from repro.driver.panorama import Panorama
-from repro.engine.telemetry import loop_report_row
+from repro.driver.report import loop_report_row
 from repro.kernels import KERNELS
 from repro.kernels.figure1 import FIGURE_1A, FIGURE_1C
 from repro.perf import profiler

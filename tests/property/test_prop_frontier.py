@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from repro.dataflow import AnalysisOptions
 from repro.fortran import analyze, parse_program
-from repro.fortran.interp import Interpreter
+from repro.interp import Interpreter
 from repro.kernels import get_frontier_kernel
 from repro.validate import (
     blocked_affine_scan,

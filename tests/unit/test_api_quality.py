@@ -37,6 +37,7 @@ def all_modules():
         out.append(pkg)
         for info in pkgutil.iter_modules(pkg.__path__):
             out.append(importlib.import_module(f"{name}.{info.name}"))
+    out.append(importlib.import_module("repro.interp"))
     out.append(importlib.import_module("repro.validate"))
     out.append(importlib.import_module("repro.errors"))
     return out

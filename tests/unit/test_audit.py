@@ -6,7 +6,7 @@ import pytest
 from repro.audit import audit_compilation, classify_votes
 from repro.dataflow import AnalysisOptions
 from repro.driver.panorama import Panorama
-from repro.engine.telemetry import loop_report_row, result_to_dict
+from repro.driver.report import loop_report_row, result_to_dict
 from repro.resilience import faults, parse_plan
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import itertools
+import json
 import os
 import subprocess
 import sys
@@ -19,10 +20,13 @@ import pytest
 
 import repro
 from repro.dataflow import AnalysisOptions
+from repro.driver import Panorama
 from repro.driver import cli as driver_cli
 from repro.driver.flags import options_from_args
+from repro.driver.report import loop_report_row
 from repro.engine import campaign as campaign_cli
 from repro.engine import cli as batch_cli
+from repro.kernels import KERNELS
 from repro.server import cli as serve_cli
 from repro.server.service import AnalysisService, ServerConfig
 
@@ -158,3 +162,30 @@ def test_panorama_imports_no_engine_daemon_or_sqlite():
         env=env, capture_output=True, text=True, check=True,
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_panorama_json_loads_no_engine_and_matches_in_process_rows(tmp_path):
+    """``panorama FILE --json`` serializes with the driver's own rows:
+    no engine module, ``sqlite3`` or ``multiprocessing`` is loaded when
+    the process exits, and its loops are the in-process verdict rows."""
+    kernel = next(k for k in KERNELS if k.program == "TRFD")
+    path = tmp_path / "trfd.f"
+    path.write_text(kernel.source)
+    code = (
+        "import atexit, runpy, sys\n"
+        "atexit.register(lambda: print(sorted(m for m in sys.modules"
+        " if m in ('sqlite3', 'multiprocessing')"
+        " or m.startswith('repro.engine')), file=sys.stderr))\n"
+        "sys.argv[0] = 'panorama'\n"
+        "runpy.run_module('repro.driver.cli', run_name='__main__')\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(repro.__file__).parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(path), "--json"],
+        env=env, capture_output=True, text=True,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stderr.strip().splitlines()[-1] == "[]"
+    expected = [loop_report_row(r) for r in Panorama().compile(kernel.source).loops]
+    assert json.loads(out.stdout)["loops"] == json.loads(json.dumps(expected))

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.fortran import analyze, parse_program
-from repro.fortran.interp import (
+from repro.interp import (
     AccessEvent,
     Interpreter,
     InterpreterError,
@@ -95,6 +95,45 @@ class TestBasics:
             "      IF (a .AND. .NOT. b) r = 1\n      END\n"
         )
         assert frame.cell("r").get() == 1
+
+
+class TestFortranArithmetic:
+    """Intrinsics, operators and assignment follow Fortran, not Python."""
+
+    def test_mod_takes_the_sign_of_a_negative_dividend(self):
+        frame = run("      PROGRAM p\n      i = mod(-7, 2)\n      END\n")
+        assert frame.cell("i").get() == -1
+
+    def test_mod_ignores_the_sign_of_a_negative_divisor(self):
+        frame = run("      PROGRAM p\n      i = mod(7, -2)\n      END\n")
+        assert frame.cell("i").get() == 1
+
+    def test_nint_rounds_halves_away_from_zero(self):
+        frame = run(
+            "      PROGRAM p\n      i = nint(2.5)\n      j = nint(-2.5)\n"
+            "      k = nint(2.4)\n      END\n"
+        )
+        assert [frame.cell(n).get() for n in "ijk"] == [3, -3, 2]
+
+    def test_integer_power_with_negative_exponent_truncates(self):
+        frame = run(
+            "      PROGRAM p\n      REAL x\n      x = 2 ** (-1)\n      END\n"
+        )
+        assert frame.cell("x").get() == 0.0
+
+    def test_assignment_converts_to_the_declared_type(self):
+        frame = run(
+            "      PROGRAM p\n      INTEGER x\n      REAL k\n"
+            "      x = 2.7\n      i = -2.7\n      k = 3\n      END\n"
+        )
+        assert frame.cell("x").get() == 2
+        assert frame.cell("i").get() == -2
+        assert isinstance(frame.cell("k").get(), float)
+
+    def test_cell_zero_follows_the_declared_type(self):
+        frame = run("      PROGRAM p\n      INTEGER x\n      REAL k\n      END\n")
+        assert isinstance(frame.cell("k").get(), float)
+        assert isinstance(frame.cell("x").get(), int)
 
 
 class TestCalls:

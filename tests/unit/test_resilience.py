@@ -145,7 +145,7 @@ class TestBudgetFallback:
         assert verdict.record.degraded == "steps"
 
     def test_no_budget_is_bit_identical_to_default(self):
-        from repro.engine.telemetry import loop_report_row
+        from repro.driver.report import loop_report_row
 
         plain = Panorama(run_machine_model=False).compile(LOOP_SRC)
         unlimited = Panorama(

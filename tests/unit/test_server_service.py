@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.driver.panorama import Panorama
-from repro.engine.telemetry import loop_report_row
+from repro.driver.report import loop_report_row
 from repro.kernels.figure1 import FIGURE_1A, FIGURE_1B, FIGURE_1C
 from repro.perf import profiler
 from repro.server.service import AnalysisService, RequestError, ServerConfig
