@@ -39,7 +39,6 @@ from ..fortran.ast_nodes import (
     BinOp,
     CallStmt,
     Continue,
-    Declaration,
     DoLoop,
     Expr,
     IfBlock,
@@ -59,20 +58,6 @@ from .domain import (
     join_value,
     monotone_of_affine,
 )
-
-
-def element_type(table, name: str) -> str:
-    """Element type of an array: declared type, else the implicit rule.
-
-    ``SymbolTable.type_of`` only records declared types for *scalars*;
-    arrays keep their element type in the Declaration statement.
-    """
-    for decl in table.unit.decls:
-        if isinstance(decl, Declaration):
-            for entity, _dims in decl.entities:
-                if entity == name:
-                    return decl.type_name
-    return "integer" if name[0] in "ijklmn" else "real"
 
 
 @dataclass
@@ -540,7 +525,7 @@ def infer_unit(
         info = table.arrays.get(name)
         if info is None or info.rank != 1:
             continue
-        if element_type(table, name) != "integer":
+        if table.element_type(name) != "integer":
             continue
         if table.common_block_of(name) is not None:
             continue

@@ -368,21 +368,19 @@ class Panorama:
             return report
         try:
             verdict = classify_loop(analyzer, unit_name, loop)
+            table = analyzer.hsg.analyzed.table(unit_name)
+            arrays = [n for n in verdict.privatized if table.is_array(n)]
             copy_out: list[CopyOutDecision] = []
-            if verdict.privatized and verdict.record is not None:
+            if arrays and verdict.record is not None:
+                # only privatized arrays take the last-value test, so a
+                # loop privatizing scalars alone skips the below pass
                 below = analyzer.below_summary(unit_name, loop)
-                table = analyzer.hsg.analyzed.table(unit_name)
-                for name in verdict.privatized:
-                    if not table.is_array(name):
-                        continue
-                    copy_out.append(
-                        copy_out_needed(
-                            name,
-                            verdict.record.mod,
-                            below.ue,
-                            analyzer.comparer,
-                        )
+                copy_out = [
+                    copy_out_needed(
+                        name, verdict.record.mod, below.ue, analyzer.comparer
                     )
+                    for name in arrays
+                ]
         except BudgetExceeded as exc:
             return self._degraded_report(
                 analyzer, unit_name, loop, exc, screen=screen

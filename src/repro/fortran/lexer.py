@@ -1,140 +1,84 @@
 """Tokenizer for the Fortran-77 subset.
 
 Operates on one already-normalized logical line at a time (see
-:mod:`repro.fortran.source`).  Token-level quirks handled here:
+:mod:`repro.fortran.source`), with one compiled regular expression.
+Token-level quirks handled here:
 
 * ``**`` vs ``*``, ``//`` vs ``/``;
 * dotted operators ``.eq.`` ``.and.`` ... and logical constants;
 * free-form relational spellings ``==`` ``/=`` ``<=`` etc.;
 * integer vs real literals (a ``.`` followed by a letter starts a dotted
   operator, not a real literal — ``1.eq.2`` lexes as ``1 .eq. 2``).
+
+Names are Unicode-aware (a letter or ``_``, then ``str.isalnum``
+characters or ``_``); digits are decimal digits.  A numeric symbol that
+is neither, such as ``²`` or ``½``, cannot start a token.
 """
 
 from __future__ import annotations
 
+import re
+
 from ..errors import LexError
 from .tokens import DOT_OPERATORS, FREEFORM_RELOPS, TokKind, Token
+
+_DOTTED = "|".join(word.strip(".") for word in DOT_OPERATORS)
+
+_TOKEN = re.compile(
+    r"[ \t]*(?:"
+    # a "1." that is not "1 .eq." is real; so is an exponent
+    rf"(?P<real>(?:\d+\.(?!(?:{_DOTTED})\.)\d*|\.\d+)(?:[ed][+-]?\d+)?"
+    r"|\d+[ed][+-]?\d+)"
+    r"|(?P<int>\d+)"
+    r"|(?P<name>[^\W\d]\w*)"
+    rf"|(?P<op>\.(?:{_DOTTED})\.|\*\*|//|==|/=|<=|>=|[<>()=,:+\-*/])"
+    # a closing quote is one not doubled (a doubled quote is escaped)
+    r"""|(?P<string>'[^']*(?:''[^']*)*'(?!')|"[^"]*(?:""[^"]*)*"(?!"))"""
+    r"|(?P<eof>\Z)"
+    r"|(?P<bad>[\s\S]))"
+)
+
+_PUNCTUATION = (
+    TokKind.LPAREN, TokKind.RPAREN, TokKind.COMMA, TokKind.COLON,
+    TokKind.ASSIGN, TokKind.PLUS, TokKind.MINUS, TokKind.STAR,
+    TokKind.SLASH, TokKind.POWER, TokKind.CONCAT,
+)
+_OPERATORS = {
+    **DOT_OPERATORS,
+    **FREEFORM_RELOPS,
+    **{kind.value: kind for kind in _PUNCTUATION},
+}
 
 
 def tokenize(text: str, lineno: int = 0) -> list[Token]:
     """Tokenize one logical line; appends an EOF token."""
     tokens: list[Token] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch in " \t":
-            i += 1
-            continue
-        start = i
-        if ch == ".":
-            # dotted operator?
-            j = text.find(".", i + 1)
-            if j != -1:
-                word = text[i : j + 1]
-                kind = DOT_OPERATORS.get(word)
-                if kind is not None:
-                    tokens.append(Token(kind, word, lineno, start))
-                    i = j + 1
-                    continue
-            if i + 1 < n and text[i + 1].isdigit():
-                i = _lex_number(text, i, lineno, tokens)
-                continue
-            raise LexError(f"unexpected '.'", lineno, start)
-        if ch.isdigit():
-            i = _lex_number(text, i, lineno, tokens)
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(Token(TokKind.NAME, text[i:j], lineno, start))
-            i = j
-            continue
-        if ch in "'\"":
-            j = i + 1
-            buf = []
-            while j < n:
-                if text[j] == ch:
-                    if j + 1 < n and text[j + 1] == ch:  # escaped quote
-                        buf.append(ch)
-                        j += 2
-                        continue
-                    break
-                buf.append(text[j])
-                j += 1
-            if j >= n:
-                raise LexError("unterminated character literal", lineno, start)
-            tokens.append(Token(TokKind.STRING, "".join(buf), lineno, start))
-            i = j + 1
-            continue
-        two = text[i : i + 2]
-        if two == "**":
-            tokens.append(Token(TokKind.POWER, two, lineno, start))
-            i += 2
-            continue
-        if two == "//":
-            tokens.append(Token(TokKind.CONCAT, two, lineno, start))
-            i += 2
-            continue
-        if two in FREEFORM_RELOPS:
-            tokens.append(Token(FREEFORM_RELOPS[two], two, lineno, start))
-            i += 2
-            continue
-        if ch in FREEFORM_RELOPS:
-            tokens.append(Token(FREEFORM_RELOPS[ch], ch, lineno, start))
-            i += 1
-            continue
-        simple = {
-            "(": TokKind.LPAREN,
-            ")": TokKind.RPAREN,
-            ",": TokKind.COMMA,
-            ":": TokKind.COLON,
-            "=": TokKind.ASSIGN,
-            "+": TokKind.PLUS,
-            "-": TokKind.MINUS,
-            "*": TokKind.STAR,
-            "/": TokKind.SLASH,
-        }
-        kind = simple.get(ch)
-        if kind is None:
-            raise LexError(f"unexpected character {ch!r}", lineno, start)
-        tokens.append(Token(kind, ch, lineno, start))
-        i += 1
-    tokens.append(Token(TokKind.EOF, "", lineno, n))
+    for m in _TOKEN.finditer(text):
+        group = m.lastgroup
+        word = m[group]
+        col = m.start(group)
+        if group == "name":
+            # [^\W\d] also takes non-ASCII numeric symbols such as '½'
+            if word[0] > "z" and not word[0].isalpha():
+                raise LexError(f"unexpected character {word[0]!r}", lineno, col)
+            tokens.append(Token(TokKind.NAME, word, lineno, col))
+        elif group == "op":
+            tokens.append(Token(_OPERATORS[word], word, lineno, col))
+        elif group == "int":
+            tokens.append(Token(TokKind.INT, word, lineno, col))
+        elif group == "real":
+            tokens.append(Token(TokKind.REAL, word, lineno, col))
+        elif group == "string":
+            quote = word[0]
+            body = word[1:-1].replace(quote + quote, quote)
+            tokens.append(Token(TokKind.STRING, body, lineno, col))
+        elif group == "eof":
+            tokens.append(Token(TokKind.EOF, "", lineno, col))
+            break
+        elif word == ".":
+            raise LexError("unexpected '.'", lineno, col)
+        elif word in "'\"":
+            raise LexError("unterminated character literal", lineno, col)
+        else:
+            raise LexError(f"unexpected character {word!r}", lineno, col)
     return tokens
-
-
-def _lex_number(text: str, i: int, lineno: int, tokens: list[Token]) -> int:
-    """Lex an integer or real literal starting at *i*; returns the new index."""
-    n = len(text)
-    j = i
-    while j < n and text[j].isdigit():
-        j += 1
-    is_real = False
-    if j < n and text[j] == ".":
-        # "1.eq.2": the dot starts an operator, not a fraction
-        k = j + 1
-        while k < n and text[k].isalpha():
-            k += 1
-        maybe_op = text[j : k + 1] if k < n else ""
-        if maybe_op.endswith(".") and maybe_op in DOT_OPERATORS:
-            tokens.append(Token(TokKind.INT, text[i:j], lineno, i))
-            return j
-        is_real = True
-        j += 1
-        while j < n and text[j].isdigit():
-            j += 1
-    if j < n and text[j] in "ed":
-        # exponent part: e+10, d-3, e5
-        k = j + 1
-        if k < n and text[k] in "+-":
-            k += 1
-        if k < n and text[k].isdigit():
-            is_real = True
-            j = k
-            while j < n and text[j].isdigit():
-                j += 1
-    kind = TokKind.REAL if is_real else TokKind.INT
-    tokens.append(Token(kind, text[i:j], lineno, i))
-    return j

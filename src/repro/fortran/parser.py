@@ -11,7 +11,12 @@ examples need, plus the usual surrounding forms):
   ``DO`` (both ``ENDDO`` and labeled terminator styles, including shared
   terminators), ``GOTO``, ``CONTINUE``, ``RETURN``, ``STOP``,
   ``WRITE``/``PRINT``/``READ``
-* expressions with full Fortran operator precedence.
+* expressions with full Fortran operator precedence, by precedence
+  climbing over one operator table.
+
+Each logical line is tokenized once: the line a block parser looks ahead
+at is the line the statement parser then reads, and a logical IF's
+statement is parsed from the rest of its own line's tokens.
 
 The parser is deliberately strict: anything outside the subset raises
 :class:`~repro.errors.ParseError` with a line number rather than guessing.
@@ -77,14 +82,21 @@ _DECL_KEYWORDS = _TYPE_NAMES | {
     "double",
 }
 
-_REL_OPS = {
-    TokKind.EQ: ".eq.",
-    TokKind.NE: ".ne.",
-    TokKind.LT: ".lt.",
-    TokKind.LE: ".le.",
-    TokKind.GT: ".gt.",
-    TokKind.GE: ".ge.",
+#: binary operators by binding level (higher binds tighter); the BinOp
+#: spelling is the kind's value, so ``==`` builds the same node as ``.eq.``
+_BINARY = {
+    TokKind.EQV: 1, TokKind.NEQV: 1,
+    TokKind.OR: 2,
+    TokKind.AND: 3,
+    TokKind.EQ: 5, TokKind.NE: 5, TokKind.LT: 5,
+    TokKind.LE: 5, TokKind.GT: 5, TokKind.GE: 5,
+    TokKind.PLUS: 6, TokKind.MINUS: 6,
+    TokKind.STAR: 7, TokKind.SLASH: 7,
+    TokKind.POWER: 8,
 }
+#: ``.not.`` heads an operand of .and./.or./.eqv.; a sign heads an
+#: operand of a relational; one relational at most; ``**`` nests right
+_NOT, _REL, _ADD, _POW = 4, 5, 6, 8
 
 
 def parse_program(source: str) -> Program:
@@ -134,8 +146,8 @@ class _Cursor:
         self.pos = 0
 
     def peek(self, offset: int = 0) -> Token:
-        idx = min(self.pos + offset, len(self.tokens) - 1)
-        return self.tokens[idx]
+        # callers look past a token only when it is not the EOF token
+        return self.tokens[self.pos + offset]
 
     def next(self) -> Token:
         tok = self.tokens[self.pos]
@@ -189,6 +201,8 @@ class _UnitParser:
     def __init__(self, lines: list[LogicalLine]) -> None:
         self.lines = lines
         self.index = 0
+        #: the next line's tokens, once something has looked at them
+        self._lookahead: Optional[_Cursor] = None
         # stack of labels that enclosing labeled-DO loops are waiting for,
         # to support shared terminators (DO 10 ... DO 10 ... 10 CONTINUE)
         self._pending_do_labels: list[int] = []
@@ -200,9 +214,16 @@ class _UnitParser:
             return self.lines[self.index]
         return None
 
+    def _peek_cursor(self) -> _Cursor:
+        """The next line's cursor, tokenized once however often peeked."""
+        if self._lookahead is None:
+            self._lookahead = _Cursor(self.lines[self.index])
+        return self._lookahead
+
     def _next_line(self) -> LogicalLine:
         line = self.lines[self.index]
         self.index += 1
+        self._lookahead = None
         return line
 
     # -- unit structure ------------------------------------------------------------
@@ -219,11 +240,12 @@ class _UnitParser:
             if _is_end_statement(line.text):
                 self._next_line()
                 break
-            if in_decls and self._line_is_declaration(line):
-                decls.append(self._parse_declaration(self._next_line()))
+            cur = self._peek_cursor()
+            if in_decls and self._line_is_declaration(line, cur):
+                decls.append(self._parse_declaration(cur, self._next_line()))
                 continue
             in_decls = False
-            body.extend(self._parse_statement_group())
+            body.append(self._parse_one())
         return ProgramUnit(
             kind=kind,
             name=name,
@@ -238,7 +260,7 @@ class _UnitParser:
         line = self._peek_line()
         if line is None:
             raise ParseError("empty unit")
-        cur = _Cursor(line)
+        cur = self._peek_cursor()
         tok = cur.peek()
         result_type: Optional[str] = None
         if tok.is_name("program"):
@@ -289,7 +311,9 @@ class _UnitParser:
     # -- declarations ------------------------------------------------------------------
 
     @staticmethod
-    def _line_is_declaration(line: LogicalLine) -> bool:
+    def _line_is_declaration(line: LogicalLine, cur: _Cursor) -> bool:
+        """Does *line*, whose statement *cur* starts, open with a
+        declaration keyword?"""
         words = line.text.replace("*", " ").replace("(", " ").split()
         if not words:
             return False
@@ -299,14 +323,10 @@ class _UnitParser:
         if head in _DECL_KEYWORDS:
             # "real x" is a declaration; "real = 2" is an assignment to a
             # variable named real — distinguish by the '=' position
-            cur = tokenize(line.text, line.lineno)
-            if len(cur) > 1 and cur[1].kind is TokKind.ASSIGN:
-                return False
-            return True
+            return cur.peek(1).kind is not TokKind.ASSIGN
         return False
 
-    def _parse_declaration(self, line: LogicalLine) -> Stmt:
-        cur = _Cursor(line)
+    def _parse_declaration(self, cur: _Cursor, line: LogicalLine) -> Stmt:
         head = cur.expect_name().text
         if head == "double":
             cur.expect_name("precision")
@@ -385,17 +405,13 @@ class _UnitParser:
 
     # -- statements -----------------------------------------------------------------------
 
-    def _parse_statement_group(self) -> list[Stmt]:
+    def _parse_one(self) -> Stmt:
         """Parse the next statement (and any block it heads)."""
-        stmt = self._parse_one()
-        return [stmt] if stmt is not None else []
+        cur = self._peek_cursor()
+        return self._parse_line(cur, self._next_line())
 
-    def _parse_one(self) -> Optional[Stmt]:
-        line = self._next_line()
-        return self._parse_line(line)
-
-    def _parse_line(self, line: LogicalLine) -> Optional[Stmt]:
-        cur = _Cursor(line)
+    def _parse_line(self, cur: _Cursor, line: LogicalLine) -> Stmt:
+        """The statement *cur* starts; *line* gives its label and text."""
         tok = cur.peek()
         if tok.kind is not TokKind.NAME:
             raise cur.error(f"cannot parse statement starting with {tok}")
@@ -431,9 +447,9 @@ class _UnitParser:
             text == "end" and cur.peek(1).is_name("do", "if")
         ):
             raise cur.error(f"unexpected block terminator {text!r}")
-        if self._line_is_declaration(line):
+        if self._line_is_declaration(line, cur):
             # tolerated late declaration
-            return self._parse_declaration(line)
+            return self._parse_declaration(cur, line)
         return self._parse_assignment(cur, line)
 
     @staticmethod
@@ -524,10 +540,9 @@ class _UnitParser:
             cur.require_eof()
             return self._parse_if_block(cond, line)
         # logical IF: the rest of the line is one statement
-        rest_text = _remaining_text(cur)
-        inner_line = LogicalLine(rest_text, None, line.lineno)
-        inner = self._parse_line(inner_line)
-        if inner is None or isinstance(inner, (IfBlock, LogicalIf, DoLoop)):
+        inner_line = LogicalLine(_remaining_text(cur), None, line.lineno)
+        inner = self._parse_line(cur, inner_line)
+        if isinstance(inner, (IfBlock, LogicalIf, DoLoop)):
             raise cur.error("illegal statement in logical IF")
         return LogicalIf(cond, inner, label=line.label, lineno=line.lineno)
 
@@ -539,7 +554,7 @@ class _UnitParser:
             nxt = self._peek_line()
             if nxt is None:
                 raise ParseError("missing ENDIF", line.lineno)
-            cur = _Cursor(nxt)
+            cur = self._peek_cursor()
             tok = cur.peek()
             if tok.is_name("endif") or (
                 tok.is_name("end") and cur.peek(1).is_name("if")
@@ -565,9 +580,7 @@ class _UnitParser:
                 self._next_line()
                 current = orelse
                 continue
-            stmt = self._parse_one()
-            if stmt is not None:
-                current.append(stmt)
+            current.append(self._parse_one())
         return IfBlock(arms, orelse, label=line.label, lineno=line.lineno)
 
     # -- DO loops ----------------------------------------------------------------------------
@@ -593,7 +606,7 @@ class _UnitParser:
                 nxt = self._peek_line()
                 if nxt is None:
                     raise ParseError("missing ENDDO", line.lineno)
-                c2 = _Cursor(nxt)
+                c2 = self._peek_cursor()
                 if c2.peek().is_name("enddo") or (
                     c2.peek().is_name("end") and c2.peek(1).is_name("do")
                 ):
@@ -603,9 +616,7 @@ class _UnitParser:
                         # bottom — keep it addressable as a trailing CONTINUE
                         body.append(Continue(label=nxt.label, lineno=nxt.lineno))
                     break
-                stmt = self._parse_one()
-                if stmt is not None:
-                    body.append(stmt)
+                body.append(self._parse_one())
         else:
             self._pending_do_labels.append(end_label)
             while True:
@@ -616,15 +627,11 @@ class _UnitParser:
                     )
                 if nxt.label == end_label:
                     break
-                stmt = self._parse_one()
-                if stmt is not None:
-                    body.append(stmt)
+                body.append(self._parse_one())
             self._pending_do_labels.pop()
             shared = end_label in self._pending_do_labels
             if not shared:
-                terminator = self._parse_one()
-                if terminator is not None:
-                    body.append(terminator)
+                body.append(self._parse_one())
             else:
                 # the enclosing DO with the same label will consume it; this
                 # loop body ends with an implicit CONTINUE
@@ -642,74 +649,31 @@ class _UnitParser:
 
     # -- expressions ----------------------------------------------------------------------------
 
-    def _parse_expr(self, cur: _Cursor) -> Expr:
-        return self._parse_eqv(cur)
-
-    def _parse_eqv(self, cur: _Cursor) -> Expr:
-        left = self._parse_or(cur)
-        while cur.peek().kind in (TokKind.EQV, TokKind.NEQV):
-            op = cur.next()
-            right = self._parse_or(cur)
-            left = BinOp(op.kind.value, left, right)
-        return left
-
-    def _parse_or(self, cur: _Cursor) -> Expr:
-        left = self._parse_and(cur)
-        while cur.accept(TokKind.OR):
-            right = self._parse_and(cur)
-            left = BinOp(".or.", left, right)
-        return left
-
-    def _parse_and(self, cur: _Cursor) -> Expr:
-        left = self._parse_not(cur)
-        while cur.accept(TokKind.AND):
-            right = self._parse_not(cur)
-            left = BinOp(".and.", left, right)
-        return left
-
-    def _parse_not(self, cur: _Cursor) -> Expr:
-        if cur.accept(TokKind.NOT):
-            return UnOp(".not.", self._parse_not(cur))
-        return self._parse_relational(cur)
-
-    def _parse_relational(self, cur: _Cursor) -> Expr:
-        left = self._parse_additive(cur)
-        kind = cur.peek().kind
-        if kind in _REL_OPS:
+    def _parse_expr(self, cur: _Cursor, level: int = 1) -> Expr:
+        """An expression of operators binding at *level* or tighter."""
+        tok = cur.peek()
+        if tok.kind is TokKind.NOT and level <= _NOT:
             cur.next()
-            right = self._parse_additive(cur)
-            return BinOp(_REL_OPS[kind], left, right)
-        return left
-
-    def _parse_additive(self, cur: _Cursor) -> Expr:
-        if cur.peek().kind is TokKind.MINUS:
+            left: Expr = UnOp(".not.", self._parse_expr(cur, _NOT))
+            top = _NOT - 1  # only looser operators may follow it
+        elif tok.kind in (TokKind.MINUS, TokKind.PLUS) and level <= _ADD:
             cur.next()
-            left: Expr = UnOp("-", self._parse_multiplicative(cur))
-        elif cur.peek().kind is TokKind.PLUS:
-            cur.next()
-            left = self._parse_multiplicative(cur)
+            left = self._parse_expr(cur, _ADD + 1)
+            if tok.kind is TokKind.MINUS:
+                left = UnOp("-", left)
+            top = _ADD
         else:
-            left = self._parse_multiplicative(cur)
-        while cur.peek().kind in (TokKind.PLUS, TokKind.MINUS):
-            op = cur.next()
-            right = self._parse_multiplicative(cur)
-            left = BinOp(op.text, left, right)
-        return left
-
-    def _parse_multiplicative(self, cur: _Cursor) -> Expr:
-        left = self._parse_power(cur)
-        while cur.peek().kind in (TokKind.STAR, TokKind.SLASH):
-            op = cur.next()
-            right = self._parse_power(cur)
-            left = BinOp(op.text, left, right)
-        return left
-
-    def _parse_power(self, cur: _Cursor) -> Expr:
-        base = self._parse_primary(cur)
-        if cur.accept(TokKind.POWER):
-            exponent = self._parse_power(cur)  # right-associative
-            return BinOp("**", base, exponent)
-        return base
+            left = self._parse_primary(cur)
+            top = _POW
+        while True:
+            op = cur.peek()
+            prec = _BINARY.get(op.kind)
+            if prec is None or not level <= prec <= top:
+                return left
+            cur.next()
+            right = self._parse_expr(cur, prec if prec == _POW else prec + 1)
+            left = BinOp(op.kind.value, left, right)
+            top = prec - 1 if prec == _REL else prec  # relationals never chain
 
     def _parse_primary(self, cur: _Cursor) -> Expr:
         tok = cur.peek()
@@ -766,7 +730,7 @@ class _UnitParser:
 
 
 def _remaining_text(cur: _Cursor) -> str:
-    """The untokenized remainder of the cursor's line (for logical IF)."""
+    """The text of the rest of the cursor's line (a logical IF's statement)."""
     if cur.at_eof():
         raise cur.error("empty logical IF body")
     col = cur.peek().col

@@ -90,6 +90,16 @@ class SymbolTable:
             return self.scalar_types[name]
         return "integer" if name[0] in "ijklmn" else "real"
 
+    def element_type(self, name: str) -> str:
+        """Element type of an array: declared type, else the implicit
+        rule (``type_of`` records declared types for scalars only)."""
+        for decl in self.unit.decls:
+            if isinstance(decl, Declaration):
+                for entity, _dims in decl.entities:
+                    if entity == name:
+                        return decl.type_name
+        return self.type_of(name)
+
     def is_logical(self, name: str) -> bool:
         """Is *name* LOGICAL-typed?"""
         return self.type_of(name) == "logical"

@@ -100,7 +100,9 @@ def normalize(source: str) -> list[LogicalLine]:
         raw = raw.rstrip("\n")
         if _is_comment(raw):
             continue
-        line = _strip_inline_comment(raw)
+        # no quote to respect and nothing that lowercases by context
+        plain = raw.isascii() and "'" not in raw and '"' not in raw
+        line = raw.partition("!")[0] if plain else _strip_inline_comment(raw)
         if not line.strip():
             continue
         # fixed-form continuation: column 6 non-blank & non-zero, cols 1-5 blank
@@ -134,7 +136,9 @@ def normalize(source: str) -> list[LogicalLine]:
             stripped = stripped[i:].strip()
         elif i > 0 and i == len(stripped):
             raise SourceError(f"label with no statement at line {lineno}")
-        pending_text = _lowercase_outside_strings(stripped)
+        pending_text = (
+            stripped.lower() if plain else _lowercase_outside_strings(stripped)
+        )
         pending_label = label
         pending_lineno = lineno
         if pending_text.rstrip().endswith("&"):

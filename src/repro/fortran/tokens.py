@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class TokKind(enum.Enum):
@@ -71,8 +71,9 @@ FREEFORM_RELOPS = {
 }
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
+    """One token: its kind, spelling, line and 0-based column."""
+
     kind: TokKind
     text: str
     lineno: int

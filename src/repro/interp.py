@@ -78,19 +78,22 @@ class ScalarCell:
 @dataclass
 class ArrayStorage:
     """Array storage keyed by raw index tuples (bounds are not checked —
-    the analysis itself is the subject under test, not the program)."""
+    the analysis itself is the subject under test, not the program).
+    Stores convert to the element type *kind*, as a Fortran assignment
+    does, and an unset element reads that type's zero."""
 
     name: str
     rank: int
+    kind: str = "real"
     cells: dict[tuple[int, ...], object] = field(default_factory=dict)
 
     def get(self, idx: tuple[int, ...]):
         """Current value."""
-        return self.cells.get(idx, 0.0)
+        return self.cells.get(idx, _convert(self.kind, 0))
 
     def set(self, idx: tuple[int, ...], value) -> None:
         """Store a value."""
-        self.cells[idx] = value
+        self.cells[idx] = _convert(self.kind, value)
 
 
 @dataclass
@@ -130,15 +133,19 @@ def _nint(x) -> int:
     return whole
 
 
-def _as_type(table: SymbolTable, name: str, value):
-    """*value* converted to the type of scalar *name*, as a Fortran
-    assignment converts it (INTEGER truncates toward zero)."""
-    kind = table.type_of(name)
+def _convert(kind: str, value):
+    """*value* converted to Fortran type *kind*, as an assignment
+    converts it (INTEGER truncates toward zero)."""
     if kind == "integer":
         return int(value)
     if kind in ("real", "doubleprecision"):
         return float(value)
     return value
+
+
+def _as_type(table: SymbolTable, name: str, value):
+    """*value* converted to the type of scalar *name*."""
+    return _convert(table.type_of(name), value)
 
 
 _INTRINSICS: dict[str, Callable] = {
@@ -183,7 +190,7 @@ class Frame:
         if obj is None:
             info = self.table.arrays.get(name)
             rank = info.rank if info else 1
-            obj = ArrayStorage(name, rank)
+            obj = ArrayStorage(name, rank, self.table.element_type(name))
             self.storage[name] = obj
         if not isinstance(obj, ArrayStorage):
             raise InterpreterError(f"{name} used as both array and scalar")
@@ -235,7 +242,9 @@ class Interpreter:
                 continue
             value = args[formal]
             if table.is_array(formal):
-                storage = ArrayStorage(formal, table.arrays[formal].rank)
+                storage = ArrayStorage(
+                    formal, table.arrays[formal].rank, table.element_type(formal)
+                )
                 if isinstance(value, dict):
                     storage.cells.update(value)
                 else:
@@ -259,7 +268,8 @@ class Interpreter:
                 if key not in self.commons:
                     if table.is_array(name):
                         self.commons[key] = ArrayStorage(
-                            name, table.arrays[name].rank
+                            name, table.arrays[name].rank,
+                            table.element_type(name),
                         )
                     else:
                         self.commons[key] = ScalarCell(

@@ -95,14 +95,19 @@ class GAR:
         if extra.is_true():
             return self
         exact = self.exact and not extra.is_unknown()
-        return GAR(self.guard & extra, self.region, exact)
+        # the guard already holds the region's lo <= hi conjuncts
+        return _rebuild_gar(self.guard & extra, self.region, exact)
 
     def inexact(self) -> "GAR":
         """A copy marked as a (possible) over-approximation."""
-        return self if not self.exact else GAR(self.guard, self.region, exact=False)
+        if not self.exact:
+            return self
+        return _rebuild_gar(self.guard, self.region, False)
 
     def substitute(self, bindings: Mapping[str, SymExpr]) -> "GAR":
         """Value substitution into guard and region."""
+        if self.free_vars().isdisjoint(bindings):
+            return self
         return GAR(
             self.guard.substitute(bindings),
             self.region.substitute(bindings),
@@ -217,11 +222,15 @@ class GARList:
 
     def union(self, other: "GARList") -> "GARList":
         """Concatenation (union semantics; no simplification)."""
-        if other.is_empty():
+        if not other.gars:
             return self
-        if self.is_empty():
+        if not self.gars:
             return other
-        return GARList(self.gars + other.gars)
+        # both operands were filtered when built: nothing left to drop
+        out = GARList.__new__(GARList)
+        out.gars = self.gars + other.gars
+        out._hash = None
+        return out
 
     def add(self, gar: GAR) -> "GARList":
         """The list with one more GAR."""
@@ -283,13 +292,14 @@ class GARList:
 
 
 def _rebuild_gar(guard: Predicate, region: RegularRegion, exact: bool) -> GAR:
-    """A GAR from its already-normalized parts (unpickling)."""
+    """A GAR from a guard that already holds the region's ``lo <= hi``
+    conjuncts (unpickling, and rewrites of an existing GAR's guard)."""
     gar = GAR.__new__(GAR)
     gar.guard = guard
     gar.region = region
-    gar.exact = exact
+    gar.exact = exact and not guard.is_unknown() and region.is_fully_known()
     gar.array = region.array
-    gar._hash = hash((guard, region, exact))
+    gar._hash = hash((guard, region, gar.exact))
     return gar
 
 

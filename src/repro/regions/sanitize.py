@@ -42,33 +42,36 @@ MAX_ELEMENTS = 512
 #: otherwise flood the buffer)
 MAX_FINDINGS = 50
 
-_FORCED: Optional[bool] = None
+#: lazily resolved process-wide switch; None = env not yet consulted
+_ENABLED: Optional[bool] = None
 _FINDINGS: list[Diagnostic] = []
 
 
 def enabled() -> bool:
-    """Is the sanitizer active (forced flag, else the env var)?"""
-    if _FORCED is not None:
-        return _FORCED
-    return os.environ.get(ENV_VAR, "") not in ("", "0")
+    """Is the sanitizer active (forced flag, else the env var, read once)?"""
+    global _ENABLED
+    if _ENABLED is None:
+        _ENABLED = os.environ.get(ENV_VAR, "") not in ("", "0")
+    return _ENABLED
 
 
 def enable() -> None:
     """Force the sanitizer on (tests)."""
-    global _FORCED
-    _FORCED = True
+    global _ENABLED
+    _ENABLED = True
 
 
 def disable() -> None:
     """Force the sanitizer off (tests)."""
-    global _FORCED
-    _FORCED = False
+    global _ENABLED
+    _ENABLED = False
 
 
 def reset() -> None:
-    """Back to env-var gating; clears collected findings."""
-    global _FORCED
-    _FORCED = None
+    """Drop the resolved switch so the env var is re-read (tests);
+    clears collected findings."""
+    global _ENABLED
+    _ENABLED = None
     _FINDINGS.clear()
 
 

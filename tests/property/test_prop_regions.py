@@ -1,9 +1,13 @@
 """Property tests: range/region/GAR set algebra vs the concrete-set oracle."""
 
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.regions import (
+    GAR,
     GARList,
+    Range,
+    RegularRegion,
     range_covers,
     range_difference,
     range_intersect,
@@ -23,7 +27,18 @@ from repro.regions.gar_ops import (
 from repro.regions.gar_simplify import simplify_gar_list
 from repro.symbolic import Comparer, Env
 
-from .strategies import concrete_ranges, concrete_regions, envs, gar_lists, guarded_gars
+from .strategies import (
+    BOOL_NAMES,
+    VAR_NAMES,
+    concrete_ranges,
+    concrete_regions,
+    envs,
+    gar_lists,
+    guarded_gars,
+    linear_exprs,
+    predicates,
+    sym_exprs,
+)
 
 CMP = Comparer()
 
@@ -194,3 +209,50 @@ def test_lists_intersect_empty_sound(a, b, env):
 def test_simplifier_preserves_sets(lst, env):
     got = simplify_gar_list(lst, CMP)
     assert got.enumerate(env) == lst.enumerate(env)
+
+
+@st.composite
+def symbolic_gars(draw):
+    """GARs whose regions carry symbolic ``lo <= hi`` conjuncts."""
+    dims = []
+    for _ in range(draw(st.integers(1, 2))):
+        lo = draw(linear_exprs(max_terms=2))
+        hi = draw(linear_exprs(max_terms=2))
+        dims.append(Range(lo, hi, draw(st.sampled_from([1, 1, 2]))))
+    return GAR(draw(predicates()), RegularRegion("a", dims), draw(st.booleans()))
+
+
+def same_gar(got, want):
+    """Equal clause for clause, exactness included."""
+    return (
+        got.guard.is_unknown() == want.guard.is_unknown()
+        and got.guard.clauses == want.guard.clauses
+        and got.guard == want.guard
+        and got.region == want.region
+        and got.exact == want.exact
+    )
+
+
+@given(symbolic_gars(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_substitute_binding_no_free_name_is_identity(g, data):
+    names = VAR_NAMES + BOOL_NAMES + ["w"]
+    unbound = [n for n in names if n not in g.free_vars()]
+    bound = data.draw(st.lists(st.sampled_from(unbound), max_size=3))
+    bindings = {n: data.draw(sym_exprs()) for n in bound}
+    assert g.substitute(bindings) is g
+    rebuilt = GAR(
+        g.guard.substitute(bindings), g.region.substitute(bindings), g.exact
+    )
+    assert same_gar(g, rebuilt)
+
+
+@given(symbolic_gars(), predicates())
+@settings(max_examples=200, deadline=None)
+def test_and_guard_matches_the_constructor(g, p):
+    want = g if p.is_true() else GAR(
+        g.guard & p, g.region, g.exact and not p.is_unknown()
+    )
+    assert same_gar(g.and_guard(p), want)
+    assert same_gar(g.inexact(), GAR(g.guard, g.region, exact=False))
+

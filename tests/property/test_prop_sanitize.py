@@ -100,3 +100,17 @@ class TestSanitizerCatchesViolations:
         union_lists(full, full, cmp)
         assert not sanitize.enabled()
         assert sanitize.drain() == []
+
+    def test_env_var_is_read_once_until_reset(self, monkeypatch):
+        monkeypatch.setenv(sanitize.ENV_VAR, "1")
+        sanitize.reset()
+        assert sanitize.enabled()
+        monkeypatch.setenv(sanitize.ENV_VAR, "0")
+        assert sanitize.enabled()  # resolved once per process
+        sanitize.reset()
+        assert not sanitize.enabled()
+        sanitize.enable()
+        assert sanitize.enabled()
+        monkeypatch.delenv(sanitize.ENV_VAR)
+        sanitize.reset()
+        assert not sanitize.enabled()

@@ -31,15 +31,18 @@ PACKAGES = [
 
 
 def all_modules():
+    """Each listed package and its direct submodules and subpackages.
+
+    ``repro``'s walk yields the top-level modules (``repro.interp``,
+    ``repro.validate``, ``repro.errors``) and also the listed
+    subpackages, so each of those subpackages comes twice.
+    """
     out = []
     for name in PACKAGES:
         pkg = importlib.import_module(name)
         out.append(pkg)
         for info in pkgutil.iter_modules(pkg.__path__):
             out.append(importlib.import_module(f"{name}.{info.name}"))
-    out.append(importlib.import_module("repro.interp"))
-    out.append(importlib.import_module("repro.validate"))
-    out.append(importlib.import_module("repro.errors"))
     return out
 
 

@@ -3,6 +3,7 @@
 import pytest
 
 from repro import AnalysisOptions, LoopStatus, Panorama
+from repro.dataflow.analyzer import SummaryAnalyzer
 from repro.driver.cli import main as cli_main
 from repro.driver.report import format_table, yes_no
 
@@ -225,6 +226,47 @@ class TestCopyOut:
         outer = result.loops[0]
         (decision,) = outer.copy_out
         assert not decision.needs_copy_out
+
+
+class TestCopyOutGuard:
+    """Only privatized arrays take the last-value test, so only they pay
+    for the below pass over the loop's containing subgraph."""
+
+    SCALAR_SRC = (
+        "      SUBROUTINE s(a, b, n)\n"
+        "      REAL a(100), b(100)\n"
+        "      INTEGER n, i\n"
+        "      REAL t\n"
+        "      DO i = 1, n\n"
+        "        t = b(i) * 2.0\n"
+        "        a(i) = t + 1.0\n"
+        "      ENDDO\n"
+        "      END\n"
+    )
+
+    def test_scalar_privatization_skips_the_below_pass(self, monkeypatch):
+        def refuse(*_args):
+            raise AssertionError("below_summary ran for a scalar")
+
+        monkeypatch.setattr(SummaryAnalyzer, "below_summary", refuse)
+        (loop,) = Panorama().compile(self.SCALAR_SRC).loops
+        assert loop.status is LoopStatus.PARALLEL_AFTER_PRIVATIZATION
+        assert loop.verdict.privatized == ["t"]
+        assert loop.copy_out == []
+
+    def test_array_privatization_keeps_its_copy_out_row(self, monkeypatch):
+        calls = []
+        below = SummaryAnalyzer.below_summary
+
+        def spy(analyzer, unit_name, loop):
+            calls.append(unit_name)
+            return below(analyzer, unit_name, loop)
+
+        monkeypatch.setattr(SummaryAnalyzer, "below_summary", spy)
+        outer = Panorama().compile(TestCopyOut.SRC.format("t(3)")).loops[0]
+        (decision,) = outer.copy_out
+        assert decision.name == "t" and decision.needs_copy_out
+        assert calls == ["s"]
 
 
 class TestCliEmit:

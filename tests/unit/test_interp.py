@@ -135,6 +135,24 @@ class TestFortranArithmetic:
         assert isinstance(frame.cell("k").get(), float)
         assert isinstance(frame.cell("x").get(), int)
 
+    def test_array_store_converts_to_the_element_type(self):
+        frame = run(
+            "      PROGRAM p\n      INTEGER ia(2)\n      REAL ka(2)\n"
+            "      ia(1) = 2.7\n      ka(1) = 3\n      x = ia(1) / 2\n"
+            "      END\n"
+        )
+        assert frame.cell("x").get() == 1.0
+        assert frame.array("ia").get((1,)) == 2
+        assert isinstance(frame.array("ka").get((1,)), float)
+
+    def test_unset_array_element_reads_its_type_zero(self):
+        frame = run(
+            "      PROGRAM p\n      INTEGER ia(2)\n      DIMENSION a(2)\n"
+            "      END\n"
+        )
+        assert isinstance(frame.array("ia").get((2,)), int)
+        assert isinstance(frame.array("a").get((2,)), float)
+
 
 class TestCalls:
     def test_call_by_reference_array(self):

@@ -118,3 +118,60 @@ class TestStrings:
     def test_unterminated_raises(self):
         with pytest.raises(LexError):
             tokenize("'oops")
+
+
+def triples(text):
+    return [(t.kind, t.text, t.col) for t in tokenize(text)]
+
+
+class TestExactTokens:
+    """Kinds, texts and columns, EOF included."""
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            (
+                "1.eq.2",
+                [(TokKind.INT, "1", 0), (TokKind.EQ, ".eq.", 1),
+                 (TokKind.INT, "2", 5), (TokKind.EOF, "", 6)],
+            ),
+            ("1.e5", [(TokKind.REAL, "1.e5", 0), (TokKind.EOF, "", 4)]),
+            (".5d0", [(TokKind.REAL, ".5d0", 0), (TokKind.EOF, "", 4)]),
+            ("'it''s'", [(TokKind.STRING, "it's", 0), (TokKind.EOF, "", 7)]),
+            (
+                "a /= b",
+                [(TokKind.NAME, "a", 0), (TokKind.NE, "/=", 2),
+                 (TokKind.NAME, "b", 5), (TokKind.EOF, "", 6)],
+            ),
+            # names take str.isalpha/str.isalnum characters, not just ASCII
+            (
+                "café = π_1",
+                [(TokKind.NAME, "café", 0), (TokKind.ASSIGN, "=", 5),
+                 (TokKind.NAME, "π_1", 7), (TokKind.EOF, "", 10)],
+            ),
+            # ... and digits are decimal digits in any script
+            (
+                "x\u0663 = \u0663 + 1",
+                [(TokKind.NAME, "x\u0663", 0), (TokKind.ASSIGN, "=", 3),
+                 (TokKind.INT, "\u0663", 5), (TokKind.PLUS, "+", 7),
+                 (TokKind.INT, "1", 9), (TokKind.EOF, "", 10)],
+            ),
+        ],
+    )
+    def test_tokens(self, text, expected):
+        assert triples(text) == expected
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("a . b", "unexpected '.' (line 0, col 2)"),
+            ("x = 'it''", "unterminated character literal (line 0, col 4)"),
+            ("y = \u00bd", "unexpected character '\u00bd' (line 0, col 4)"),
+            # a numeric symbol that is not a decimal digit starts no token
+            ("y = 2\u00b2", "unexpected character '\u00b2' (line 0, col 5)"),
+        ],
+    )
+    def test_errors(self, text, message):
+        with pytest.raises(LexError) as err:
+            tokenize(text)
+        assert str(err.value) == message

@@ -333,3 +333,40 @@ class TestExpressions:
     def test_freeform_relops(self):
         e = expr_of("a <= b")
         assert e.op == ".le."
+
+
+class TestExpressionTrees:
+    """Whole trees, so a rewrite of the expression parser keeps each
+    quirk: a sign heads an additive operand, ``.not.`` is a prefix of a
+    logical operand, one relational at most, ``**`` nests right, and a
+    primary-level minus binds tighter than ``**``."""
+
+    @pytest.mark.parametrize(
+        "text, tree",
+        [
+            ("-a*b", UnOp("-", BinOp("*", NameRef("a"), NameRef("b")))),
+            ("-a**2", UnOp("-", BinOp("**", NameRef("a"), IntLit(2)))),
+            ("a*-b", BinOp("*", NameRef("a"), UnOp("-", NameRef("b")))),
+            (
+                "a**-b**c",
+                BinOp("**", NameRef("a"), BinOp("**", UnOp("-", NameRef("b")), NameRef("c"))),
+            ),
+            ("a-b-c", BinOp("-", BinOp("-", NameRef("a"), NameRef("b")), NameRef("c"))),
+            ("a/b*c", BinOp("*", BinOp("/", NameRef("a"), NameRef("b")), NameRef("c"))),
+            ("+a*b", BinOp("*", NameRef("a"), NameRef("b"))),
+            (".not.a.and.b", BinOp(".and.", UnOp(".not.", NameRef("a")), NameRef("b"))),
+            (".not.a.eq.b", UnOp(".not.", BinOp(".eq.", NameRef("a"), NameRef("b")))),
+            (
+                "a.lt.b.eqv.c",
+                BinOp(".eqv.", BinOp(".lt.", NameRef("a"), NameRef("b")), NameRef("c")),
+            ),
+            ("x.and..not.y", BinOp(".and.", NameRef("x"), UnOp(".not.", NameRef("y")))),
+        ],
+    )
+    def test_tree(self, text, tree):
+        assert expr_of(text) == tree
+
+    def test_chained_relational_is_rejected(self):
+        with pytest.raises(ParseError) as err:
+            expr_of("a.lt.b.lt.c")
+        assert str(err.value) == "trailing tokens starting at LT('.lt.') (line 2)"
