@@ -19,6 +19,9 @@ The package implements the paper's Panorama-style analyzer end to end:
 * :mod:`repro.driver` — the end-to-end pipeline and CLI;
 * :mod:`repro.kernels` — Figure 1 examples and Perfect-loop kernels.
 
+The names below load their subpackages on first use (:mod:`repro.lazy`),
+so importing one module of the package loads only what it imports.
+
 Quickstart::
 
     from repro import Panorama
@@ -27,19 +30,13 @@ Quickstart::
         print(loop.loop_id(), loop.status.value)
 """
 
-# set before the imports below: modules they load read it
+from .lazy import exports
+
 __version__ = "1.0.0"
 
-from .dataflow import AnalysisOptions, SummaryAnalyzer
-from .driver import CompilationResult, LoopReport, Panorama
-from .parallelize import LoopStatus
-
-__all__ = [
-    "AnalysisOptions",
-    "CompilationResult",
-    "LoopReport",
-    "LoopStatus",
-    "Panorama",
-    "SummaryAnalyzer",
-    "__version__",
-]
+__all__, __getattr__ = exports(__name__, {
+    "dataflow": ("AnalysisOptions", "SummaryAnalyzer"),
+    "driver": ("CompilationResult", "LoopReport", "Panorama"),
+    "parallelize": ("LoopStatus",),
+})
+__all__.append("__version__")

@@ -31,8 +31,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Iterator, Optional
 
-from ..dataflow.context import AnalysisOptions
 from ..dataflow.convert import ConversionContext, to_symexpr
+from ..dataflow.options import AnalysisOptions
 from ..fortran.ast_nodes import (
     Apply,
     Assign,
@@ -49,7 +49,7 @@ from ..fortran.ast_nodes import (
     Stmt,
 )
 from ..fortran.semantics import AnalyzedProgram
-from ..symbolic import Predicate, SymExpr
+from ..symbolic import Comparer, Predicate, SymExpr
 from .domain import (
     ContentFact,
     Monotone,
@@ -514,7 +514,7 @@ def infer_unit(
         symbolic=options.symbolic,
         if_conditions=options.if_conditions,
     )
-    comparer = options.comparer()
+    comparer = Comparer(use_fm=options.use_fm, symbolic=options.symbolic)
     facts: list[ContentFact] = []
     for name in sorted(scan.uses):
         use = scan.uses[name]

@@ -20,9 +20,10 @@ from ..errors import CallGraphError
 from ..hsg.builder import HSG
 from ..hsg.cfg import FlowGraph
 from ..hsg.nodes import IfConditionNode, LoopNode
-from ..symbolic import Predicate
-from .context import AnalysisOptions, AnalysisStats, LoopSummaryRecord
+from ..symbolic import Comparer, Predicate
+from .context import LoopSummaryRecord
 from .convert import ConversionContext, to_predicate
+from .options import AnalysisOptions, AnalysisStats
 from .summary import Summary
 from .sum_loop import summarize_loop
 from .sum_segment import sum_segment
@@ -45,7 +46,9 @@ class SummaryAnalyzer:
     def __init__(self, hsg: HSG, options: AnalysisOptions | None = None) -> None:
         self.hsg = hsg
         self.options = options or AnalysisOptions()
-        self.comparer = self.options.comparer()
+        self.comparer = Comparer(
+            use_fm=self.options.use_fm, symbolic=self.options.symbolic
+        )
         self.stats = AnalysisStats()
         self._routine_cache: dict[str, Summary] = {}
         self._loop_cache: dict[tuple[int, frozenset[str]], LoopSummaryRecord] = {}

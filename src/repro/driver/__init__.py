@@ -1,22 +1,14 @@
-"""End-to-end pipeline, reporting, and CLI."""
+"""End-to-end pipeline, reporting, and CLI.
 
-from .panorama import (
-    CompilationResult,
-    CompositeHooks,
-    LoopReport,
-    Panorama,
-    PipelineHooks,
-    StageTimings,
-)
-from .report import format_table, yes_no
+Each name loads its submodule on first use (:mod:`repro.lazy`); the
+seam types the engine shares with the pipeline live in
+:mod:`repro.driver.hooks`, which loads no analysis layer.
+"""
 
-__all__ = [
-    "CompilationResult",
-    "CompositeHooks",
-    "LoopReport",
-    "Panorama",
-    "PipelineHooks",
-    "StageTimings",
-    "format_table",
-    "yes_no",
-]
+from ..lazy import exports
+
+__all__, __getattr__ = exports(__name__, {
+    "hooks": ("CompositeHooks", "PipelineHooks", "StageTimings"),
+    "panorama": ("CompilationResult", "LoopReport", "Panorama"),
+    "report": ("format_table", "yes_no"),
+})

@@ -2,7 +2,7 @@
 
 ``panorama`` and ``panorama-batch`` take the analysis and audit groups
 built here, and :func:`options_from_args` is where their parsed flags
-become :class:`~repro.dataflow.context.AnalysisOptions`.  The engine
+become :class:`~repro.dataflow.options.AnalysisOptions`.  The engine
 group of ``panorama-batch`` and ``panorama-campaign`` lives in
 :mod:`repro.engine.cli`, so importing this module (and ``panorama``)
 loads no part of the engine.
@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import argparse
 
-from ..dataflow.context import ANALYSIS_FLAGS, TECHNIQUES, AnalysisOptions
+from ..dataflow.options import ANALYSIS_FLAGS, TECHNIQUES, AnalysisOptions
 
 
 def add_analysis_flags(parser: argparse.ArgumentParser) -> None:

@@ -9,11 +9,12 @@ answers with it.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
 from ..perf import profiler
-from ..symbolic.matrix import backend_name
-from .panorama import CompilationResult, LoopReport
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .panorama import CompilationResult, LoopReport
 
 
 def format_table(
@@ -50,8 +51,8 @@ def yes_no(flag: bool) -> str:
 def format_stats(stats, timings=None, cache_backend=None) -> str:
     """One-line rendering of the analyzer's cost counters.
 
-    *stats* is an :class:`~repro.dataflow.context.AnalysisStats`;
-    *timings* (optional) a :class:`~repro.driver.panorama.StageTimings`
+    *stats* is an :class:`~repro.dataflow.options.AnalysisStats`;
+    *timings* (optional) a :class:`~repro.driver.hooks.StageTimings`
     whose dataflow share contextualizes the counters; *cache_backend*
     (optional) names the active durable summary tier, leading the line
     the same way ``--profile`` leads with the constraint backend.
@@ -83,12 +84,12 @@ def format_perf(symbolic: dict, timings=None) -> str:
     """Render one compile's metrics (``--profile`` output).
 
     Three sections after the constraint backend: the
-    :class:`~repro.driver.panorama.StageTimings` stage table (when
+    :class:`~repro.driver.hooks.StageTimings` stage table (when
     *timings* is given), the hot-path call counters and the per-cache
     hit/miss/eviction gauges of the ``repro.perf`` snapshot delta
     *symbolic*.
     """
-    sections: list[str] = [f"constraint backend: {backend_name()}"]
+    sections: list[str] = [f"constraint backend: {profiler.CONSTRAINT_BACKEND}"]
     if timings is not None:
         stages = timings.as_dict()
         total = stages["total"]

@@ -35,20 +35,13 @@ import threading
 import time
 import traceback
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterable, Mapping, Optional, Sequence
 
-from ..dataflow.context import AnalysisOptions
+from ..dataflow.options import AnalysisOptions
 from ..diagnostics import Severity, diagnostic_from_dict
-from ..driver.panorama import (
-    CompilationResult,
-    CompositeHooks,
-    Panorama,
-    PipelineHooks,
-)
+from ..driver.hooks import CompositeHooks, PipelineHooks
 from ..driver.report import result_to_dict
 from ..errors import (
     EXIT_DEGRADED,
@@ -75,7 +68,10 @@ from .scheduler import SchedulePlan, plan_schedule, resolve_schedule_mode
 from .telemetry import SUPERVISION_COUNTERS, EngineTelemetry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from concurrent.futures import ProcessPoolExecutor
+
     from ..audit.auditor import AuditReport
+    from ..driver.panorama import CompilationResult
 
 
 @dataclass(frozen=True)
@@ -266,7 +262,12 @@ def compile_item(
     stored, and the unit hashes a watch revision diffs).  Extra *hooks*
     run after the cache's own.  Failures propagate: each caller maps
     them through :func:`~repro.errors.classify_exception`.
+
+    The pipeline is imported here, on the first item that misses the
+    result tier: a run whose items are all served loads no analysis.
     """
+    from ..driver.panorama import Panorama
+
     caching = CachingHooks(cache)
     panorama = Panorama(
         options,
@@ -367,6 +368,9 @@ def _exit_with_parent() -> None:
 
 
 def _new_pool(workers: int) -> ProcessPoolExecutor:
+    # only a pool run loads concurrent.futures and multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     return ProcessPoolExecutor(max_workers=workers, initializer=_exit_with_parent)
 
 
@@ -563,7 +567,8 @@ class BatchEngine:
         # timeouts need process isolation: a hung item can only be killed
         # from outside, so supervision forces the pool even for one item
         supervised = self.jobs > 1 and (
-            len(sub_items) > 1 or self.timeout_per_item is not None
+            len(sub_items) > 1
+            or (len(sub_items) == 1 and self.timeout_per_item is not None)
         )
         mode = resolve_schedule_mode(
             self.schedule, len(sub_items), self.jobs, self.cache_dir
@@ -598,6 +603,10 @@ class BatchEngine:
                 # ledger's end record below makes the stop consistent
                 self.interrupted = True
         else:
+            # forked workers inherit the parent's modules: load the
+            # pipeline here once, not once in every worker
+            from ..driver import panorama  # noqa: F401
+
             pool_results = self._run_pool(sub_items, plan, index_map=active)
             for sub_idx, res in enumerate(pool_results):
                 if res is not None:
@@ -734,6 +743,9 @@ class BatchEngine:
         (ledger records must carry original indexes when a resume has
         filtered the item list).
         """
+        from concurrent.futures import FIRST_COMPLETED, wait
+        from concurrent.futures.process import BrokenProcessPool
+
         if index_map is None:
             index_map = list(range(len(items)))
         workers = min(self.jobs, len(items))

@@ -15,7 +15,7 @@ Cache keys are **fingerprints**: a SHA-256 over
 * the fingerprints of its transitive callees (the HSG call edges make
   interprocedural invalidation exact — editing a callee changes every
   transitive caller's fingerprint, and nothing else's),
-* the :class:`~repro.dataflow.context.AnalysisOptions` tuple (an ablation
+* the :class:`~repro.dataflow.options.AnalysisOptions` tuple (an ablation
   run can never be served summaries computed with different techniques),
 * a format version (bumping it orphans old pickles instead of unpickling
   incompatible layouts).
@@ -38,18 +38,20 @@ import operator
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Mapping, Optional, Union
+from typing import TYPE_CHECKING, Any, Mapping, Optional, Union
 
-from ..dataflow.analyzer import LoopKey
-from ..dataflow.context import AnalysisOptions, LoopSummaryRecord
-from ..dataflow.summary import Summary
-from ..driver.panorama import PipelineHooks
-from ..fortran.ast_nodes import Program
-from ..fortran.callgraph import CallGraph
-from ..fortran.printers import unparse_unit
+from ..driver.hooks import PipelineHooks
 from ..regions import sanitize
 from ..resilience import faults
 from .backends import CacheBackend, DiskBackend, make_backend
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..dataflow.analyzer import LoopKey
+    from ..dataflow.context import LoopSummaryRecord
+    from ..dataflow.options import AnalysisOptions
+    from ..dataflow.summary import Summary
+    from ..fortran.ast_nodes import Program
+    from ..fortran.callgraph import CallGraph
 
 #: bump when RoutineCacheEntry or the pickled analysis types change shape
 #: (v2: symbolic terms/exprs/relations are hash-consed and pickle through
@@ -147,6 +149,8 @@ def payload_degraded(payload: Mapping[str, Any]) -> bool:
 
 def unit_source_hash(program: Program, name: str) -> str:
     """SHA-256 of one routine's normalized (unparsed) source alone."""
+    from ..fortran.printers import unparse_unit
+
     return hashlib.sha256(unparse_unit(program.unit(name)).encode()).hexdigest()
 
 
@@ -410,7 +414,7 @@ class SummaryCache:
 
 
 class CachingHooks(PipelineHooks):
-    """:class:`~repro.driver.panorama.PipelineHooks` implementation that
+    """:class:`~repro.driver.hooks.PipelineHooks` implementation that
     serves cached summaries into the analyzer and harvests fresh ones.
 
     One instance covers one ``Panorama.compile`` call; after ``finish``

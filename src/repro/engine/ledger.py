@@ -45,7 +45,7 @@ from ..resilience import faults
 from .cache import options_key
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..dataflow.context import AnalysisOptions
+    from ..dataflow.options import AnalysisOptions
     from .batch import BatchItem, BatchItemResult
 
 #: bump when the record schema changes shape (replay refuses newer

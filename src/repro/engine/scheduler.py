@@ -40,10 +40,7 @@ import heapq
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
-from ..dataflow.context import AnalysisOptions
-from ..fortran.callgraph import build_call_graph
-from ..fortran.parser import parse_program
-from ..fortran.semantics import analyze
+from ..dataflow.options import AnalysisOptions
 from .cache import fingerprint_program
 
 #: recognized --schedule spellings
@@ -101,10 +98,15 @@ def item_topology(
     """Fingerprint one item's units and split provider/consumer sets.
 
     Runs only the cheap front of the pipeline (parse, symbol tables,
-    call graph) — no dataflow analysis.  Unparseable sources come back
+    call graph) — no dataflow analysis — and imports it here, so only a
+    ``topo`` plan loads the frontend.  Unparseable sources come back
     ``opaque`` and are scheduled without constraints; the analysis
     proper will produce the real (typed) error for them.
     """
+    from ..fortran.callgraph import build_call_graph
+    from ..fortran.parser import parse_program
+    from ..fortran.semantics import analyze
+
     del sizes  # problem sizes don't enter fingerprints
     try:
         analyzed = analyze(parse_program(source))

@@ -1,8 +1,8 @@
 """The engine's roll-up of analysis cost.
 
 :class:`EngineTelemetry` aggregates per-file
-:class:`~repro.driver.panorama.StageTimings`,
-:class:`~repro.dataflow.context.AnalysisStats`, and
+:class:`~repro.driver.hooks.StageTimings`,
+:class:`~repro.dataflow.options.AnalysisStats`, and
 :class:`~repro.engine.cache.CacheStats` into the ``--stats-json`` export
 (the Figure 4 "analysis costs little" claim, at batch scale).
 
@@ -17,11 +17,10 @@ import json
 from dataclasses import dataclass, field, fields
 from typing import Any
 
-from ..dataflow.context import AnalysisStats
-from ..driver.panorama import StageTimings
+from ..dataflow.options import AnalysisStats
+from ..driver.hooks import StageTimings
 from ..driver.report import loop_report_row, result_to_dict
 from ..perf import profiler
-from ..symbolic.matrix import backend_name
 from .cache import CacheStats
 
 #: the batch supervisor's counters (``BatchEngine.supervision``), the
@@ -139,7 +138,7 @@ class EngineTelemetry:
             value = getattr(self, f.name)
             out[f.name] = dict(value) if isinstance(value, dict) else value
         out["cache"] = self.cache.as_dict()
-        out["constraint_backend"] = backend_name()
+        out["constraint_backend"] = profiler.CONSTRAINT_BACKEND
         return out
 
     def to_json(self, indent: int | None = 2) -> str:

@@ -129,7 +129,7 @@ def normalize(source: str) -> list[LogicalLine]:
         stripped = body.strip()
         # a leading integer is a statement label
         i = 0
-        while i < len(stripped) and stripped[i].isdigit():
+        while i < len(stripped) and stripped[i].isdecimal():
             i += 1
         if i > 0 and i < len(stripped) and stripped[i] in " \t":
             label = int(stripped[:i])

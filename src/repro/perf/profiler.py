@@ -12,7 +12,7 @@ Two instruments, both per-process and always on:
   GAR simplifier, ``SUM_loop``/``SUM_call``).
 
 Wall-clock time lives in one place, the pipeline's per-compile
-:class:`~repro.driver.panorama.StageTimings`.
+:class:`~repro.driver.hooks.StageTimings`.
 
 Every counter travels as a flat ``name → number`` dict: a scope takes a
 :func:`snapshot` before its work and :func:`delta` after it, and
@@ -38,6 +38,12 @@ from typing import Any, Dict, Iterable, Mapping
 #: sentinel distinguishing "absent" from a legitimately cached ``None``
 #: (three-valued verdicts store ``None`` as a real answer)
 MISS = object()
+
+#: the constraint backend every output names (``--profile``,
+#: ``--stats-json``, ``/v1/stats``): the exact matrix path of
+#: :mod:`repro.symbolic.matrix`, stated here so that the serializers
+#: name it without loading the symbolic layer
+CONSTRAINT_BACKEND = "python"
 
 
 # --------------------------------------------------------------------------- #

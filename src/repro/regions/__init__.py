@@ -2,41 +2,25 @@
 
 Range triples, rectangular regular array regions, GARs ``[P, R]``, GAR
 lists with union semantics, their set operations, and the GAR simplifier.
+Each name loads its submodule on first use (:mod:`repro.lazy`).
 """
 
-from .gar import GAR, GARList
-from .gar_ops import (
-    gar_intersect,
-    gar_subtract,
-    intersect_lists,
-    lists_intersect_empty,
-    subtract_lists,
-    union_lists,
-)
-from .gar_simplify import simplify_gar_list
-from .ranges import Range, range_covers, range_difference, range_intersect, range_union
-from .region import OMEGA_DIM, RegularRegion
-from .region_ops import region_covers, region_difference, region_intersect, region_union
+from ..lazy import exports
 
-__all__ = [
-    "GAR",
-    "GARList",
-    "OMEGA_DIM",
-    "Range",
-    "RegularRegion",
-    "gar_intersect",
-    "gar_subtract",
-    "intersect_lists",
-    "lists_intersect_empty",
-    "range_covers",
-    "range_difference",
-    "range_intersect",
-    "range_union",
-    "region_covers",
-    "region_difference",
-    "region_intersect",
-    "region_union",
-    "simplify_gar_list",
-    "subtract_lists",
-    "union_lists",
-]
+__all__, __getattr__ = exports(__name__, {
+    "gar": ("GAR", "GARList"),
+    "gar_ops": (
+        "gar_intersect", "gar_subtract", "intersect_lists",
+        "lists_intersect_empty", "subtract_lists", "union_lists",
+    ),
+    "gar_simplify": ("simplify_gar_list",),
+    "ranges": (
+        "Range", "range_covers", "range_difference", "range_intersect",
+        "range_union",
+    ),
+    "region": ("OMEGA_DIM", "RegularRegion"),
+    "region_ops": (
+        "region_covers", "region_difference", "region_intersect",
+        "region_union",
+    ),
+})

@@ -25,10 +25,12 @@ from __future__ import annotations
 
 import itertools
 import os
-from typing import Iterator, Mapping, Optional
+from typing import TYPE_CHECKING, Iterator, Mapping, Optional
 
 from ..diagnostics import Diagnostic
-from .gar import GARList
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .gar import GARList
 
 ENV_VAR = "PANORAMA_SANITIZE"
 

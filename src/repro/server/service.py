@@ -43,8 +43,9 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
 from .. import __version__
-from ..dataflow.context import ANALYSIS_FLAGS, TECHNIQUES, AnalysisOptions
-from ..driver.panorama import LoopReport, PipelineHooks
+from ..dataflow.options import ANALYSIS_FLAGS, TECHNIQUES, AnalysisOptions
+from ..driver.hooks import PipelineHooks
+from ..driver.panorama import LoopReport
 from ..driver.report import loop_report_row, result_to_dict
 from ..engine.batch import BatchItem, compile_item
 from ..engine.cache import CacheStats, SummaryCache, result_key, serves_results
@@ -52,7 +53,6 @@ from ..engine.incremental import diff_revisions
 from ..engine.telemetry import EngineTelemetry
 from ..errors import classify_exception, describe_failure
 from ..perf import profiler
-from ..symbolic.matrix import backend_name as _matrix_backend
 
 #: event type tags of the NDJSON stream, in emission order
 STREAM_EVENTS = ("routine_started", "loop_verdict", "diagnostic", "done")
@@ -512,7 +512,7 @@ class AnalysisService:
             # lifetime symbolic gauges + the headline warm-cache number
             "perf": snap,
             "hit_rate": profiler.hit_rate(snap),
-            "constraint_backend": _matrix_backend(),
+            "constraint_backend": profiler.CONSTRAINT_BACKEND,
             "cache_backend": self.cache.backend_name,
             "summary_cache": self.cache.stats.as_dict(),
             # batch-style roll-up: timings/stats/resilience/audit counters

@@ -32,7 +32,7 @@ from __future__ import annotations
 from math import gcd
 from typing import List, Optional, Sequence, Tuple
 
-from ..perf.profiler import COUNTERS
+from ..perf.profiler import CONSTRAINT_BACKEND, COUNTERS
 from ..resilience.budget import charge as _budget_charge
 from .expr import Number
 from .relation import Relation, RelOp
@@ -46,8 +46,8 @@ System = Tuple[List[List[int]], List[int], List[bool]]
 def backend_name() -> str:
     """The constraint backend in effect (reported by ``--profile``,
     ``--stats-json`` and ``/v1/stats``): always the exact ``python``
-    matrix path."""
-    return "python"
+    matrix path, :data:`~repro.perf.profiler.CONSTRAINT_BACKEND`."""
+    return CONSTRAINT_BACKEND
 
 
 # --------------------------------------------------------------------------- #

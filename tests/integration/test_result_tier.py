@@ -174,6 +174,17 @@ class TestRecovery:
         # the recomputed result was stored again
         assert run().telemetry.cache.result_hits == len(items)
 
+    def test_supervised_run_with_every_item_served(self, tmp_path):
+        """A per-item timeout puts even one miss on the pool; with no
+        miss at all the run builds no pool."""
+        items = generate_campaign(2, seed=CAMPAIGN_SEED)
+        for hits in (0, len(items)):
+            report = BatchEngine(
+                cache_dir=tmp_path, jobs=2, timeout_per_item=30.0
+            ).run(items)
+            assert report.ok
+            assert report.telemetry.cache.result_hits == hits
+
     def test_failed_items_are_never_stored(self, tmp_path):
         good = generate_campaign(1, seed=CAMPAIGN_SEED)[0]
         for _ in range(2):

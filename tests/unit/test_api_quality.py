@@ -31,19 +31,15 @@ PACKAGES = [
 
 
 def all_modules():
-    """Each listed package and its direct submodules and subpackages.
-
-    ``repro``'s walk yields the top-level modules (``repro.interp``,
-    ``repro.validate``, ``repro.errors``) and also the listed
-    subpackages, so each of those subpackages comes twice.
-    """
-    out = []
+    """Each listed package and its direct submodules and subpackages,
+    once each (``repro``'s walk also yields the listed subpackages)."""
+    out = {}
     for name in PACKAGES:
-        pkg = importlib.import_module(name)
-        out.append(pkg)
-        for info in pkgutil.iter_modules(pkg.__path__):
-            out.append(importlib.import_module(f"{name}.{info.name}"))
-    return out
+        out[name] = importlib.import_module(name)
+        for info in pkgutil.iter_modules(out[name].__path__):
+            sub = f"{name}.{info.name}"
+            out[sub] = importlib.import_module(sub)
+    return list(out.values())
 
 
 @pytest.mark.parametrize(
@@ -79,10 +75,15 @@ def test_public_items_documented(module):
 
 
 def test_all_exports_resolve():
+    """Every ``__all__`` name resolves, also through the lazy façade's
+    own ``__getattr__`` once an earlier lookup has cached it."""
     for name in PACKAGES:
         module = importlib.import_module(name)
+        resolve = vars(module).get("__getattr__")
         for item in getattr(module, "__all__", []):
             assert hasattr(module, item), f"{name}.__all__ lists {item}"
+            if resolve is not None and item != "__version__":
+                assert resolve(item) is getattr(module, item), f"{name}.{item}"
 
 
 def test_version():

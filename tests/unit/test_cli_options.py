@@ -2,8 +2,9 @@
 
 ``panorama``, ``panorama-batch`` and the daemon's request options must
 turn the same settings into equal :class:`AnalysisOptions`; every CLI
-keeps its option strings and defaults; and ``panorama`` imports no part
-of the engine or the daemon.
+keeps its option strings and defaults; ``panorama`` imports no part of
+the engine or the daemon; and an engine run whose items the result tier
+serves whole imports no analysis layer.
 """
 
 from __future__ import annotations
@@ -189,3 +190,116 @@ def test_panorama_json_loads_no_engine_and_matches_in_process_rows(tmp_path):
     assert out.stderr.strip().splitlines()[-1] == "[]"
     expected = [loop_report_row(r) for r in Panorama().compile(kernel.source).loops]
     assert json.loads(out.stdout)["loops"] == json.loads(json.dumps(expected))
+
+
+#: the analysis layers a process that serves every item whole never
+#: loads: exact module names, then package prefixes
+ANALYSIS_MODULES = (
+    "repro.driver.panorama",
+    "repro.dataflow.analyzer",
+    "repro.regions.gar",
+    "repro.fortran.parser",
+)
+ANALYSIS_PACKAGES = (
+    "repro.symbolic",
+    "repro.hsg",
+    "repro.parallelize",
+    "repro.deptest",
+)
+
+
+def _run_loading(module: str, args: list[str], prelude: str = "") -> tuple:
+    """Run ``python -m MODULE ARGS`` after *prelude*: the stdout, the
+    analysis modules loaded when the process exits, and the stderr
+    lines before that report."""
+    code = (
+        "import atexit, json, runpy, sys\n"
+        + prelude
+        + "atexit.register(lambda: print(json.dumps(sorted(m for m in "
+        f"sys.modules if m in {ANALYSIS_MODULES!r} or m.startswith("
+        f"{ANALYSIS_PACKAGES!r}))), file=sys.stderr))\n"
+        f"sys.argv[0] = {module!r}\n"
+        f"runpy.run_module({module!r}, run_name='__main__')\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(repro.__file__).parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", code, *args],
+        env=env, capture_output=True, text=True,
+    )
+    assert out.returncode == 0, out.stderr
+    *lines, loaded = out.stderr.strip().splitlines()
+    return out.stdout, json.loads(loaded), lines
+
+
+def test_served_campaign_loads_no_analysis_layer(tmp_path):
+    """A warm campaign, every item served by the result tier, ends with
+    no analysis layer loaded, and its scoreboard is the cold run's."""
+    args = ["--count", "20", "--seed", "1100", "--cache-dir", str(tmp_path)]
+    boards, loaded = [], []
+    for run in ("cold", "warm"):
+        stats = tmp_path / f"{run}.json"
+        _, modules, _ = _run_loading(
+            "repro.engine.campaign", [*args, "--stats-json", str(stats)]
+        )
+        export = json.loads(stats.read_text())
+        boards.append({key: export[key] for key in (
+            "files", "errors", "loops", "parallel_loops", "verdicts")})
+        loaded.append(modules)
+    assert "repro.driver.panorama" in loaded[0]
+    assert loaded[1] == []
+    assert boards[1] == boards[0]
+
+
+def test_campaign_list_loads_no_analysis_layer():
+    stdout, loaded, _ = _run_loading(
+        "repro.engine.campaign", ["--list", "--count", "20", "--seed", "1100"]
+    )
+    assert len(stdout.split()) == 20
+    assert loaded == []
+
+
+def test_import_repro_loads_no_pipeline():
+    """The root package's names load their subpackages on first use."""
+    code = (
+        "import sys, repro\n"
+        "print(sorted(m for m in sys.modules"
+        " if m.startswith(('repro.dataflow', 'repro.driver'))))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(repro.__file__).parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "[]"
+
+
+def test_pool_parent_loads_pipeline_before_forking(tmp_path):
+    """``panorama-batch --jobs 2`` starts without the pipeline and, with
+    items to analyze, loads it before it builds the pool, so the forked
+    workers inherit it instead of each importing it."""
+    for name, stride in (("a.f", 1), ("b.f", 2)):
+        (tmp_path / name).write_text(
+            "      program p\n      real a(100)\n"
+            f"      do 10 i = 1, 100, {stride}\n"
+            "         a(i) = i\n   10 continue\n      end\n"
+        )
+    prelude = (
+        "import repro.engine.batch as batch\n"
+        "print('at start', 'repro.driver.panorama' in sys.modules,"
+        " file=sys.stderr)\n"
+        "new_pool = batch._new_pool\n"
+        "def probe(workers):\n"
+        "    print('at pool', 'repro.driver.panorama' in sys.modules,"
+        " file=sys.stderr)\n"
+        "    return new_pool(workers)\n"
+        "batch._new_pool = probe\n"
+    )
+    *_, stderr = _run_loading(
+        "repro.engine.cli",
+        [str(tmp_path / "a.f"), str(tmp_path / "b.f"), "--jobs", "2",
+         "--no-machine"],
+        prelude,
+    )
+    assert stderr[:2] == ["at start False", "at pool True"]

@@ -23,6 +23,7 @@ SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
 #: bottom to top; a module belongs to the longest entry that prefixes
 #: its dotted name below ``repro``
 LAYERS = (
+    "lazy",
     "errors",
     "perf",
     "resilience",
@@ -63,6 +64,18 @@ LAZY_IMPORTS = {
     ("engine.backends", "engine.cache"): (
         "cache imports backends, and stored entries pickle by their "
         "engine.cache class path"
+    ),
+    ("engine.batch", "driver.panorama"): (
+        "only a result-tier miss compiles (a pool parent imports it for "
+        "its forked workers); a served run skips its ~200 ms import"
+    ),
+    ("engine.cache", "fortran.printers"): (
+        "only a compile fingerprints routines; the printers and the AST "
+        "node classes cost ~22 ms to import"
+    ),
+    ("engine.scheduler", "fortran"): (
+        "only a topo plan parses items; the frontend costs ~35 ms to "
+        "import"
     ),
 }
 

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.errors import SourceError
+from repro import Panorama
+from repro.errors import SourceError, classify_exception
 from repro.fortran import normalize
 
 
@@ -44,6 +45,14 @@ class TestLabels:
     def test_lineno_recorded(self):
         lines = normalize("C c\n      x = 1\n      y = 2\n")
         assert [l.lineno for l in lines] == [2, 3]
+
+    def test_numeric_symbol_is_no_label_digit(self):
+        # '²' is a digit to str.isdigit but not a decimal: int() rejects
+        # it, so a label scan must stop there and leave it to the lexer
+        assert normalize("   ²0 continue\n")[0].label is None
+        with pytest.raises(Exception) as info:
+            Panorama().compile("      program p\n   ²0 continue\n      end\n")
+        assert classify_exception(info.value) == "source"
 
 
 class TestContinuations:
