@@ -1,6 +1,6 @@
-"""Fleet-scale campaign benchmark: shared tier and topology scheduling.
+"""Fleet-scale campaign benchmark: shared and private cache tiers.
 
-Two comparisons on a seeded caller-heavy campaign corpus (a routine
+Two configurations on a seeded caller-heavy campaign corpus (a routine
 pool repeated across many driver programs — the workload where warm
 summaries matter):
 
@@ -10,10 +10,9 @@ summaries matter):
    compute each pool routine once — fewer stores, cross-shard hits —
    and, when timed, finish faster.
 
-2. **Topo vs arbitrary dispatch.** A worker pool analyzes the corpus in
-   adversarial callers-first order, then topology-scheduled (providers
-   gated first).  Topo must convert gated items into warm hits
-   (``sched.topo_hits``) and, when timed, beat the arbitrary order.
+2. **A worker pool.** A pool over the shared tier analyzes the corpus
+   in its callers-first input order, the only dispatch order the engine
+   has (docs/engine.md, "Dispatch order").
 
 Verdicts must be bit-identical across every configuration, always.
 Run modes::
@@ -60,13 +59,12 @@ def _corpus(count: int, families: int, apps_per_family: int, depth: int):
     The expensive providers are *call-chain families*
     (:func:`make_call_chain`): summarizing a chain head walks every
     link, so a caller that misses the warm tier pays the whole walk.
-    Each family's apps are contiguous in the order — an arbitrary
-    pool dispatches a whole wave of same-family callers cold, a
-    topology-aware one analyzes the family's library item first and
-    serves everyone.  A :func:`make_heavy_routine` cluster (loop-record
-    -heavy rather than summary-heavy entries) and a seeded campaign
-    corpus ride along for breadth.  Every consumer precedes every
-    provider in the returned order.
+    Each family's apps are contiguous in the order, so a pool
+    dispatches a whole wave of same-family callers cold.  A
+    :func:`make_heavy_routine` cluster (loop-record-heavy rather than
+    summary-heavy entries) and a seeded campaign corpus ride along for
+    breadth.  Every consumer precedes every provider in the returned
+    order.
     """
     consumers: list[BatchItem] = []
     providers: list[BatchItem] = []
@@ -124,7 +122,7 @@ def _run_fleet(items, cache_dirs, backend):
     engines = [
         BatchEngine(
             AnalysisOptions(), cache_dir=cache_dirs[i], jobs=1,
-            run_machine_model=False, cache_backend=backend, schedule="topo",
+            run_machine_model=False, cache_backend=backend,
         )
         for i in range(SHARDS)
     ]
@@ -144,10 +142,10 @@ def _run_fleet(items, cache_dirs, backend):
     return wall_ms, reports
 
 
-def _run_pool(items, cache_dir, schedule):
+def _run_pool(items, cache_dir):
     engine = BatchEngine(
         AnalysisOptions(), cache_dir=cache_dir, jobs=POOL_JOBS,
-        run_machine_model=False, cache_backend="shared", schedule=schedule,
+        run_machine_model=False, cache_backend="shared",
     )
     t0 = time.perf_counter()
     report = engine.run(items)
@@ -200,10 +198,8 @@ def _run_benchmark(count: int | None = None) -> dict:
                 "disk",
             )
 
-        def pool(rep, schedule):
-            return lambda: _run_pool(
-                items, os.path.join(root, f"{schedule}{rep}"), schedule
-            )
+        def pool(rep):
+            return lambda: _run_pool(items, os.path.join(root, f"pool{rep}"))
 
         # --- comparison 1: shared tier vs per-shard private caches ----- #
         shared_ms, shared_reports = _best_of(
@@ -213,13 +209,8 @@ def _run_benchmark(count: int | None = None) -> dict:
             [fleet_private(r) for r in range(reps)]
         )
 
-        # --- comparison 2: topo vs arbitrary dispatch in the pool ------ #
-        arb_ms, arb_report = _best_of(
-            [pool(r, "arbitrary") for r in range(reps)]
-        )
-        topo_ms, topo_report = _best_of(
-            [pool(r, "topo") for r in range(reps)]
-        )
+        # --- 2: a worker pool over the shared tier, in input order ---- #
+        pool_ms, pool_report = _best_of([pool(r) for r in range(reps)])
 
         def fleet_cache(reports, attr):
             return sum(getattr(r.telemetry.cache, attr) for r in reports)
@@ -239,16 +230,11 @@ def _run_benchmark(count: int | None = None) -> dict:
                 "private_ok": all(r.ok for r in private_reports),
             },
             "pool": {
-                "arb_ms": arb_ms,
-                "topo_ms": topo_ms,
-                "arb_verdicts": arb_report.verdict_rows(),
-                "topo_verdicts": topo_report.verdict_rows(),
-                "topo_hits": topo_report.telemetry.sched["topo_hits"],
-                "gated": topo_report.telemetry.sched["gated_items"],
-                "arb_stores": arb_report.telemetry.cache.stores,
-                "topo_stores": topo_report.telemetry.cache.stores,
-                "arb_ok": arb_report.ok,
-                "topo_ok": topo_report.ok,
+                "ms": pool_ms,
+                "verdicts": pool_report.verdict_rows(),
+                "stores": pool_report.telemetry.cache.stores,
+                "shared_hits": pool_report.telemetry.cache.shared_hits,
+                "ok": pool_report.ok,
             },
         }
     finally:
@@ -273,18 +259,11 @@ def _format(report: dict) -> str:
             f"{fleet['private_ms'] / max(fleet['shared_ms'], 1e-9):.2f}x",
         ],
         [
-            f"pool x{POOL_JOBS}, arbitrary (callers first)",
-            f"{pool['arb_ms']:.0f}",
-            str(pool["arb_stores"]),
+            f"pool x{POOL_JOBS}, shared tier (callers first)",
+            f"{pool['ms']:.0f}",
+            str(pool["stores"]),
+            str(pool["shared_hits"]),
             "-",
-            "1.00x",
-        ],
-        [
-            f"pool x{POOL_JOBS}, topo ({pool['gated']} gated)",
-            f"{pool['topo_ms']:.0f}",
-            str(pool["topo_stores"]),
-            str(pool["topo_hits"]),
-            f"{pool['arb_ms'] / max(pool['topo_ms'], 1e-9):.2f}x",
         ],
     ]
     return format_table(
@@ -292,7 +271,7 @@ def _format(report: dict) -> str:
         rows,
         title=(
             f"Campaign fleet: {report['count']}-item caller-heavy corpus "
-            f"(seed {SEED}), shared-vs-private tier and topo-vs-arbitrary"
+            f"(seed {SEED}), shared-vs-private tier and a worker pool"
         ),
     )
 
@@ -301,14 +280,12 @@ def _checks(report: dict, timed: bool) -> list[str]:
     """Failed-check messages (empty = pass)."""
     fleet, pool = report["fleet"], report["pool"]
     problems = []
-    if not (fleet["shared_ok"] and fleet["private_ok"]
-            and pool["arb_ok"] and pool["topo_ok"]):
+    if not (fleet["shared_ok"] and fleet["private_ok"] and pool["ok"]):
         problems.append("a configuration reported item failures")
     for label, verdicts in (
         ("shared fleet", fleet["shared_verdicts"]),
         ("private fleet", fleet["private_verdicts"]),
-        ("arbitrary pool", pool["arb_verdicts"]),
-        ("topo pool", pool["topo_verdicts"]),
+        ("pool", pool["verdicts"]),
     ):
         if verdicts != report["ref"]:
             problems.append(f"{label}: verdicts differ from the reference")
@@ -319,20 +296,11 @@ def _checks(report: dict, timed: bool) -> list[str]:
             "shared tier stored more than the private tiers "
             f"({fleet['shared_stores']} > {fleet['private_stores']})"
         )
-    if pool["gated"] == 0:
-        problems.append("topo plan gated nothing on a caller-heavy corpus")
-    if pool["topo_hits"] == 0:
-        problems.append("topo order produced no warm hits on gated items")
     if timed:
         if fleet["shared_ms"] >= fleet["private_ms"]:
             problems.append(
                 "shared tier not faster than private tiers "
                 f"({fleet['shared_ms']:.0f}ms >= {fleet['private_ms']:.0f}ms)"
-            )
-        if pool["topo_ms"] >= pool["arb_ms"]:
-            problems.append(
-                "topo dispatch not faster than arbitrary "
-                f"({pool['topo_ms']:.0f}ms >= {pool['arb_ms']:.0f}ms)"
             )
     return problems
 

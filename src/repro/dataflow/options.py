@@ -94,7 +94,6 @@ class AnalysisStats:
     """Instrumentation used by the Figure-4 style cost reporting."""
 
     nodes_visited: int = 0
-    gar_ops: int = 0
     loops_summarized: int = 0
     routines_summarized: int = 0
     peak_gar_list: int = 0

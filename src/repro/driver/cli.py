@@ -80,7 +80,7 @@ def main(argv: list[str] | None = None) -> int:
             source = sys.stdin.read()
         else:
             source = Path(args.source).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"panorama: cannot read source: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

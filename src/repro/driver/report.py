@@ -62,7 +62,7 @@ def format_stats(stats, timings=None, cache_backend=None) -> str:
         line = f"cache backend: {cache_backend}\n" + line
     line += (
         f"{stats.nodes_visited} HSG nodes visited, "
-        f"{stats.gar_ops} GAR ops, peak GAR list {stats.peak_gar_list}, "
+        f"peak GAR list {stats.peak_gar_list}, "
         f"{stats.routines_summarized} routine / "
         f"{stats.loops_summarized} loop summaries"
     )

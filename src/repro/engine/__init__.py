@@ -8,10 +8,9 @@ this package makes repeated and bulk analysis cheap in practice:
   callee-transitive fingerprints for exact interprocedural invalidation;
 * :mod:`repro.engine.backends` — the pluggable durable tier:
   pickle-directory (``disk``) and multi-process SQLite (``shared``);
-* :mod:`repro.engine.scheduler` — call-graph-topology-aware dispatch
-  planning (providers before consumers, cycle-safe);
 * :mod:`repro.engine.batch` — :class:`BatchEngine`, fanning many sources
-  over a process pool that shares the durable cache tier, and
+  over a process pool that shares the durable cache tier, in input
+  order, and
   :func:`compile_item`, the one cached compile of an item that the
   batch worker and the daemon's requests run;
 * :mod:`repro.engine.incremental` — :func:`diff_revisions`, the report
@@ -52,7 +51,6 @@ from .cache import (
     unit_source_hash,
 )
 from .incremental import IncrementalReport, diff_revisions
-from .scheduler import SchedulePlan, plan_schedule, resolve_schedule_mode
 from .telemetry import EngineTelemetry
 
 __all__ = [
@@ -69,7 +67,6 @@ __all__ = [
     "EngineTelemetry",
     "IncrementalReport",
     "RoutineCacheEntry",
-    "SchedulePlan",
     "SharedSQLiteBackend",
     "SummaryCache",
     "compile_item",
@@ -79,7 +76,5 @@ __all__ = [
     "items_from_paths",
     "make_backend",
     "options_key",
-    "plan_schedule",
-    "resolve_schedule_mode",
     "unit_source_hash",
 ]

@@ -9,7 +9,7 @@
   :class:`~repro.engine.cache.SummaryCache` tier, so routines shared
   between items (or re-analyzed across batch runs) are summarized once;
   an item whose whole result is already in the cache's result tier is
-  served before anything is parsed or planned.
+  served before anything is parsed.
 
 Workers return *serialized* verdict rows (the same dicts ``panorama
 --json`` prints); what they summarized lands in the durable tier, where
@@ -64,7 +64,6 @@ from .cache import (
     serves_results,
 )
 from .ledger import LedgerReplay, LedgerWriter
-from .scheduler import SchedulePlan, plan_schedule, resolve_schedule_mode
 from .telemetry import SUPERVISION_COUNTERS, EngineTelemetry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -444,7 +443,6 @@ class BatchEngine:
         retry_seed: int = 0,
         audit: bool = False,
         cache_backend: str | None = None,
-        schedule: str = "auto",
         ledger: Optional[LedgerWriter] = None,
         resume: Optional[LedgerReplay] = None,
         drain_timeout: float = 10.0,
@@ -458,10 +456,6 @@ class BatchEngine:
         self.cache = SummaryCache(
             self.cache_dir, max_memory_entries, backend=cache_backend
         )
-        #: dispatch ordering: "auto" | "topo" | "arbitrary"
-        self.schedule = schedule
-        #: the plan of the most recent run (telemetry, tests)
-        self.last_plan: Optional[SchedulePlan] = None
         #: wall-clock seconds before an in-flight item is declared hung
         #: (pool mode only; None = wait forever)
         self.timeout_per_item = timeout_per_item
@@ -540,8 +534,8 @@ class BatchEngine:
 
         With a ``resume`` replay, items whose ledger records say
         ``done`` are served from the ledger.  Every other item is looked
-        up in the result tier before anything is parsed or planned: a
-        hit is served whole, and only the misses are analyzed.  A drain
+        up in the result tier before anything is parsed: a hit is served
+        whole, and only the misses are analyzed, in input order.  A drain
         request or KeyboardInterrupt stops the run early: everything
         finalized keeps its result, result-tier stores and ledger
         records are flushed, and the report comes back ``interrupted``.
@@ -570,24 +564,16 @@ class BatchEngine:
             len(sub_items) > 1
             or (len(sub_items) == 1 and self.timeout_per_item is not None)
         )
-        mode = resolve_schedule_mode(
-            self.schedule, len(sub_items), self.jobs, self.cache_dir
-        )
-        plan = plan_schedule(sub_items, self.options, mode)
-        self.last_plan = plan
         if not supervised:
             try:
-                for sub_idx in plan.order:
+                for idx, item in zip(active, sub_items):
                     if self._drain_event.is_set():
                         self.interrupted = True
                         break
-                    idx = active[sub_idx]
                     if self.ledger is not None:
-                        self.ledger.record_dispatched(
-                            idx, sub_items[sub_idx].name, attempt=1
-                        )
+                        self.ledger.record_dispatched(idx, item.name, attempt=1)
                     res = _analyze_item(
-                        sub_items[sub_idx],
+                        item,
                         self.options,
                         self.cache_dir,
                         self.run_machine_model,
@@ -607,7 +593,7 @@ class BatchEngine:
             # pipeline here once, not once in every worker
             from ..driver import panorama  # noqa: F401
 
-            pool_results = self._run_pool(sub_items, plan, index_map=active)
+            pool_results = self._run_pool(sub_items, active)
             for sub_idx, res in enumerate(pool_results):
                 if res is not None:
                     results_by_idx[active[sub_idx]] = res
@@ -628,15 +614,6 @@ class BatchEngine:
         tele.wall_seconds = time.perf_counter() - t0
         tele.cache_backend = self.cache.backend_name
         tele.interrupted = self.interrupted
-        tele.sched.update(plan.as_dict())
-        # topo payoff: cache hits landed by items that waited on at
-        # least one scheduled provider (their warmth is the plan's work)
-        sub_results = [results_by_idx[i] for i in active]
-        tele.sched["topo_hits"] = sum(
-            sub_results[i].cache_stats.hits
-            for i, d in plan.deps.items()
-            if d and i < len(sub_results) and sub_results[i] is not None
-        )
         tele.resilience["resumed_items"] = len(resumed)
         for res in results:
             if res.ok and res.payload is not None:
@@ -723,21 +700,17 @@ class BatchEngine:
     def _run_pool(
         self,
         items: Sequence[BatchItem],
-        plan: Optional[SchedulePlan] = None,
-        index_map: Optional[Sequence[int]] = None,
+        index_map: Sequence[int],
     ) -> list[Optional[BatchItemResult]]:
         """Supervised fan-out: deadlines, retries, pool rebuilds.
 
-        State machine per item: *waiting* (topology-gated) → *ready* →
-        in-flight → (result | retry with backoff | quarantine).  The
-        loop ends only when every item has a result, so the batch can
-        never deadlock on a lost item; gated items are released when
-        their providers finalize (success *or* failure — a dead
-        provider must never strand its consumers).  A drain request
-        empties the dispatch queues, gives in-flight items
-        ``drain_timeout`` seconds, then abandons the rest (their ledger
-        state stays ``dispatched``, so a resume re-runs them); everything
-        finalized keeps its result.
+        State machine per item: *ready* (in input order) → in-flight →
+        (result | retry with backoff | quarantine).  The loop ends only
+        when every item has a result, so the batch can never deadlock
+        on a lost item.  A drain request empties the dispatch queues,
+        gives in-flight items ``drain_timeout`` seconds, then abandons
+        the rest (their ledger state stays ``dispatched``, so a resume
+        re-runs them); everything finalized keeps its result.
 
         *index_map* translates local indexes to the caller's item space
         (ledger records must carry original indexes when a resume has
@@ -746,23 +719,10 @@ class BatchEngine:
         from concurrent.futures import FIRST_COMPLETED, wait
         from concurrent.futures.process import BrokenProcessPool
 
-        if index_map is None:
-            index_map = list(range(len(items)))
         workers = min(self.jobs, len(items))
         results: list[Optional[BatchItemResult]] = [None] * len(items)
         attempts = [0] * len(items)
-        deps: dict[int, set[int]] = (
-            {i: set(d) for i, d in plan.deps.items()}
-            if plan is not None
-            else {i: set() for i in range(len(items))}
-        )
-        dependents: dict[int, list[int]] = {i: [] for i in range(len(items))}
-        for i, d in deps.items():
-            for j in d:
-                dependents[j].append(i)
-        dispatch = plan.order if plan is not None else range(len(items))
-        waiting: set[int] = {i for i in dispatch if deps[i]}
-        ready: deque[int] = deque(i for i in dispatch if not deps[i])
+        ready: deque[int] = deque(range(len(items)))
         delayed: list[tuple[float, int]] = []  # (resume monotonic time, idx)
         pending: dict[Any, tuple[int, Optional[float]]] = {}
         rng = random.Random(self.retry_seed)
@@ -773,16 +733,6 @@ class BatchEngine:
         # worker round-trips successfully — a persistently crashing item
         # then only ever takes itself down, not in-flight innocents
         probe = False
-
-        def release(idx: int) -> None:
-            """A provider finalized: unblock consumers whose last gate
-            this was (dispatch order keeps the plan's ordering)."""
-            for dep in dependents[idx]:
-                gates = deps[dep]
-                gates.discard(idx)
-                if not gates and dep in waiting:
-                    waiting.discard(dep)
-                    ready.append(dep)
 
         def submit(idx: int) -> None:
             attempts[idx] += 1
@@ -815,7 +765,6 @@ class BatchEngine:
                 attempts=attempts[idx],
                 quarantined=quarantined,
             )
-            release(idx)
             self._finalize(index_map[idx], results[idx])
 
         def rebuild_pool() -> ProcessPoolExecutor:
@@ -826,7 +775,7 @@ class BatchEngine:
         draining = False
         drain_deadline: Optional[float] = None
         try:
-            while ready or delayed or pending or waiting:
+            while ready or delayed or pending:
                 if self._drain_event.is_set() and not draining:
                     # graceful drain: dispatch nothing further, let the
                     # in-flight items finish inside the timeout; dropped
@@ -839,17 +788,9 @@ class BatchEngine:
                     )
                     ready.clear()
                     delayed.clear()
-                    waiting.clear()
                 if draining and not pending:
                     break
                 now = time.monotonic()
-                if waiting and not (ready or delayed or pending):
-                    # safety valve: gating must never deadlock the batch
-                    # — if nothing can make progress, drop the remaining
-                    # gates (the plan is a perf hint, not a correctness
-                    # invariant)
-                    ready.extend(sorted(waiting))
-                    waiting.clear()
                 if delayed:
                     still: list[tuple[float, int]] = []
                     for resume, idx in delayed:
@@ -930,7 +871,6 @@ class BatchEngine:
                         probe = False
                         if res.ok:
                             results[idx] = res
-                            release(idx)
                             self._finalize(index_map[idx], res)
                         else:
                             fail(idx, res.error_kind or "internal", res.error)

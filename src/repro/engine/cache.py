@@ -67,8 +67,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: v6: integral SymExpr coefficients are ints, GARs carry their array,
 #: and clauses and predicates pickle through their constructors;
 #: v7: GARs, regions and ranges are rebuilt when unpickled, so their
-#: hashes are the loading process's, and GAR lists pickle without theirs)
-CACHE_FORMAT_VERSION = 7
+#: hashes are the loading process's, and GAR lists pickle without theirs;
+#: v8: the ``stats`` payload of a stored result lost its ``gar_ops`` key)
+CACHE_FORMAT_VERSION = 8
 
 #: on-disk container magic; the digest that follows covers the payload
 DISK_MAGIC = b"PANC\x03\n"

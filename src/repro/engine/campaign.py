@@ -17,12 +17,10 @@ line itself.
 The corpus is deliberately *caller-heavy*: a pool of library routines
 (:func:`~repro.kernels.synthetic.make_routine`) repeats across many
 app items (driver + embedded library sources), so identical routines
-carry identical summary fingerprints in every item that embeds them.
-The shared cache tier and the topology scheduler were built for this
-workload (``benchmarks/bench_campaign.py``).  On a 2-vCPU container
-topo dispatch does not pay: it runs 1.18–1.39× as long as input order
-on 100-item corpora at ``--jobs`` 2 and 4 (docs/engine.md,
-"Topology-aware scheduling").
+carry identical summary fingerprints in every item that embeds them,
+and the first item to reach a routine summarizes it for the rest —
+through the memory tier in one process, through the shared durable
+tier across pool workers and shards (``benchmarks/bench_campaign.py``).
 """
 
 from __future__ import annotations
@@ -88,9 +86,8 @@ def generate_campaign(
     """A deterministic corpus of *count* batch items.
 
     The mix is caller-heavy: ~1/4 *library* items (one bare routine
-    from the pool — the pure providers the topology scheduler orders
-    first), ~3/5 *app* items (a driver calling 1..max_calls pool
-    routines, sources embedded), and the rest self-contained
+    from the pool), ~3/5 *app* items (a driver calling 1..max_calls
+    pool routines, sources embedded), and the rest self-contained
     ``make_loop_nest`` scaling programs.  Repeat runs with the same
     ``(seed, count, knobs)`` produce byte-identical corpora.
     """
@@ -203,13 +200,6 @@ def merge_rollups(payloads: Sequence[dict[str, Any]]) -> dict[str, Any]:
     out["cache_backends"] = sorted(
         {p.get("cache_backend", "memory") for p in payloads}
     )
-    sched: dict[str, Any] = {"modes": sorted(
-        {p.get("sched", {}).get("mode", "arbitrary") for p in payloads}
-    )}
-    for k in ("edges", "gated_items", "cyclic_items", "opaque_items",
-              "topo_hits"):
-        sched[k] = sum(int(p.get("sched", {}).get(k, 0)) for p in payloads)
-    out["sched"] = sched
 
     campaigns = [p.get("campaign") or {} for p in payloads]
     tagged = [c for c in campaigns if c]
@@ -245,11 +235,23 @@ def merge_rollups(payloads: Sequence[dict[str, Any]]) -> dict[str, Any]:
 
 
 def load_rollup(paths: Sequence[str]) -> dict[str, Any]:
-    """Read per-shard stats files and merge them."""
+    """Read per-shard stats files and merge them.
+
+    Each file must hold a ``--stats-json`` export: a JSON object with
+    an integer ``files`` count whose counter blocks are objects.
+    Anything else raises :class:`ValueError` naming the file.
+    """
     payloads = []
     for path in paths:
         with open(path) as fh:
-            payloads.append(json.load(fh))
+            payload = json.load(fh)
+        if not (
+            isinstance(payload, dict)
+            and type(payload.get("files")) is int
+            and all(isinstance(payload.get(k, {}), dict) for k in _MERGE_DICTS)
+        ):
+            raise ValueError(f"{path} is not a --stats-json export")
+        payloads.append(payload)
     return merge_rollups(payloads)
 
 
@@ -280,13 +282,6 @@ def format_scoreboard(rollup: dict[str, Any]) -> str:
         f"{int(cache.get('hits', 0))} hit(s), "
         f"{int(cache.get('misses', 0))} miss(es), "
         f"hit rate {cache.get('hit_rate', 0.0):.1%}"
-    )
-    sched = rollup.get("sched", {})
-    lines.append(
-        f"sched[{'/'.join(sched.get('modes', []))}]: "
-        f"{sched.get('edges', 0)} edge(s), "
-        f"{sched.get('gated_items', 0)} gated, "
-        f"{sched.get('topo_hits', 0)} topo hit(s)"
     )
     wall = rollup.get("wall_seconds", {})
     lines.append(

@@ -42,7 +42,6 @@ from .batch import (
     items_from_kernel_registry,
     items_from_paths,
 )
-from .scheduler import SCHEDULE_MODES
 
 
 def add_engine_flags(parser: argparse.ArgumentParser) -> None:
@@ -62,12 +61,6 @@ def add_engine_flags(parser: argparse.ArgumentParser) -> None:
         "--cache-backend", choices=list(BACKEND_KINDS),
         help="durable tier: pickle files (disk, the default) or the "
         "multi-process SQLite tier (shared)",
-    )
-    group.add_argument(
-        "--schedule", choices=list(SCHEDULE_MODES), default="auto",
-        help="dispatch order: topo analyzes callee-providing items first "
-        "so callers hit warm summaries; auto picks it for a pool with a "
-        "--cache-dir (default auto)",
     )
     add_machine_flag(group)
     group.add_argument(
@@ -253,7 +246,6 @@ def run_engine(
         run_machine_model=not args.no_machine,
         audit=audit,
         cache_backend=args.cache_backend,
-        schedule=args.schedule,
         ledger=writer,
         resume=replay,
         drain_timeout=args.drain_timeout,
@@ -389,7 +381,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_arg_parser().parse_args(argv)
     try:
         items = items_from_paths(args.sources)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"panorama-batch: cannot read source: {exc}", file=sys.stderr)
         return 2
     if args.kernels:

@@ -85,18 +85,6 @@ class EngineTelemetry:
     jobs: int = 1
     #: durable cache tier this run wrote through ("memory"/"disk"/"shared")
     cache_backend: str = "memory"
-    #: topology-scheduler counters (SchedulePlan.as_dict + topo_hits:
-    #: cache hits landed by items that waited on a scheduled provider)
-    sched: dict[str, Any] = field(
-        default_factory=lambda: {
-            "mode": "arbitrary",
-            "edges": 0,
-            "gated_items": 0,
-            "cyclic_items": 0,
-            "opaque_items": 0,
-            "topo_hits": 0,
-        }
-    )
     #: campaign provenance (seed, generator version, shard) — empty for
     #: plain batch runs; filled by repro.engine.campaign
     campaign: dict[str, Any] = field(default_factory=dict)

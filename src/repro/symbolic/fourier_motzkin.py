@@ -179,8 +179,9 @@ def _atoms_to_systems(
         else:  # NE
             nes.append(atom)
     if len(nes) > splits_left:
+        # drop extras (weakens the system: still sound)
         COUNTERS.fm_ne_splits_dropped += len(nes) - splits_left
-    nes = nes[:splits_left]  # drop extras (weakens the system: still sound)
+        nes = sorted(nes, key=_matrix.ne_order)[:splits_left]
     systems = [base]
     for rel in nes:
         if rel.integer:
@@ -261,8 +262,9 @@ def _definitely_unsat(atoms: frozenset) -> bool:
 
 def _unsat_object(atoms: Iterable[Atom]) -> bool:
     """The object-layer reference for :func:`definitely_unsat` (uncached):
-    every case-split system must eliminate to infeasible."""
-    relations = _open_relations(atoms)
+    every case-split system must eliminate to infeasible.  Like it, it
+    decides the atom *set*: a repeated atom is one atom."""
+    relations = _open_relations(frozenset(atoms))
     if relations is None:
         return True
     for system in _atoms_to_systems(relations, MAX_NE_SPLITS):

@@ -79,12 +79,21 @@ def _scaled_row(expr, strict: bool) -> tuple[dict, int, bool]:
     return out, const, strict
 
 
+def ne_order(rel: Relation) -> tuple:
+    """The total order that picks which disequalities a case-split cap
+    keeps.  Relations arrive in the iteration order of a ``frozenset``,
+    which follows string hashes, so without it one atom set could be
+    proved in one process and not in another."""
+    return rel.sort_key(), rel.integer
+
+
 def build_systems(
     relations: Sequence[Relation], max_ne_splits: int
 ) -> List[System]:
     """Expand relations into integer systems, mirroring the object layer:
     EQ becomes two rows, NE case-splits into alternative systems up to
-    *max_ne_splits* (extras dropped — weakening, still sound)."""
+    *max_ne_splits* (extras dropped — weakening, still sound — and the
+    first in :func:`ne_order` kept)."""
     base: list[tuple[dict, int, bool]] = []
     nes: list[Relation] = []
     for rel in relations:
@@ -99,7 +108,7 @@ def build_systems(
             nes.append(rel)
     if len(nes) > max_ne_splits:
         COUNTERS.fm_ne_splits_dropped += len(nes) - max_ne_splits
-    nes = nes[:max_ne_splits]
+        nes = sorted(nes, key=ne_order)[:max_ne_splits]
     branches = [base]
     for rel in nes:
         if rel.integer:

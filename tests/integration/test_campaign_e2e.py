@@ -34,10 +34,10 @@ def _verdicts(report):
     return out
 
 
-def _run(items, cache_dir=None, backend=None, schedule="auto"):
+def _run(items, cache_dir=None, backend=None):
     engine = BatchEngine(
         AnalysisOptions(), cache_dir=cache_dir, jobs=1,
-        run_machine_model=False, cache_backend=backend, schedule=schedule,
+        run_machine_model=False, cache_backend=backend,
     )
     report = engine.run(items)
     engine.cache.close()
@@ -53,8 +53,7 @@ class TestShardedEqualsUnsharded:
         merged: dict = {}
         for spec in ((1, 2), (2, 2)):
             shard = shard_items(corpus, *spec)
-            report = _run(shard, cache_dir=str(tier), backend="shared",
-                          schedule="topo")
+            report = _run(shard, cache_dir=str(tier), backend="shared")
             merged.update(_verdicts(report))
         assert merged == unsharded
 
@@ -62,9 +61,9 @@ class TestShardedEqualsUnsharded:
         corpus = generate_campaign(40, seed=3)
         tier = tmp_path / "tier"
         first = _run(shard_items(corpus, 1, 2), cache_dir=str(tier),
-                     backend="shared", schedule="topo")
+                     backend="shared")
         second = _run(shard_items(corpus, 2, 2), cache_dir=str(tier),
-                      backend="shared", schedule="topo")
+                      backend="shared")
         assert first.telemetry.cache.stores > 0
         assert second.telemetry.cache.shared_hits > 0
 
@@ -75,7 +74,7 @@ class TestCampaignCLI:
                         tmp_path / "s2.json")
         base = ["--count", str(COUNT), "--seed", str(SEED),
                 "--cache-dir", str(tier), "--cache-backend", "shared",
-                "--schedule", "topo", "--no-machine"]
+                "--no-machine"]
         assert campaign_main(base + ["--shard", "1/2",
                                      "--stats-json", str(s1)]) == 0
         assert campaign_main(base + ["--shard", "2/2",

@@ -58,7 +58,7 @@ ROW = (
 )
 TIMINGS = "conventional dataflow frontend machine parse total"
 STATS = (
-    "budget_degradations content_facts frontier_upgrades gar_ops "
+    "budget_degradations content_facts frontier_upgrades "
     "loops_summarized nodes_visited peak_gar_list recurrence_matches "
     "routines_summarized"
 )
@@ -76,7 +76,6 @@ AUDIT = (
     "lint loops_audited oracle_conflicts pairs_checked sanitizer skipped "
     "undecided"
 )
-SCHED = "cyclic_items edges gated_items mode opaque_items topo_hits"
 PAYLOAD = {
     "": "loops name parallel_loops stats symbolic timings",
     "loops[]": ROW,
@@ -93,14 +92,13 @@ def telemetry(campaign_keys: str = "") -> dict[str, str]:
     return {
         "": (
             "audit cache cache_backend campaign constraint_backend errors "
-            "files interrupted jobs loops parallel_loops resilience sched "
+            "files interrupted jobs loops parallel_loops resilience "
             "stats symbolic timings verdicts wall_seconds"
         ),
         "audit": AUDIT,
         "cache": CACHE,
         "campaign": campaign_keys,
         "resilience": RESILIENCE,
-        "sched": SCHED,
         "stats": STATS,
         "timings": TIMINGS,
     }
@@ -125,16 +123,13 @@ EXPECTED = {
     "campaign --rollup": {
         "": (
             "audit cache cache_backends campaign errors files jobs loops "
-            "parallel_loops resilience sched shards stats symbolic timings "
+            "parallel_loops resilience shards stats symbolic timings "
             "verdicts wall_seconds"
         ),
         "audit": AUDIT,
         "cache": CACHE + " hit_rate",
         "campaign": "count generator_version seed shards",
         "resilience": RESILIENCE,
-        "sched": (
-            "cyclic_items edges gated_items modes opaque_items topo_hits"
-        ),
         "stats": STATS,
         "timings": TIMINGS,
         "wall_seconds": "max total",

@@ -11,7 +11,7 @@ environments: a provably-unsat system must have no model.
 
 from __future__ import annotations
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.perf import profiler
@@ -66,6 +66,12 @@ def test_unsat_matches_oracle(atoms):
 
 @given(atom_systems(), relations())
 @settings(max_examples=100, deadline=None)
+# a repeated disequality: the reference once kept all four copies and
+# dropped the refuting ``z != 0`` past the split cap
+@example(
+    atoms=[Relation(sym("x"), RelOp.NE)] * 3 + [Relation(sym("z"), RelOp.EQ)],
+    conclusion=Relation(sym("z"), RelOp.EQ),
+)
 def test_implied_by_matches_oracle(atoms, conclusion):
     fm._UNSAT_CACHE._data.clear()
     fm._IMPLIED_CACHE._data.clear()

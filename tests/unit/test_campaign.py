@@ -91,8 +91,6 @@ def _payload(**over):
         "symbolic": {},
         "verdicts": {"parallel": 4, "serial": 2},
         "cache_backend": "shared",
-        "sched": {"mode": "topo", "edges": 3, "gated_items": 2,
-                  "cyclic_items": 0, "opaque_items": 0, "topo_hits": 2},
         "campaign": {"seed": 7, "generator_version": GENERATOR_VERSION,
                      "count": 20, "shard": "1/2"},
     }
@@ -121,9 +119,21 @@ class TestRollup:
         assert merged["cache"]["hits"] == 8
         assert merged["cache"]["hit_rate"] == pytest.approx(8 / 12, abs=1e-4)
         assert merged["wall_seconds"] == {"total": 3.5, "max": 2.0}
-        assert merged["sched"]["topo_hits"] == 4
         assert merged["campaign"]["seed"] == 7
         assert merged["campaign"]["shards"] == ["1/2", "2/2"]
+
+    def test_an_older_shards_sched_block_is_ignored(self):
+        """Shard files written before dispatch became input-order only
+        carry a ``sched`` block; they still merge, and it is dropped."""
+        older = _payload(
+            sched={"mode": "topo", "edges": 3},
+            campaign={"seed": 7, "generator_version": GENERATOR_VERSION,
+                      "count": 20, "shard": "2/2"},
+        )
+        merged = merge_rollups([_payload(), older])
+        assert merged["files"] == 4
+        assert "sched" not in merged
+        assert "sched" not in format_scoreboard(merged)
 
     def test_seed_and_version_recorded(self):
         merged = merge_rollups([_payload()])
@@ -181,6 +191,23 @@ class TestRollup:
                       "count": 20, "shard": "2/2"})))
         merged = load_rollup([str(p1), str(p2)])
         assert merged["shards"] == 2
+
+    @pytest.mark.parametrize(
+        "content", ["[1, 2]", '{"cache": 5}', "{}"],
+        ids=["list", "scalar-block", "empty"],
+    )
+    def test_cli_refuses_a_file_that_is_not_a_stats_export(
+        self, tmp_path, capsys, content
+    ):
+        from repro.engine.campaign import main
+
+        good, bad = tmp_path / "s1.json", tmp_path / "bad.json"
+        good.write_text(json.dumps(self._shard("1/2")))
+        bad.write_text(content)
+        assert main(["--rollup", "-", str(good), str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("panorama-campaign: rollup failed: ")
+        assert f"{bad} is not a --stats-json export" in err
 
 
 class TestModuleEntryPoint:

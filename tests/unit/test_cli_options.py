@@ -96,7 +96,7 @@ ANALYSIS = {
 AUDIT = {"--audit": False, "--sarif": None, "--strict-audit": False}
 ENGINE = {
     "--jobs": 1, "--cache-dir": None, "--cache-backend": None,
-    "--schedule": "auto", "--no-machine": False, "--stats-json": None,
+    "--no-machine": False, "--stats-json": None,
     "--ledger": None, "--resume": None, "--drain-timeout": 10.0,
 }
 PINNED = {
@@ -127,7 +127,6 @@ CHOICES = {
     "--ablate": ["T1", "T2", "T3"],
     "--emit": ["omp", "sgi"],
     "--cache-backend": ["disk", "shared"],
-    "--schedule": ["auto", "topo", "arbitrary"],
 }
 
 

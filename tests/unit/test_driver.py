@@ -1,5 +1,8 @@
 """Unit tests for the pipeline facade and CLI."""
 
+import io
+import sys
+
 import pytest
 
 from repro import AnalysisOptions, LoopStatus, Panorama
@@ -25,6 +28,9 @@ SOURCE = (
     "      ENDDO\n"
     "      END\n"
 )
+
+#: a byte-order mark of UTF-16 and " bad": not UTF-8
+NOT_UTF8 = b"\xff\xfe bad"
 
 
 class TestPanorama:
@@ -142,11 +148,32 @@ class TestCli:
         assert "analysis cost:" in out
         assert "HSG nodes visited" in out
 
-    def test_cli_unreadable_source_is_a_usage_error(self, tmp_path, capsys):
-        rc = cli_main([str(tmp_path / "missing.f")])
-        assert rc == 2
+    def test_cli_unreadable_source_is_a_usage_error(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        undecodable = tmp_path / "bytes.f"
+        undecodable.write_bytes(NOT_UTF8)
+        monkeypatch.setattr(
+            sys, "stdin", io.TextIOWrapper(io.BytesIO(NOT_UTF8), "utf-8")
+        )
+        for source in (tmp_path / "missing.f", undecodable, "-"):
+            rc = cli_main([str(source)])
+            assert rc == 2
+            err = capsys.readouterr().err
+            assert err.startswith("panorama: cannot read source: ")
+            assert err.count("\n") == 1
+
+    def test_batch_cli_undecodable_source_is_a_usage_error(
+        self, tmp_path, capsys
+    ):
+        from repro.engine.cli import main as batch_main
+
+        good, bad = tmp_path / "k.f", tmp_path / "bytes.f"
+        good.write_text(SOURCE)
+        bad.write_bytes(NOT_UTF8)
+        assert batch_main([str(good), str(bad)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("panorama: cannot read source: ")
+        assert err.startswith("panorama-batch: cannot read source: ")
         assert err.count("\n") == 1
 
     @pytest.mark.parametrize(

@@ -186,6 +186,50 @@ class TestEffortCaps:
         definitely_unsat(atoms)
         assert COUNTERS.fm_ne_splits_dropped == before + 2
 
+    def test_dropped_ne_splits_give_one_verdict_in_every_process(self):
+        """Which disequalities the split cap keeps must not follow the
+        string hashes that order a frozenset: ``ld != 0`` decides this
+        set, so a process that kept it proved what another did not."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        code = (
+            "from repro.symbolic import Relation, definitely_unsat\n"
+            "atoms = {Relation.ne(n, 0) for n in ('ia', 'jb', 'kc', 'ld')}\n"
+            "print(definitely_unsat(atoms | {Relation.eq('ld', 0)}))\n"
+        )
+        verdicts = set()
+        for seed in ("0", "3"):
+            env = dict(
+                os.environ,
+                PYTHONHASHSEED=seed,
+                PYTHONPATH=str(Path(repro.__file__).parents[1]),
+            )
+            verdicts.add(subprocess.run(
+                [sys.executable, "-c", code], env=env, capture_output=True,
+                text=True, check=True, timeout=60,
+            ).stdout.strip())
+        assert len(verdicts) == 1, verdicts
+
+    def test_reference_decides_the_atom_set(self):
+        """The object-layer reference, like ``definitely_unsat``, counts a
+        repeated disequality once, whatever order the atoms come in."""
+        import itertools
+
+        from repro.symbolic import fourier_motzkin as fm
+
+        atoms = [Relation.ne("x", 0)] * 3 + [Relation.eq("z", 0),
+                                             Relation.ne("z", 0)]
+        verdicts = {
+            fm._unsat_object(list(order))
+            for order in itertools.permutations(atoms)
+        }
+        assert verdicts == {True}
+
     def test_bailout_counters_reach_profile_snapshot(self):
         from repro.perf import profiler
 

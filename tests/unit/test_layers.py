@@ -73,10 +73,6 @@ LAZY_IMPORTS = {
         "only a compile fingerprints routines; the printers and the AST "
         "node classes cost ~22 ms to import"
     ),
-    ("engine.scheduler", "fortran"): (
-        "only a topo plan parses items; the frontend costs ~35 ms to "
-        "import"
-    ),
 }
 
 

@@ -188,7 +188,6 @@ class TestBudgetFallback:
                 AnalysisOptions(budget_steps=40),
                 jobs=1,
                 run_machine_model=False,
-                schedule="arbitrary",
             )
             report = engine.run(items)
             engine.cache.close()
