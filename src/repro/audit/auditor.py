@@ -43,7 +43,7 @@ from ..deptest.gcd import gcd_test
 from ..deptest.subscript import ArrayReference, collect_references
 from ..diagnostics import Diagnostic, Severity, diagnostic_to_dict, resolve_span
 from ..driver.panorama import CompilationResult, LoopReport, content_inference
-from ..hsg.cfg import FlowGraph
+from ..hsg.cfg import FlowGraph, walk
 from ..hsg.nodes import CondensedNode, IfConditionNode, LoopNode
 from ..parallelize import LoopStatus, find_recurrences
 from ..regions import sanitize
@@ -210,25 +210,18 @@ class AuditReport:
 
 def _has_control(graph: FlowGraph) -> bool:
     """Does the subgraph (any depth) contain guards the tests cannot see?"""
-    for node in graph.nodes:
-        if isinstance(node, (IfConditionNode, CondensedNode)):
-            return True
-        if isinstance(node, LoopNode) and _has_control(node.body):
-            return True
-    return False
+    return any(
+        isinstance(node, (IfConditionNode, CondensedNode))
+        for node, _ in walk(graph)
+    )
 
 
 def _inner_loops(loop: LoopNode) -> dict[str, LoopNode]:
     """Loop nodes nested inside *loop*, keyed by index variable."""
     out: dict[str, LoopNode] = {}
-
-    def scan(graph: FlowGraph) -> None:
-        for node in graph.nodes:
-            if isinstance(node, LoopNode):
-                out.setdefault(node.var, node)
-                scan(node.body)
-
-    scan(loop.body)
+    for node, _ in walk(loop.body):
+        if isinstance(node, LoopNode):
+            out.setdefault(node.var, node)
     return out
 
 
@@ -420,9 +413,7 @@ def audit_loop(
     report: LoopReport,
 ) -> tuple[list[AuditFinding], int]:
     """Audit one parallel-reported loop; returns (findings, pairs checked)."""
-    ctx = analyzer.context_for(unit_name)
-    for idx in analyzer.enclosing_indices(unit_name, loop):
-        ctx = ctx.with_index(idx)
+    ctx = analyzer.loop_context(unit_name, loop)
     lo = to_symexpr(loop.start, ctx)
     hi = to_symexpr(loop.stop, ctx)
     cmp = analyzer.comparer
@@ -623,22 +614,7 @@ def audit_compilation(
     """Audit every parallel-reported loop of one compilation result."""
     report = AuditReport(name=name, source=source)
     fact_cache: dict[str, list] = {}
-    loops = list(result.hsg.all_loops())
-    # the pipeline appends reports in hsg.all_loops() order; pair them up
-    # defensively by identity fields rather than trusting the zip blindly
-    by_key: dict[tuple[str, str, Optional[int], int], LoopNode] = {}
-    for unit_name, loop in loops:
-        by_key[(unit_name, loop.var, loop.source_label, loop.lineno)] = loop
-
     for loop_report in result.loops:
-        node = by_key.get(
-            (
-                loop_report.routine,
-                loop_report.var,
-                loop_report.source_label,
-                loop_report.lineno,
-            )
-        )
         if loop_report.degraded is not None:
             report.findings.append(
                 AuditFinding(
@@ -651,6 +627,7 @@ def audit_compilation(
                 )
             )
             continue
+        node = loop_report.node
         if not loop_report.parallel or node is None:
             continue
         report.loops_audited += 1

@@ -16,35 +16,17 @@ from __future__ import annotations
 from ..diagnostics import Diagnostic, resolve_span
 from ..driver.panorama import CompilationResult
 from ..fortran.ast_nodes import NameRef
-from ..hsg.cfg import FlowGraph
-from ..hsg.nodes import (
-    BasicBlockNode,
-    CallNode,
-    CondensedNode,
-    LoopNode,
-)
+from ..hsg.cfg import walk, walk_cycle
+from ..hsg.nodes import BasicBlockNode, CallNode, CondensedNode
 
 
 def _first_lineno(node: CondensedNode) -> int:
-    for member in node.members:
+    for member, _ in walk_cycle(node):
         if isinstance(member, BasicBlockNode):
             for stmt in member.stmts:
                 if getattr(stmt, "lineno", 0):
                     return stmt.lineno
     return 0
-
-
-def _walk_graphs(result: CompilationResult):
-    """Yield (unit name, flow graph) for every routine body and loop body."""
-
-    def dig(unit_name: str, graph: FlowGraph):
-        yield unit_name, graph
-        for node in graph.nodes:
-            if isinstance(node, LoopNode):
-                yield from dig(unit_name, node.body)
-
-    for unit in result.program.units:
-        yield from dig(unit.name, result.hsg.graph(unit.name))
 
 
 def lint_program(
@@ -70,8 +52,9 @@ def lint_program(
             )
 
     analyzed = result.analyzed
-    for unit_name, graph in _walk_graphs(result):
-        for node in graph.nodes:
+    for unit in result.program.units:
+        unit_name = unit.name
+        for node, _ in walk(result.hsg.graph(unit_name)):
             # PAN202: condensed backward-GOTO cycles
             if isinstance(node, CondensedNode):
                 out.append(

@@ -21,12 +21,11 @@ own frontend — round-trip tested.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from ..driver.panorama import CompilationResult, LoopReport
 from ..fortran.ast_nodes import DoLoop, IfBlock, ProgramUnit, Stmt
 from ..fortran.printers import unparse_stmt
-from ..hsg.cfg import FlowGraph
+from ..hsg.cfg import walk
 from ..hsg.nodes import LoopNode
 from ..parallelize import LoopStatus, find_reductions
 
@@ -45,22 +44,14 @@ class DirectiveClauses:
 
 
 def _inner_indices(loop: LoopNode) -> list[str]:
-    out: list[str] = []
-
-    def rec(graph: FlowGraph) -> None:
-        for node in graph.nodes:
-            if isinstance(node, LoopNode):
-                out.append(node.var)
-                rec(node.body)
-
-    rec(loop.body)
-    return list(dict.fromkeys(out))
+    inner = (node.var for node, _ in walk(loop.body) if isinstance(node, LoopNode))
+    return list(dict.fromkeys(inner))
 
 
 def clauses_for(report: LoopReport, result: CompilationResult) -> DirectiveClauses:
     """Derive directive clauses from a parallel loop's analysis results."""
     verdict = report.verdict
-    loop_node = _find_loop_node(result, report)
+    loop_node = report.node
     inner = _inner_indices(loop_node) if loop_node is not None else []
     privatized = list(verdict.privatized) if verdict else []
     reductions: list[tuple[str, str]] = []
@@ -80,7 +71,7 @@ def clauses_for(report: LoopReport, result: CompilationResult) -> DirectiveClaus
             - set(copy_out) - set(inner) - {report.var}
         )
     )
-    shared = _shared_variables(result, report, loop_node, set(private)
+    shared = _shared_variables(report, set(private)
                                | set(copy_out) | set(inner) | {report.var}
                                | {name for _, name in reductions})
     return DirectiveClauses(
@@ -93,30 +84,12 @@ def clauses_for(report: LoopReport, result: CompilationResult) -> DirectiveClaus
     )
 
 
-def _shared_variables(
-    result: CompilationResult,
-    report: LoopReport,
-    loop_node: Optional[LoopNode],
-    not_shared: set[str],
-) -> list[str]:
+def _shared_variables(report: LoopReport, not_shared: set[str]) -> list[str]:
     if report.verdict is None or report.verdict.record is None:
         return []
     record = report.verdict.record
     names = record.mod_i.arrays() | record.ue_i.arrays()
     return sorted(n for n in names if n not in not_shared and "@" not in n)
-
-
-def _find_loop_node(
-    result: CompilationResult, report: LoopReport
-) -> Optional[LoopNode]:
-    for unit_name, loop in result.hsg.all_loops():
-        if (
-            unit_name == report.routine
-            and loop.lineno == report.lineno
-            and loop.var == report.var
-        ):
-            return loop
-    return None
 
 
 def _format_clause_list(names: tuple[str, ...]) -> str:

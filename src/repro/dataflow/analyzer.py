@@ -153,29 +153,11 @@ class SummaryAnalyzer:
     def below_summary(self, unit_name: str, loop: LoopNode) -> Summary:
         """What the program still reads/writes after *loop* completes,
         within its containing flow subgraph (for copy-out analysis)."""
-        graph = self._containing_graph(unit_name, loop)
-        ctx = self.context_for(unit_name)
-        for idx in self.enclosing_indices(unit_name, loop):
-            ctx = ctx.with_index(idx)
+        enclosing = self.hsg.enclosing[loop]
+        graph = enclosing[-1].body if enclosing else self.hsg.graph(unit_name)
         record: dict = {}
-        self.sum_segment(graph, ctx, record_below=record)
+        self.sum_segment(graph, self.loop_context(unit_name, loop), record)
         return record.get(loop, Summary.empty())
-
-    def _containing_graph(self, unit_name: str, loop: LoopNode) -> FlowGraph:
-        def rec(graph: FlowGraph) -> Optional[FlowGraph]:
-            for node in graph.nodes:
-                if node is loop:
-                    return graph
-                if isinstance(node, LoopNode):
-                    found = rec(node.body)
-                    if found is not None:
-                        return found
-            return None
-
-        found = rec(self.hsg.graph(unit_name))
-        if found is None:
-            raise KeyError(f"loop {loop.describe()} not in {unit_name}")
-        return found
 
     # -- loop lookup helpers -----------------------------------------------------------------
 
@@ -183,29 +165,15 @@ class SummaryAnalyzer:
         self, unit_name: str, loop: LoopNode
     ) -> LoopSummaryRecord:
         """Loop summary with the enclosing-context indices reconstructed."""
+        return self.loop_summary(loop, self.loop_context(unit_name, loop))
+
+    def loop_context(self, unit_name: str, loop: LoopNode) -> ConversionContext:
+        """The routine's conversion context with the indices of the loops
+        enclosing *loop* active: the context *loop* is analyzed in."""
         ctx = self.context_for(unit_name)
-        for enclosing in self.enclosing_indices(unit_name, loop):
-            ctx = ctx.with_index(enclosing)
-        return self.loop_summary(loop, ctx)
-
-    def enclosing_indices(self, unit_name: str, loop: LoopNode) -> list[str]:
-        """Index variables of loops enclosing *loop* in its routine,
-        outermost first — the indices a conversion context must activate
-        before summarizing the loop."""
-        out: list[str] = []
-
-        def rec(graph: FlowGraph, stack: list[str]) -> Optional[list[str]]:
-            for node in graph.nodes:
-                if node is loop:
-                    return stack
-                if isinstance(node, LoopNode):
-                    found = rec(node.body, stack + [node.var])
-                    if found is not None:
-                        return found
-            return None
-
-        found = rec(self.hsg.graph(unit_name), [])
-        return found if found is not None else out
+        for outer in self.hsg.enclosing[loop]:
+            ctx = ctx.with_index(outer.var)
+        return ctx
 
     # -- cache interchange (the engine's summary-provider seam) -----------------------
 
@@ -235,16 +203,10 @@ class SummaryAnalyzer:
 
     def export_loop_records(self) -> dict[LoopKey, LoopSummaryRecord]:
         """Stable-keyed snapshot of every loop summary computed so far."""
-        by_id: dict[int, tuple[str, LoopNode]] = {}
-        for unit in self.hsg.analyzed.program.units:
-
-            def rec(graph: FlowGraph, unit_name: str) -> None:
-                for node in graph.nodes:
-                    if isinstance(node, LoopNode):
-                        by_id[node.node_id] = (unit_name, node)
-                        rec(node.body, unit_name)
-
-            rec(self.hsg.graph(unit.name), unit.name)
+        by_id = {
+            loop.node_id: (unit_name, loop)
+            for unit_name, loop in self.hsg.all_loops()
+        }
         out: dict[LoopKey, LoopSummaryRecord] = {}
         for (node_id, active), record in self._loop_cache.items():
             located = by_id.get(node_id)

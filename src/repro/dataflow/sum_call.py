@@ -10,7 +10,9 @@ then mapped at each call site:
 * a scalar formal contributes (a) a *value* binding — the actual's
   symbolic value replaces the formal in guards and subscripts — and
   (b) a *storage* mapping for call-by-reference effects: MOD/UE cells of
-  the formal map onto the actual variable when it is a plain scalar;
+  the formal map onto the actual variable when it is a plain scalar, and
+  a write to a formal bound to an array element writes Ω of that array
+  (inexact);
 * callee-local storage is dropped (no SAVE semantics), and callee-local
   value symbols are renamed to fresh opaques;
 * COMMON names pass through unchanged (consistent member naming assumed).
@@ -70,7 +72,7 @@ def summarize_call(
     except BudgetExceeded:
         analyzer.stats.budget_degradations += 1
         COUNTERS.budget_fallbacks += 1
-        return _opaque_call(node, ctx)
+        return opaque_call(node, ctx)
 
 
 def _summarize_call_exact(
@@ -81,12 +83,12 @@ def _summarize_call_exact(
     callee = node.callee
     known = callee in analyzer.hsg.analyzed.unit_names()
     if not analyzer.options.interprocedural or not known:
-        return _opaque_call(node, ctx)
+        return opaque_call(node, ctx)
     summary = analyzer.routine_summary(callee)
     return _map_to_actuals(analyzer, summary, node, ctx)
 
 
-def _opaque_call(node: CallNode, ctx: ConversionContext) -> Summary:
+def opaque_call(node: CallNode, ctx: ConversionContext) -> Summary:
     """Worst-case effect: arrays passed (or in COMMON) are wholly unknown;
     scalar actuals are read and possibly written."""
     mod = GARList.empty()
@@ -139,8 +141,8 @@ def _map_to_actuals(
     value_bindings: dict[str, SymExpr] = {}
     region_map: dict[str, Optional[str]] = {}  # None = drop / Ω handled below
     omega_arrays: list[tuple[str, int]] = []
+    written_arrays: list[tuple[str, int]] = []  # Ω in MOD only
     extra_ue = GARList.empty()
-    extra_mod = GARList.empty()
 
     for pos, formal in enumerate(formals):
         actual: Optional[Expr] = actuals[pos] if pos < len(actuals) else None
@@ -184,6 +186,15 @@ def _map_to_actuals(
             region_map[formal] = actual.name
         else:
             region_map[formal] = None
+            if (
+                isinstance(actual, Apply)
+                and actual.is_array
+                and summary.mod.for_array(formal).gars
+            ):
+                # writing the formal writes the element actual
+                written_arrays.append(
+                    (actual.name, ctx.table.arrays[actual.name].rank)
+                )
             # reading the formal's initial value reads the actual's parts
             extra_ue_candidate = collect_uses(actual, ctx)
             if summary.ue.for_array(formal).gars:
@@ -223,7 +234,7 @@ def _map_to_actuals(
         omega = GAR.omega(array, rank)
         mod = mod.add(omega)
         ue = ue.add(omega)
-    mod = union_lists(mod, extra_mod, cmp)
+    mod = union_lists(mod, GARList([GAR.omega(*w) for w in written_arrays]), cmp)
     ue = union_lists(ue, extra_ue, cmp)
     # evaluating the actual argument expressions reads their scalars
     for actual in actuals:

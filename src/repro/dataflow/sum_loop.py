@@ -37,6 +37,7 @@ import itertools
 from ..errors import BudgetExceeded
 from ..fortran.ast_nodes import Apply, Assign, BinOp, Expr, NameRef, Stmt
 from ..fortran.semantics import INTRINSICS
+from ..hsg.cfg import walk
 from ..hsg.nodes import BasicBlockNode, CallNode, IfConditionNode, LoopNode
 from ..perf.profiler import COUNTERS
 from ..resilience.budget import charge as _budget_charge
@@ -62,40 +63,34 @@ def _referenced_names(loop: LoopNode) -> set[str]:
     """Every name referenced anywhere in the loop (structural walk).
 
     Used only by the conservative fallback, which may not run symbolic
-    machinery: a plain recursive walk over the body's HSG nodes and their
-    AST statements, collecting ``NameRef``/``Apply`` names, call
-    arguments, and nested loop indices/bounds.  Over-collection is fine
-    (the fallback over-approximates anyway); under-collection is not.
+    machinery: a plain walk over the body's HSG nodes (condensed cycles'
+    members included) and their AST statements, collecting
+    ``NameRef``/``Apply`` names, call arguments, and nested loop
+    indices/bounds.  Over-collection is fine (the fallback
+    over-approximates anyway); under-collection is not.
     """
     names: set[str] = set()
 
-    def walk(obj) -> None:
+    def collect(obj) -> None:
         if isinstance(obj, (NameRef, Apply)):
             names.add(obj.name)
         if isinstance(obj, (Expr, Stmt)):
             for f in dataclasses.fields(obj):
-                walk(getattr(obj, f.name))
+                collect(getattr(obj, f.name))
         elif isinstance(obj, (list, tuple)):
             for child in obj:
-                walk(child)
+                collect(child)
 
-    def walk_graph(graph) -> None:
-        for node in graph.nodes:
-            if isinstance(node, BasicBlockNode):
-                for stmt in node.stmts:
-                    walk(stmt)
-            elif isinstance(node, IfConditionNode):
-                walk(node.cond)
-            elif isinstance(node, CallNode):
-                walk(node.call.args)
-            elif isinstance(node, LoopNode):
-                names.add(node.var)
-                for expr in (node.start, node.stop, node.step):
-                    if expr is not None:
-                        walk(expr)
-                walk_graph(node.body)
-
-    walk_graph(loop.body)
+    for node, _ in walk(loop.body, members=True):
+        if isinstance(node, BasicBlockNode):
+            collect(node.stmts)
+        elif isinstance(node, IfConditionNode):
+            collect(node.cond)
+        elif isinstance(node, CallNode):
+            collect(node.call.args)
+        elif isinstance(node, LoopNode):
+            names.add(node.var)
+            collect([node.start, node.stop, node.step])
     return names
 
 
@@ -263,26 +258,18 @@ def _induction_closed_form(
     """
     updates: list[tuple] = []  # (top_level_node_or_None, stmt)
     assigned_names: set[str] = set()
-
-    def scan(graph, top_level: bool):
-        for node in graph.nodes:
-            if isinstance(node, BasicBlockNode):
-                for stmt in node.stmts:
-                    if isinstance(stmt, Assign) and isinstance(
-                        stmt.target, NameRef
-                    ):
-                        assigned_names.add(stmt.target.name)
-                        if stmt.target.name == name:
-                            updates.append((node if top_level else None, stmt))
-                    elif isinstance(stmt, Assign) and isinstance(
-                        stmt.target, Apply
-                    ):
-                        pass
-            elif isinstance(node, LoopNode):
-                assigned_names.add(node.var)
-                scan(node.body, False)
-
-    scan(loop.body, True)
+    top_level = set(loop.body.nodes)
+    # a cycle's members are read too: an update inside a condensed
+    # backward-GOTO cycle runs an unknown number of times
+    for node, _ in walk(loop.body, members=True):
+        if isinstance(node, BasicBlockNode):
+            for stmt in node.stmts:
+                if isinstance(stmt, Assign) and isinstance(stmt.target, NameRef):
+                    assigned_names.add(stmt.target.name)
+                    if stmt.target.name == name:
+                        updates.append((node if node in top_level else None, stmt))
+        elif isinstance(node, LoopNode):
+            assigned_names.add(node.var)
     if len(updates) != 1:
         return None
     node, stmt = updates[0]

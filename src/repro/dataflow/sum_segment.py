@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from ..errors import AnalysisError
 from ..fortran.ast_nodes import Apply, Assign, IoStmt, NameRef
-from ..hsg.cfg import FlowGraph
+from ..hsg.cfg import FlowGraph, walk_cycle
 from ..hsg.nodes import (
     BasicBlockNode,
     CallNode,
@@ -34,7 +34,7 @@ from ..symbolic import Predicate
 from .convert import ConversionContext
 from .summary import Summary, collect_uses, scalar_gar
 from .sum_bb import transfer_basic_block
-from .sum_call import transfer_call
+from .sum_call import opaque_call, transfer_call
 from .sum_loop import transfer_loop
 
 
@@ -108,7 +108,8 @@ def _transfer_condensed(
 ) -> Summary:
     """Conservative summary for a condensed backward-GOTO cycle: every
     array referenced inside is wholly read and written (Ω), every scalar
-    assigned inside has an unknown value and cell state."""
+    assigned inside has an unknown value and cell state.  A call inside
+    counts as an opaque call: its arguments and every COMMON name."""
     arrays: set[str] = set()
     scalars_written: set[str] = set()
     scalars_read: set[str] = set()
@@ -123,7 +124,7 @@ def _transfer_condensed(
                 elif sub.name != "*":
                     scalars_read.add(sub.name)
 
-    def scan_member(member: HSGNode) -> None:
+    for member, _ in walk_cycle(node):
         if isinstance(member, BasicBlockNode):
             for stmt in member.stmts:
                 if isinstance(stmt, Assign):
@@ -153,21 +154,14 @@ def _transfer_condensed(
             scan_expr(member.stop)
             if member.step is not None:
                 scan_expr(member.step)
-            for inner in member.body.nodes:
-                scan_member(inner)
         elif isinstance(member, CallNode):
-            for arg in member.call.args:
-                scan_expr(arg)
-                if isinstance(arg, NameRef) and ctx.table.is_array(arg.name):
-                    arrays.add(arg.name)
-                if isinstance(arg, NameRef) and not ctx.table.is_array(arg.name):
-                    scalars_written.add(arg.name)
-        elif isinstance(member, CondensedNode):
-            for inner in member.members:
-                scan_member(inner)
-
-    for member in node.members:
-        scan_member(member)
+            # what any callee may do: its arguments and the COMMON names
+            effect = opaque_call(member, ctx)
+            for gars, scalars in ((effect.mod, scalars_written),
+                                  (effect.ue, scalars_read)):
+                for gar in gars:
+                    names = arrays if ctx.table.is_array(gar.array) else scalars
+                    names.add(gar.array)
 
     cmp = analyzer.comparer
     mod = GARList.empty()

@@ -24,8 +24,8 @@ from typing import Optional
 
 from ..dataflow.convert import ConversionContext, to_symexpr
 from ..fortran.ast_nodes import Assign, NameRef
-from ..hsg.cfg import FlowGraph
-from ..hsg.nodes import BasicBlockNode, LoopNode
+from ..hsg.cfg import walk
+from ..hsg.nodes import BasicBlockNode, CallNode, CondensedNode, LoopNode
 from ..symbolic import Comparer, SymExpr
 from .banerjee import LoopBounds, banerjee_test
 from .gcd import gcd_test
@@ -85,12 +85,15 @@ def _numeric_bounds(
                 out[node.var] = LoopBounds(
                     node.var, lov.numerator, hiv.numerator, sv.numerator
                 )
-        deeper = inner.with_index(node.var)
-        for sub in node.body.nodes:
-            if isinstance(sub, LoopNode):
-                visit(sub, deeper)
 
     visit(loop, ctx)
+    # a loop's bounds convert with the indices of the loops around it
+    contexts = {loop: ctx.with_index(loop.var)}
+    for node, enclosing in walk(loop.body):
+        if isinstance(node, LoopNode):
+            inner = contexts[enclosing[-1] if enclosing else loop]
+            visit(node, inner)
+            contexts[node] = inner.with_index(node.var)
     return out
 
 
@@ -136,7 +139,16 @@ def _pair_independent(
 def screen_loop(
     loop: LoopNode, ctx: ConversionContext, cmp: Comparer
 ) -> ScreenReport:
-    """Run the conventional tests over every conflicting reference pair."""
+    """Run the conventional tests over every conflicting reference pair.
+
+    A call or a condensed backward-GOTO cycle in the body is a barrier:
+    the tests see neither a callee's effects nor how often a cycle runs,
+    so such a loop goes to the interprocedural dataflow (section 6).
+    """
+    if any(
+        isinstance(node, (CallNode, CondensedNode)) for node, _ in walk(loop.body)
+    ):
+        return ScreenReport(ScreenVerdict.POSSIBLE_DEPENDENCE)
     refs = collect_references(loop, ctx)
     bounds = _numeric_bounds(loop, ctx)
     report = ScreenReport(ScreenVerdict.INDEPENDENT)
@@ -164,18 +176,13 @@ def screen_loop(
 
 def _scalar_writes(loop: LoopNode, ctx: ConversionContext) -> set[str]:
     out: set[str] = set()
-
-    def scan(graph: FlowGraph) -> None:
-        for node in graph.nodes:
-            if isinstance(node, BasicBlockNode):
-                for stmt in node.stmts:
-                    if isinstance(stmt, Assign) and isinstance(
-                        stmt.target, NameRef
-                    ):
-                        out.add(stmt.target.name)
-            elif isinstance(node, LoopNode):
-                out.add(node.var)
-                scan(node.body)
-
-    scan(loop.body)
+    for node, _ in walk(loop.body):
+        if isinstance(node, BasicBlockNode):
+            out.update(
+                stmt.target.name
+                for stmt in node.stmts
+                if isinstance(stmt, Assign) and isinstance(stmt.target, NameRef)
+            )
+        elif isinstance(node, LoopNode):
+            out.add(node.var)
     return out

@@ -14,11 +14,10 @@ from typing import Optional
 
 from ..dataflow.convert import ConversionContext, to_symexpr
 from ..fortran.ast_nodes import Apply, Assign, Expr, IoStmt, NameRef
-from ..hsg.cfg import FlowGraph
+from ..hsg.cfg import walk
 from ..hsg.nodes import (
     BasicBlockNode,
     CallNode,
-    CondensedNode,
     IfConditionNode,
     LoopNode,
 )
@@ -109,7 +108,8 @@ def _affine_form_uncached(
 def collect_references(
     loop: LoopNode, ctx: ConversionContext
 ) -> list[ArrayReference]:
-    """All array references textually inside *loop* (any nesting depth)."""
+    """All array references textually inside *loop*: at any nesting depth,
+    members of GOTO cycles included."""
     out: list[ArrayReference] = []
 
     def expr_refs(expr: Expr, nest: tuple[str, ...], inner: ConversionContext) -> None:
@@ -118,47 +118,37 @@ def collect_references(
                 subs = tuple(to_symexpr(a, inner) for a in node.args)
                 out.append(ArrayReference(node.name, subs, False, nest))
 
-    def scan(graph: FlowGraph, nest: tuple[str, ...], inner: ConversionContext) -> None:
-        for node in graph.nodes:
-            if isinstance(node, BasicBlockNode):
-                for stmt in node.stmts:
-                    if isinstance(stmt, Assign):
-                        expr_refs(stmt.value, nest, inner)
-                        target = stmt.target
-                        if isinstance(target, Apply) and target.is_array:
-                            for arg in target.args:
-                                expr_refs(arg, nest, inner)
-                            subs = tuple(to_symexpr(a, inner) for a in target.args)
-                            out.append(
-                                ArrayReference(target.name, subs, True, nest)
-                            )
-                    elif isinstance(stmt, IoStmt):
-                        for item in stmt.items:
-                            expr_refs(item, nest, inner)
-            elif isinstance(node, IfConditionNode):
-                expr_refs(node.cond, nest, inner)
-            elif isinstance(node, LoopNode):
-                deeper = inner.with_index(node.var)
-                expr_refs(node.start, nest, inner)
-                expr_refs(node.stop, nest, inner)
-                if node.step is not None:
-                    expr_refs(node.step, nest, inner)
-                scan(node.body, nest + (node.var,), deeper)
-            elif isinstance(node, CallNode):
-                for arg in node.call.args:
-                    expr_refs(arg, nest, inner)
-                    if isinstance(arg, NameRef) and inner.table.is_array(arg.name):
-                        rank = inner.table.arrays[arg.name].rank
-                        unknown = tuple([None] * rank)
-                        out.append(ArrayReference(arg.name, unknown, True, nest))
-                        out.append(ArrayReference(arg.name, unknown, False, nest))
-            elif isinstance(node, CondensedNode):
-                for member in node.members:
-                    if isinstance(member, BasicBlockNode):
-                        for stmt in member.stmts:
-                            if isinstance(stmt, Assign):
-                                expr_refs(stmt.value, nest, inner)
-                                expr_refs(stmt.target, nest, inner)
-    base = ctx.with_index(loop.var)
-    scan(loop.body, (loop.var,), base)
+    # the nest and conversion context of each loop level, built once
+    levels = {loop: ((loop.var,), ctx.with_index(loop.var))}
+    for node, enclosing in walk(loop.body, members=True):
+        nest, inner = levels[enclosing[-1] if enclosing else loop]
+        if isinstance(node, BasicBlockNode):
+            for stmt in node.stmts:
+                if isinstance(stmt, Assign):
+                    expr_refs(stmt.value, nest, inner)
+                    target = stmt.target
+                    if isinstance(target, Apply) and target.is_array:
+                        for arg in target.args:
+                            expr_refs(arg, nest, inner)
+                        subs = tuple(to_symexpr(a, inner) for a in target.args)
+                        out.append(ArrayReference(target.name, subs, True, nest))
+                elif isinstance(stmt, IoStmt):
+                    for item in stmt.items:
+                        expr_refs(item, nest, inner)
+        elif isinstance(node, IfConditionNode):
+            expr_refs(node.cond, nest, inner)
+        elif isinstance(node, LoopNode):
+            levels[node] = (nest + (node.var,), inner.with_index(node.var))
+            expr_refs(node.start, nest, inner)
+            expr_refs(node.stop, nest, inner)
+            if node.step is not None:
+                expr_refs(node.step, nest, inner)
+        elif isinstance(node, CallNode):
+            for arg in node.call.args:
+                expr_refs(arg, nest, inner)
+                if isinstance(arg, NameRef) and inner.table.is_array(arg.name):
+                    rank = inner.table.arrays[arg.name].rank
+                    unknown = tuple([None] * rank)
+                    out.append(ArrayReference(arg.name, unknown, True, nest))
+                    out.append(ArrayReference(arg.name, unknown, False, nest))
     return out

@@ -21,6 +21,7 @@ from .flags import (
     add_machine_flag,
     audit_requested,
     options_from_args,
+    read_source,
 )
 from .panorama import Panorama
 from .report import format_perf, format_stats, format_table, result_to_dict, yes_no
@@ -76,11 +77,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_arg_parser().parse_args(argv)
     name = Path(str(args.source)).name
     try:
-        if args.source == "-":
-            source = sys.stdin.read()
-        else:
-            source = Path(args.source).read_text()
-    except (OSError, UnicodeDecodeError) as exc:
+        source = read_source(args.source)
+    except OSError as exc:
         print(f"panorama: cannot read source: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -2,8 +2,9 @@
 
 ``panorama`` and ``panorama-batch`` take the analysis and audit groups
 built here, and :func:`options_from_args` is where their parsed flags
-become :class:`~repro.dataflow.options.AnalysisOptions`.  The engine
-group of ``panorama-batch`` and ``panorama-campaign`` lives in
+become :class:`~repro.dataflow.options.AnalysisOptions`; both read their
+source operands with :func:`read_source`.  The engine group of
+``panorama-batch`` and ``panorama-campaign`` lives in
 :mod:`repro.engine.cli`, so importing this module (and ``panorama``)
 loads no part of the engine.
 """
@@ -11,8 +12,28 @@ loads no part of the engine.
 from __future__ import annotations
 
 import argparse
+import sys
+from pathlib import Path
 
 from ..dataflow.options import ANALYSIS_FLAGS, TECHNIQUES, AnalysisOptions
+
+
+def read_source(path: str | Path) -> str:
+    """The text of a source operand (``-`` is stdin), decoded as strict
+    UTF-8 with text mode's newline translation.
+
+    Any failure is an :class:`OSError` whose message names the file and
+    the reason, which every CLI prints as ``cannot read source: ...``
+    (exit 2).
+    """
+    stdin = str(path) == "-"
+    try:
+        data = sys.stdin.buffer.read() if stdin else Path(path).read_bytes()
+        text = data.decode("utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise OSError(f"{'<stdin>' if stdin else path}: {reason}") from exc
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def add_analysis_flags(parser: argparse.ArgumentParser) -> None:

@@ -22,7 +22,7 @@ from ..resilience import budget as budgets
 from ..resilience import faults
 from ..deptest.ddg import ScreenReport, ScreenVerdict, screen_loop
 from ..fortran import AnalyzedProgram, Apply, NameRef, Program, analyze, parse_program
-from ..hsg import HSG, BasicBlockNode, IfConditionNode, LoopNode, build_hsg
+from ..hsg import HSG, BasicBlockNode, IfConditionNode, LoopNode, build_hsg, walk
 from ..machine.costmodel import CostModel, LoopCost, ProgramCost
 from ..machine.speedup import MachineModel
 from ..parallelize import LoopStatus, LoopVerdict, classify_loop
@@ -58,6 +58,8 @@ class LoopReport:
     #: execution-schedule hint for codegen/cost model (None = plain
     #: parallel DO; "two-pass-scan" = chunk partials + prefix combine)
     schedule: Optional[str] = None
+    #: the HSG loop this report is about (set by :meth:`Panorama.compile`)
+    node: Optional[LoopNode] = field(default=None, repr=False, compare=False)
 
     @property
     def parallel(self) -> bool:
@@ -121,37 +123,29 @@ class CompilationResult:
 def _index_context_arrays(loop: LoopNode) -> set[str]:
     """Names used where content facts bite: subscripts of other array
     references, IF guards, and inner loop headers."""
-    used: set[str] = set()
-
-    def names_of(expr) -> None:
-        for node in expr.walk():
-            if isinstance(node, (NameRef, Apply)):
-                used.add(node.name)
-
-    def exprs_of(graph) -> None:
-        for node in graph.nodes:
-            if isinstance(node, BasicBlockNode):
-                for stmt in node.stmts:
-                    for expr in getattr(stmt, "target", None), getattr(
-                        stmt, "value", None
-                    ):
-                        if expr is None:
-                            continue
-                        for sub in expr.walk():
-                            if isinstance(sub, Apply):
-                                for arg in sub.args:
-                                    names_of(arg)
-            elif isinstance(node, IfConditionNode):
-                names_of(node.cond)
-            elif isinstance(node, LoopNode):
-                names_of(node.start)
-                names_of(node.stop)
-                if node.step is not None:
-                    names_of(node.step)
-                exprs_of(node.body)
-
-    exprs_of(loop.body)
-    return used
+    exprs = []
+    for node, _ in walk(loop.body):
+        if isinstance(node, BasicBlockNode):
+            for stmt in node.stmts:
+                for expr in getattr(stmt, "target", None), getattr(
+                    stmt, "value", None
+                ):
+                    if expr is None:
+                        continue
+                    for sub in expr.walk():
+                        if isinstance(sub, Apply):
+                            exprs.extend(sub.args)
+        elif isinstance(node, IfConditionNode):
+            exprs.append(node.cond)
+        elif isinstance(node, LoopNode):
+            exprs.extend((node.start, node.stop, node.step))
+    return {
+        sub.name
+        for expr in exprs
+        if expr is not None
+        for sub in expr.walk()
+        if isinstance(sub, (NameRef, Apply))
+    }
 
 
 def content_inference():
@@ -223,6 +217,7 @@ class Panorama:
                 report = self._process_loop(
                     analyzer, unit_name, loop, timings, clock
                 )
+                report.node = loop
                 result.loops.append(report)
                 timings.dataflow += clock.lap()
                 if self.hooks is not None:
@@ -247,9 +242,7 @@ class Panorama:
     ) -> LoopReport:
         """One loop's report.  Charges the context setup and the screen
         to ``conventional``; the caller charges the rest to ``dataflow``."""
-        ctx = analyzer.context_for(unit_name)
-        for idx in analyzer.enclosing_indices(unit_name, loop):
-            ctx = ctx.with_index(idx)
+        ctx = analyzer.loop_context(unit_name, loop)
         try:
             # one step per loop: gives deadline budgets a per-loop
             # checkpoint even when the loop never reaches the symbolic

@@ -41,6 +41,7 @@ from typing import TYPE_CHECKING, Any, Iterable, Mapping, Optional, Sequence
 
 from ..dataflow.options import AnalysisOptions
 from ..diagnostics import Severity, diagnostic_from_dict
+from ..driver.flags import read_source
 from ..driver.hooks import CompositeHooks, PipelineHooks
 from ..driver.report import result_to_dict
 from ..errors import (
@@ -84,8 +85,9 @@ class BatchItem:
 
     @classmethod
     def from_path(cls, path: str | Path) -> "BatchItem":
-        p = Path(path)
-        return cls(name=p.name, source=p.read_text())
+        """An item for one source file; an unreadable or non-UTF-8 file
+        raises :class:`OSError` naming it (:func:`read_source`)."""
+        return cls(name=Path(path).name, source=read_source(path))
 
 
 def items_from_paths(paths: Iterable[str | Path]) -> list[BatchItem]:

@@ -68,8 +68,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: and clauses and predicates pickle through their constructors;
 #: v7: GARs, regions and ranges are rebuilt when unpickled, so their
 #: hashes are the loading process's, and GAR lists pickle without theirs;
-#: v8: the ``stats`` payload of a stored result lost its ``gar_ops`` key)
-CACHE_FORMAT_VERSION = 8
+#: v8: the ``stats`` payload of a stored result lost its ``gar_ops`` key;
+#: v9: calls and GOTO cycles stop the conventional screen, a scalar formal
+#: bound to an array element writes through it, and a loop body's GOTO
+#: cycles are condensed — v8 verdicts and summaries must not be served)
+CACHE_FORMAT_VERSION = 9
 
 #: on-disk container magic; the digest that follows covers the payload
 DISK_MAGIC = b"PANC\x03\n"

@@ -381,7 +381,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_arg_parser().parse_args(argv)
     try:
         items = items_from_paths(args.sources)
-    except (OSError, UnicodeDecodeError) as exc:
+    except OSError as exc:
         print(f"panorama-batch: cannot read source: {exc}", file=sys.stderr)
         return 2
     if args.kernels:

@@ -8,7 +8,7 @@ is a DAG.
 """
 
 from .builder import HSG, build_hsg
-from .cfg import EdgeLabel, FlowGraph
+from .cfg import EdgeLabel, FlowGraph, walk, walk_cycle
 from .condense import condense_cycles
 from .nodes import (
     BasicBlockNode,
@@ -35,4 +35,6 @@ __all__ = [
     "LoopNode",
     "build_hsg",
     "condense_cycles",
+    "walk",
+    "walk_cycle",
 ]

@@ -12,7 +12,8 @@ GOTO handling:
   flagged, which makes the dataflow layer approximate its loop-variant
   summaries conservatively (paper section 5.4);
 * backward GOTOs create cycles that are condensed afterwards
-  (:mod:`repro.hsg.condense`).
+  (:mod:`repro.hsg.condense`), in the routine's graph and in every loop
+  body (a backward GOTO inside a DO body is how F77 writes a WHILE loop).
 
 ``RETURN``/``STOP`` route to the unit's exit; inside a loop body they are
 treated as premature exits of every enclosing loop.
@@ -44,7 +45,7 @@ from ..fortran.ast_nodes import (
 )
 from ..fortran.callgraph import CallGraph, build_call_graph
 from ..fortran.semantics import AnalyzedProgram
-from .cfg import EdgeLabel, FlowGraph
+from .cfg import EdgeLabel, FlowGraph, walk
 from .condense import condense_cycles
 from .nodes import (
     BasicBlockNode,
@@ -70,6 +71,8 @@ class HSG:
     call_graph: CallGraph
     #: loops by routine, in source order (outermost first)
     loops: dict[str, list[LoopNode]] = field(default_factory=dict)
+    #: the loops enclosing each loop in its routine, outermost first
+    enclosing: dict[LoopNode, tuple[LoopNode, ...]] = field(default_factory=dict)
 
     def graph(self, unit_name: str) -> FlowGraph:
         """The flow subgraph of one routine."""
@@ -89,13 +92,15 @@ def build_hsg(analyzed: AnalyzedProgram) -> HSG:
     call_graph = build_call_graph(analyzed)
     graphs: dict[str, FlowGraph] = {}
     loops: dict[str, list[LoopNode]] = {}
+    enclosing: dict[LoopNode, tuple[LoopNode, ...]] = {}
     for unit in analyzed.program.units:
-        builder = _Builder()
-        graph = builder.build_unit(unit.body)
-        condense_cycles(graph)
+        graph = _Builder().build_unit(unit.body)
         graphs[unit.name] = graph
         loops[unit.name] = _collect_loops(graph)
-    return HSG(analyzed, graphs, call_graph, loops)
+        enclosing.update(
+            (node, outer) for node, outer in walk(graph) if isinstance(node, LoopNode)
+        )
+    return HSG(analyzed, graphs, call_graph, loops, enclosing)
 
 
 def _collect_loops(graph: FlowGraph) -> list[LoopNode]:
@@ -130,6 +135,7 @@ class _Builder:
         self._close(to_exit=True)
         self._resolve_gotos(escape_to_exit=False)
         self.graph.prune_unreachable()
+        condense_cycles(self.graph)
         return self.graph
 
     def build_loop_body(self, stmts: list[Stmt]) -> tuple[FlowGraph, bool]:
@@ -143,6 +149,7 @@ class _Builder:
             self.graph.add_edge(node, self.graph.exit, label)
         self.pending_returns.clear()
         self.graph.prune_unreachable()
+        condense_cycles(self.graph)
         return self.graph, premature
 
     # -- plumbing ------------------------------------------------------------------

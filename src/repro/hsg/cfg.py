@@ -5,17 +5,24 @@ successors of an :class:`~repro.hsg.nodes.IfConditionNode`, ``None``
 otherwise.  After construction and condensation every flow subgraph is a
 DAG with a unique entry and a unique exit, which is what the backward
 summary propagation of section 4.1 requires.
+
+:func:`walk` is the one traversal of the hierarchy: a pass that reads a
+loop body at every nesting depth iterates it instead of recursing into
+``LoopNode.body`` itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterable, Iterator, Optional
 
 from ..errors import HSGError
-from .nodes import EntryNode, ExitNode, HSGNode, LoopNode
+from .nodes import CondensedNode, EntryNode, ExitNode, HSGNode, LoopNode
 
 EdgeLabel = Optional[bool]
+#: what :func:`walk` yields: a node and the loops enclosing it inside the
+#: walked graph, outermost first
+Walk = Iterator[tuple[HSGNode, tuple[LoopNode, ...]]]
 
 
 @dataclass
@@ -148,3 +155,30 @@ class FlowGraph:
             if isinstance(node, LoopNode):
                 lines.append(node.body.dump(indent + "    "))
         return "\n".join(lines)
+
+
+def walk(graph: FlowGraph, members: bool = False) -> Walk:
+    """Every node of *graph* and, depth first in node order, every node of
+    the loop bodies nested in it, each with the loops that enclose it
+    inside *graph*, outermost first.
+
+    A condensed cycle is one node.  With *members*, its member nodes (and
+    the loop bodies nested in them) follow it, enclosed by the same loops.
+    """
+    return _walk(graph.nodes, (), members)
+
+
+def walk_cycle(cycle: CondensedNode) -> Walk:
+    """The members of a condensed cycle and every node nested in them."""
+    return _walk(cycle.members, (), True)
+
+
+def _walk(
+    nodes: Iterable[HSGNode], loops: tuple[LoopNode, ...], members: bool
+) -> Walk:
+    for node in nodes:
+        yield node, loops
+        if isinstance(node, LoopNode):
+            yield from _walk(node.body.nodes, loops + (node,), members)
+        elif members and isinstance(node, CondensedNode):
+            yield from _walk(node.members, loops, members)

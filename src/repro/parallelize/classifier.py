@@ -183,9 +183,7 @@ def classify_loop(
     recurrences = {}
     if analyzer.options.frontier:
         recurrences = {m.name: m for m in find_recurrences(loop)}
-    ctx = analyzer.context_for(unit_name)
-    for idx in analyzer.enclosing_indices(unit_name, loop):
-        ctx = ctx.with_index(idx)
+    ctx = analyzer.loop_context(unit_name, loop)
     inductions = recognized_inductions(analyzer, loop, ctx)
     privatization = privatize_loop(record, table, cmp)
     verdict.privatization = privatization

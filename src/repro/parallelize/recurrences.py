@@ -123,35 +123,6 @@ def _count(expr: Expr, name: str) -> int:
     )
 
 
-def _written_names(body: FlowGraph) -> set[str]:
-    """Names assigned anywhere in the body (any depth)."""
-    out: set[str] = set()
-
-    def scan(graph: FlowGraph) -> None:
-        for node in graph.nodes:
-            if isinstance(node, BasicBlockNode):
-                for stmt in node.stmts:
-                    if isinstance(stmt, Assign):
-                        out.add(stmt.target.name)  # type: ignore[union-attr]
-            elif isinstance(node, LoopNode):
-                out.add(node.var)
-                scan(node.body)
-            elif isinstance(node, CallNode):
-                for arg in node.call.args:
-                    for n in arg.walk():
-                        if isinstance(n, (NameRef, Apply)):
-                            out.add(n.name)
-            elif isinstance(node, CondensedNode):
-                for member in node.members:
-                    if isinstance(member, BasicBlockNode):
-                        for stmt in member.stmts:
-                            if isinstance(stmt, Assign):
-                                out.add(stmt.target.name)  # type: ignore[union-attr]
-
-    scan(body)
-    return out
-
-
 def _flat_nodes(body: FlowGraph) -> Optional[list]:
     """Body nodes when the body is scan-analyzable (no nests/calls/cycles)."""
     for node in body.nodes:
@@ -350,7 +321,6 @@ def find_recurrences(loop: LoopNode) -> list[RecurrenceMatch]:
     flat = _flat_nodes(loop.body)
     if flat is None:
         return []
-    written = _written_names(loop.body)
     blocks = [n for n in flat if isinstance(n, BasicBlockNode)]
     conds = [n for n in flat if isinstance(n, IfConditionNode)]
     assigns: list[Assign] = [
@@ -359,6 +329,8 @@ def find_recurrences(loop: LoopNode) -> list[RecurrenceMatch]:
         for stmt in block.stmts
         if isinstance(stmt, Assign)
     ]
+    # a flat body writes only through its assignments
+    written = {stmt.target.name for stmt in assigns}  # type: ignore[union-attr]
     if any(
         not isinstance(stmt, (Assign, Continue))
         for block in blocks

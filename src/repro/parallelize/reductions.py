@@ -22,14 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..fortran.ast_nodes import Apply, Assign, BinOp, Expr, NameRef
-from ..hsg.cfg import FlowGraph
-from ..hsg.nodes import (
-    BasicBlockNode,
-    CallNode,
-    CondensedNode,
-    IfConditionNode,
-    LoopNode,
-)
+from ..hsg.cfg import FlowGraph, walk
+from ..hsg.nodes import BasicBlockNode, CallNode, IfConditionNode, LoopNode
 
 _REDUCTION_INTRINSICS = {"min", "max", "amin1", "amax1", "min0", "max0",
                          "dmin1", "dmax1"}
@@ -146,40 +140,29 @@ def _guarded_minmax(
 
 
 def find_reductions(body: FlowGraph) -> list[Reduction]:
-    """Reductions over the statements of a loop body subgraph."""
+    """Reductions over the statements of a loop body subgraph.
+
+    A condensed backward-GOTO cycle's members are read like any other
+    node: an update that runs an unknown number of times still reduces,
+    and every other mention of a name in the cycle disqualifies it.
+    """
     assigns: list[Assign] = []
     other_exprs: list[Expr] = []
     cond_sites: list[tuple[FlowGraph, IfConditionNode]] = []
-
-    def scan(graph: FlowGraph) -> None:
-        for node in graph.nodes:
-            if isinstance(node, BasicBlockNode):
-                for stmt in node.stmts:
-                    if isinstance(stmt, Assign):
-                        assigns.append(stmt)
-                    else:
-                        for block in stmt.body_blocks():
-                            pass
-            elif isinstance(node, IfConditionNode):
-                other_exprs.append(node.cond)
-                cond_sites.append((graph, node))
-            elif isinstance(node, LoopNode):
-                other_exprs.append(node.start)
-                other_exprs.append(node.stop)
-                if node.step is not None:
-                    other_exprs.append(node.step)
-                scan(node.body)
-            elif isinstance(node, CallNode):
-                other_exprs.extend(node.call.args)
-            elif isinstance(node, CondensedNode):
-                for member in node.members:
-                    if isinstance(member, BasicBlockNode):
-                        for stmt in member.stmts:
-                            if isinstance(stmt, Assign):
-                                other_exprs.append(stmt.target)
-                                other_exprs.append(stmt.value)
-
-    scan(body)
+    for node, enclosing in walk(body, members=True):
+        if isinstance(node, BasicBlockNode):
+            assigns.extend(s for s in node.stmts if isinstance(s, Assign))
+        elif isinstance(node, IfConditionNode):
+            other_exprs.append(node.cond)
+            # a cycle member is in no graph: its guard pairs with no arm
+            cond_sites.append((enclosing[-1].body if enclosing else body, node))
+        elif isinstance(node, LoopNode):
+            other_exprs.append(node.start)
+            other_exprs.append(node.stop)
+            if node.step is not None:
+                other_exprs.append(node.step)
+        elif isinstance(node, CallNode):
+            other_exprs.extend(node.call.args)
 
     # guarded min/max pairs: guard + arm are exempt from the
     # "appears nowhere else" rule for their own accumulator

@@ -204,7 +204,7 @@ def validate_loop(
     if analyzer.options.frontier and analyzer.options.symbolic:
         infer_program(analyzed, analyzer.options).install(analyzer)
     record: LoopSummaryRecord = analyzer.loop_record(unit, target)
-    enclosing = set(analyzer.enclosing_indices(unit, target))
+    enclosing = {outer.var for outer in hsg.enclosing[target]}
 
     if env is None:
         env = {

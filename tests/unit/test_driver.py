@@ -1,10 +1,13 @@
 """Unit tests for the pipeline facade and CLI."""
 
-import io
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro import AnalysisOptions, LoopStatus, Panorama
 from repro.dataflow.analyzer import SummaryAnalyzer
 from repro.driver.cli import main as cli_main
@@ -148,20 +151,33 @@ class TestCli:
         assert "analysis cost:" in out
         assert "HSG nodes visited" in out
 
-    def test_cli_unreadable_source_is_a_usage_error(
-        self, tmp_path, capsys, monkeypatch
-    ):
-        undecodable = tmp_path / "bytes.f"
+    def test_cli_unreadable_source_is_a_usage_error(self, tmp_path, capsys):
+        missing, undecodable = tmp_path / "missing.f", tmp_path / "bytes.f"
         undecodable.write_bytes(NOT_UTF8)
-        monkeypatch.setattr(
-            sys, "stdin", io.TextIOWrapper(io.BytesIO(NOT_UTF8), "utf-8")
-        )
-        for source in (tmp_path / "missing.f", undecodable, "-"):
-            rc = cli_main([str(source)])
-            assert rc == 2
+        for source in (missing, undecodable):
+            assert cli_main([str(source)]) == 2
             err = capsys.readouterr().err
-            assert err.startswith("panorama: cannot read source: ")
+            assert err.startswith(f"panorama: cannot read source: {source}: ")
             assert err.count("\n") == 1
+        # a real process: its stdin is the interpreter's own stream, which
+        # a replaced ``sys.stdin`` would not show
+        env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+        run = subprocess.run(
+            [sys.executable, "-m", "repro.driver.cli", "-"],
+            input=NOT_UTF8, env=env, capture_output=True,
+        )
+        assert run.returncode == 2
+        assert run.stderr.decode() == (
+            "panorama: cannot read source: <stdin>: 'utf-8' codec can't "
+            "decode byte 0xff in position 0: invalid start byte\n"
+        )
+
+    def test_read_source_translates_newlines(self, tmp_path):
+        from repro.driver.flags import read_source
+
+        crlf = tmp_path / "crlf.f"
+        crlf.write_bytes(SOURCE.replace("\n", "\r\n").encode())
+        assert read_source(crlf) == SOURCE
 
     def test_batch_cli_undecodable_source_is_a_usage_error(
         self, tmp_path, capsys
@@ -173,7 +189,7 @@ class TestCli:
         bad.write_bytes(NOT_UTF8)
         assert batch_main([str(good), str(bad)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("panorama-batch: cannot read source: ")
+        assert err.startswith(f"panorama-batch: cannot read source: {bad}: ")
         assert err.count("\n") == 1
 
     @pytest.mark.parametrize(

@@ -201,3 +201,62 @@ def test_every_allowlist_entry_matches_an_import():
     }
     stale = [f"{m} → {t}" for m, t in LAZY_IMPORTS if (m, t) not in used]
     assert not stale, f"LAZY_IMPORTS entries matching no import: {stale}"
+
+
+#: functions outside ``repro.hsg`` that walk the HSG themselves (recurse
+#: while reading ``.nodes`` or ``.members``, or loop over a cycle's
+#: ``.members``), ``module:qualname`` → reason.  Every other pass walks
+#: loop bodies and condensed cycles with ``hsg.walk``, so how the HSG
+#: nests is decided in one module.
+HSG_WALKERS: dict[str, str] = {}
+
+
+def _hsg_walkers():
+    """``module:qualname`` of each function outside ``repro.hsg`` that is
+    self-recursive and reads a ``.nodes`` or ``.members`` attribute, or
+    that iterates a ``.members`` attribute."""
+    for module, path in MODULES.items():
+        if module == "hsg" or module.startswith("hsg."):
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+
+        def visit(node: ast.AST, prefix: str):
+            for child in ast.iter_child_nodes(node):
+                name = getattr(child, "name", "")
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    inside = list(ast.walk(child))
+                    recursive = any(
+                        isinstance(n, ast.Call)
+                        and name in (getattr(n.func, "id", None),
+                                     getattr(n.func, "attr", None))
+                        for n in inside
+                    )
+                    reads = any(
+                        isinstance(n, ast.Attribute)
+                        and n.attr in ("nodes", "members")
+                        for n in inside
+                    )
+                    loops_members = any(
+                        isinstance(n, (ast.For, ast.comprehension))
+                        and isinstance(n.iter, ast.Attribute)
+                        and n.iter.attr == "members"
+                        for n in inside
+                    )
+                    if (recursive and reads) or loops_members:
+                        yield f"{module}:{prefix}{name}"
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                      ast.ClassDef)):
+                    yield from visit(child, f"{prefix}{name}.")
+                else:
+                    yield from visit(child, prefix)
+
+        yield from visit(tree, "")
+
+
+def test_hsg_is_walked_only_through_hsg_walk():
+    found = set(_hsg_walkers())
+    assert found == set(HSG_WALKERS), (
+        "recursive HSG walkers outside repro.hsg (iterate hsg.walk, or "
+        f"list one in HSG_WALKERS with its reason): {sorted(found)}; "
+        f"stale entries: {sorted(set(HSG_WALKERS) - found)}"
+    )

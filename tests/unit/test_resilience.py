@@ -124,6 +124,31 @@ class TestBudgetFallback:
         (b_gar,) = record.mod.for_array("b")
         assert "1:50" in str(b_gar.region)
 
+    def test_conservative_record_reads_condensed_cycles(self):
+        """An array written only inside a backward-GOTO cycle of the body
+        is in the fallback record too: under-collection is unsound."""
+        from tests.conftest import compile_source
+
+        src = (
+            "      SUBROUTINE s(a, w, n)\n"
+            "      REAL a(100), w(10)\n"
+            "      INTEGER n, i, k\n"
+            "      DO 10 i = 1, n\n"
+            "        k = 0\n"
+            "   20   k = k + 1\n"
+            "        w(k) = 1.0\n"
+            "        IF (k .LT. 3) GOTO 20\n"
+            "        a(i) = 1.0\n"
+            "   10 CONTINUE\n"
+            "      END\n"
+        )
+        hsg, analyzer = compile_source(src)
+        ((unit, loop),) = list(hsg.all_loops())
+        with budget_scope(AnalysisBudget(max_steps=0)):
+            record = analyzer.loop_record(unit, loop)
+        assert record.degraded == "steps"
+        assert {"a", "w", "k"} <= {g.array for g in record.mod}
+
     def test_degradation_is_counted(self):
         result = Panorama(
             AnalysisOptions(budget_steps=0), run_machine_model=False
