@@ -14,10 +14,7 @@ from ..lazy import exports
 __all__, __getattr__ = exports(__name__, {
     "analyzer": ("SummaryAnalyzer",),
     "context": ("LoopSummaryRecord",),
-    "convert": (
-        "ConversionContext", "reset_opaque_counter", "to_predicate",
-        "to_symexpr",
-    ),
+    "convert": ("ConversionContext", "to_predicate", "to_symexpr"),
     "expansion": ("expand_gar", "expand_gar_list"),
     "options": ("AnalysisOptions", "AnalysisStats"),
     "summary": (

@@ -10,17 +10,25 @@ toggles of Table 1), the comparer, and the caches:
   ``MOD_{<i}``, ``MOD_{>i}``, ``MOD``, ``UE``) used by the privatization
   and parallelization clients;
 * ``condition_predicate(node)`` — the guard of an IF-condition node.
+
+Fresh symbols (``hint@N`` opaques, ``i%N`` index renames) are numbered
+per analyzer, from 1: recompiling an unchanged program asks the same
+symbolic questions, so the process's memo tables answer them.  An entry
+served by a provider was numbered by another compile, so its symbols
+are renamed apart before use (:func:`rename_apart`).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+import dataclasses
+import itertools
+from typing import Callable, Iterator, Optional
 
 from ..errors import CallGraphError
 from ..hsg.builder import HSG
 from ..hsg.cfg import FlowGraph
 from ..hsg.nodes import IfConditionNode, LoopNode
-from ..symbolic import Comparer, Predicate
+from ..symbolic import Comparer, Predicate, SymExpr
 from .context import LoopSummaryRecord
 from .convert import ConversionContext, to_predicate
 from .options import AnalysisOptions, AnalysisStats
@@ -40,6 +48,30 @@ SummaryProvider = Callable[[str], Optional[Summary]]
 LoopRecordProvider = Callable[[LoopKey], Optional[LoopSummaryRecord]]
 
 
+def rename_apart(entry, numbering: Iterator[int]):
+    """*entry* (a :class:`Summary` or :class:`LoopSummaryRecord` that
+    another compile numbered) with each of its fresh symbols renamed to
+    a new one of *numbering*: one mapping per entry, in sorted order,
+    each keeping its hint and separator.  Returns *entry* itself when it
+    holds no fresh symbol."""
+    symbolic = {}  # the SymExpr and GARList fields
+    for f in dataclasses.fields(entry):
+        value = getattr(entry, f.name)
+        if hasattr(value, "free_vars"):
+            symbolic[f.name] = value
+    symbols = set().union(*(value.free_vars() for value in symbolic.values()))
+    mapping = {}
+    for name in sorted(n for n in symbols if "@" in n or "%" in n):
+        sep = "@" if "@" in name else "%"
+        hint = name.rpartition(sep)[0]
+        mapping[name] = SymExpr.var(f"{hint}{sep}{next(numbering)}")
+    if not mapping:
+        return entry
+    return dataclasses.replace(
+        entry, **{n: value.substitute(mapping) for n, value in symbolic.items()}
+    )
+
+
 class SummaryAnalyzer:
     """Array dataflow summary computation over a built HSG."""
 
@@ -50,6 +82,8 @@ class SummaryAnalyzer:
             use_fm=self.options.use_fm, symbolic=self.options.symbolic
         )
         self.stats = AnalysisStats()
+        #: this compile's fresh-symbol numbering (see the module docstring)
+        self._numbering = itertools.count(1)
         self._routine_cache: dict[str, Summary] = {}
         self._loop_cache: dict[tuple[int, frozenset[str]], LoopSummaryRecord] = {}
         self._cond_cache: dict[tuple[int, frozenset[str]], Predicate] = {}
@@ -84,6 +118,7 @@ class SummaryAnalyzer:
             if_conditions=self.options.if_conditions,
             index_array_forms=forms,
             content_bounds=bounds,
+            numbering=self._numbering,
         )
 
     # -- cached computations ----------------------------------------------------------
@@ -96,6 +131,7 @@ class SummaryAnalyzer:
         if self.summary_provider is not None:
             provided = self.summary_provider(unit_name)
             if provided is not None:
+                provided = rename_apart(provided, self._numbering)
                 self._routine_cache[unit_name] = provided
                 self.provided_summaries.add(unit_name)
                 return provided
@@ -121,6 +157,7 @@ class SummaryAnalyzer:
             stable = self.loop_key(ctx.table.unit.name, loop, ctx.active_indices)
             cached = self.loop_record_provider(stable)
             if cached is not None:
+                cached = rename_apart(cached, self._numbering)
                 self.provided_loop_records.add(stable)
                 self._loop_cache[key] = cached
         if cached is None:

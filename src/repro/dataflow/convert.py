@@ -24,7 +24,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import Iterator, Optional
 
 from ..fortran.ast_nodes import (
     Apply,
@@ -41,7 +41,6 @@ from ..fortran.semantics import SymbolTable
 from ..symbolic import Predicate, Relation, SymExpr
 
 _REL_OPS = {".eq.", ".ne.", ".lt.", ".le.", ".gt.", ".ge."}
-_opaque_counter = itertools.count(1)
 
 
 def subscript_placeholder(position: int) -> SymExpr:
@@ -81,6 +80,12 @@ class ConversionContext:
     content_bounds: dict[str, tuple[Fraction, Fraction]] = field(
         default_factory=dict
     )
+    #: numbers the fresh symbols (``hint@N`` opaques, ``i%N`` index
+    #: renames); every context derived from this one shares it, so one
+    #: compile numbers its symbols from 1 whatever ran before it
+    numbering: Iterator[int] = field(
+        default_factory=lambda: itertools.count(1), repr=False, compare=False
+    )
 
     def with_index(self, name: str) -> "ConversionContext":
         """The context with one more active loop index."""
@@ -96,17 +101,17 @@ class ConversionContext:
             bindings,
             self.index_array_forms,
             self.content_bounds,
+            self.numbering,
         )
 
     def fresh_opaque(self, hint: str = "v") -> SymExpr:
         """A fresh symbol standing for an unknown (but fixed) value."""
-        return SymExpr.var(f"{hint}@{next(_opaque_counter)}")
+        return SymExpr.var(f"{hint}@{next(self.numbering)}")
 
-
-def reset_opaque_counter() -> None:
-    """Restart opaque-symbol numbering (deterministic test output)."""
-    global _opaque_counter
-    _opaque_counter = itertools.count(1)
+    def fresh_index(self, index: str) -> str:
+        """A fresh name for loop index *index* ranging over the other
+        iterations (section 4.1's rename before expansion)."""
+        return f"{index}%{next(self.numbering)}"
 
 
 def _real_literal(text: str) -> Optional[Fraction]:

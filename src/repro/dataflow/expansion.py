@@ -24,11 +24,19 @@ from __future__ import annotations
 
 from typing import Optional
 
+from ..perf.profiler import MISS, BoundedCache
 from ..regions import GAR, GARList, Range, RegularRegion
 from ..regions.gar_simplify import simplify_gar_list
 from ..regions.ranges import _max_cases, _min_cases
 from ..regions.region import OMEGA_DIM
+from ..resilience.budget import charge as _budget_charge
 from ..symbolic import Comparer, Predicate, Relation, RelOp, SymExpr
+
+#: (member tuple, index, lo, hi, step, context fingerprint, symbolic flag)
+#: → expanded GARList.  Like the simplifier's memo: the expansion is a
+#: pure function of the key, and a recompile of the same program asks
+#: for the same expansions (fresh symbols are numbered per compile).
+_EXPAND_CACHE = BoundedCache("dataflow.expand", maxsize=4096)
 
 
 def expand_gar_list(
@@ -39,7 +47,26 @@ def expand_gar_list(
     step: SymExpr,
     cmp: Comparer,
 ) -> GARList:
-    """Expansion of every member, simplified."""
+    """Expansion of every member, simplified (memoized)."""
+    # one budget step per call, cached or not (see simplify_gar_list)
+    _budget_charge(1)
+    key = (gars.gars, index, lo, hi, step, cmp._ctx_key, cmp.symbolic)
+    cached = _EXPAND_CACHE.get(key)
+    if cached is not MISS:
+        return cached
+    return _EXPAND_CACHE.put(
+        key, _expand_gar_list_uncached(gars, index, lo, hi, step, cmp)
+    )
+
+
+def _expand_gar_list_uncached(
+    gars: GARList,
+    index: str,
+    lo: SymExpr,
+    hi: SymExpr,
+    step: SymExpr,
+    cmp: Comparer,
+) -> GARList:
     out = GARList.empty()
     for gar in gars:
         out = out.union(expand_gar(gar, index, lo, hi, step, cmp))

@@ -32,7 +32,6 @@ or unknown steps expand with opaque bounds and inexact ordering sets.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 
 from ..errors import BudgetExceeded
 from ..fortran.ast_nodes import Apply, Assign, BinOp, Expr, NameRef, Stmt
@@ -50,8 +49,6 @@ from .context import LoopSummaryRecord
 from .convert import ConversionContext, to_symexpr
 from .expansion import expand_gar_list
 from .summary import Summary, collect_uses, scalar_gar
-
-_index_renames = itertools.count(1)
 
 
 # --------------------------------------------------------------------------- #
@@ -402,7 +399,7 @@ def _summarize_loop_exact(
 
     # rename the index before expanding over prior/later iterations so the
     # free occurrence of i (the "current" iteration) is not captured
-    fresh = f"{i}%{next(_index_renames)}"
+    fresh = ctx.fresh_index(i)
     other_iter = {i: SymExpr.var(fresh)}
     mod_prev = mod_i.substitute(other_iter)
     mod_next = mod_prev

@@ -71,8 +71,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: v8: the ``stats`` payload of a stored result lost its ``gar_ops`` key;
 #: v9: calls and GOTO cycles stop the conventional screen, a scalar formal
 #: bound to an array element writes through it, and a loop body's GOTO
-#: cycles are condensed — v8 verdicts and summaries must not be served)
-CACHE_FORMAT_VERSION = 9
+#: cycles are condensed — v8 verdicts and summaries must not be served;
+#: v10: fresh symbols are numbered per compile and a reader renames a
+#: served entry's symbols apart — a v9 reader renames nothing, so it
+#: must never load entries numbered this way)
+CACHE_FORMAT_VERSION = 10
 
 #: on-disk container magic; the digest that follows covers the payload
 DISK_MAGIC = b"PANC\x03\n"

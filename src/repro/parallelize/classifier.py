@@ -34,10 +34,10 @@ _OPAQUE_RE = re.compile(r"@(\d+)")
 def _stable_opaques(text: str) -> str:
     """Renumber opaque-symbol ids (``name@k``) by first appearance.
 
-    The interner's counter is process-global, so the raw ids depend on
-    what else the process analyzed; renumbering keeps the printed
-    conflicts identical between sequential and pooled runs (equal ids
-    still print equal, distinct ids distinct).
+    A compile numbers its symbols from 1, but the raw ids also count
+    the symbols of served cache entries it renamed apart; renumbering
+    keeps the printed conflicts identical between cached and cacheless
+    runs (equal ids still print equal, distinct ids distinct).
     """
     seen: dict[str, str] = {}
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..fortran.ast_nodes import Apply, Assign, BinOp, Expr, NameRef
+from ..fortran.ast_nodes import Apply, Assign, BinOp, Expr, IoStmt, NameRef
 from ..hsg.cfg import FlowGraph, walk
 from ..hsg.nodes import BasicBlockNode, CallNode, IfConditionNode, LoopNode
 
@@ -144,14 +144,20 @@ def find_reductions(body: FlowGraph) -> list[Reduction]:
 
     A condensed backward-GOTO cycle's members are read like any other
     node: an update that runs an unknown number of times still reduces,
-    and every other mention of a name in the cycle disqualifies it.
+    and every other mention of a name in the cycle disqualifies it.  So
+    does an I/O item: a PRINT would show a partial sum, and a READ
+    replaces the accumulator.
     """
     assigns: list[Assign] = []
     other_exprs: list[Expr] = []
     cond_sites: list[tuple[FlowGraph, IfConditionNode]] = []
     for node, enclosing in walk(body, members=True):
         if isinstance(node, BasicBlockNode):
-            assigns.extend(s for s in node.stmts if isinstance(s, Assign))
+            for stmt in node.stmts:
+                if isinstance(stmt, Assign):
+                    assigns.append(stmt)
+                elif isinstance(stmt, IoStmt):
+                    other_exprs.extend(stmt.items)
         elif isinstance(node, IfConditionNode):
             other_exprs.append(node.cond)
             # a cycle member is in no graph: its guard pairs with no arm

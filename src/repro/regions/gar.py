@@ -29,7 +29,7 @@ from .region import RegularRegion
 class GAR:
     """An immutable guarded array region ``[P, R]``."""
 
-    __slots__ = ("guard", "region", "exact", "array", "_hash")
+    __slots__ = ("guard", "region", "exact", "array", "_hash", "_free")
 
     def __init__(
         self, guard: Predicate, region: RegularRegion, exact: bool = True
@@ -43,6 +43,7 @@ class GAR:
         #: the region's array, read on every pairwise simplifier test
         self.array = region.array
         self._hash = hash((self.guard, self.region, self.exact))
+        self._free = None
 
     def __reduce__(self):
         # rebuilt so the hash is the loading process's own; not through
@@ -81,8 +82,12 @@ class GAR:
         return self.guard.is_unknown() and self.region.is_omega()
 
     def free_vars(self) -> frozenset[str]:
-        """Variables in the guard and region."""
-        return self.guard.free_vars() | self.region.free_vars()
+        """Variables in the guard and region (computed once: ``substitute``
+        and the renaming of served summaries ask it of the same GARs)."""
+        free = self._free
+        if free is None:
+            free = self._free = self.guard.free_vars() | self.region.free_vars()
+        return free
 
     def contains_var(self, name: str) -> bool:
         """Does *name* occur in the guard or region?"""
@@ -300,6 +305,7 @@ def _rebuild_gar(guard: Predicate, region: RegularRegion, exact: bool) -> GAR:
     gar.exact = exact and not guard.is_unknown() and region.is_fully_known()
     gar.array = region.array
     gar._hash = hash((guard, region, gar.exact))
+    gar._free = None
     return gar
 
 

@@ -67,8 +67,11 @@ class PanoramaServer:
         self._executor = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="panorama-analysis"
         )
-        #: open connection handler tasks, cancelled on aclose()
+        #: open connection handler tasks; aclose() cancels the busy ones
         self._connections: set[asyncio.Task] = set()
+        #: handler task → writer, for connections waiting for a request
+        #: (aclose() closes these instead)
+        self._idle: dict[asyncio.Task, asyncio.StreamWriter] = {}
 
     # -- lifecycle ----------------------------------------------------------------
 
@@ -90,8 +93,15 @@ class PanoramaServer:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
+        # an idle keep-alive connection is closed, not cancelled: its
+        # handler reads EOF and ends; a handler task that ends cancelled
+        # makes the stream's done callback raise, which the loop logs
+        idle = dict(self._idle)
+        for writer in idle.values():
+            writer.close()
         for task in list(self._connections):
-            task.cancel()
+            if task not in idle:
+                task.cancel()
         if self._connections:
             await asyncio.gather(*self._connections, return_exceptions=True)
         self._executor.shutdown(wait=False, cancel_futures=True)
@@ -138,6 +148,7 @@ class PanoramaServer:
                 writer.transport.abort()
                 return
             while True:
+                self._idle[task] = writer
                 try:
                     request = await read_request(
                         reader, self.service.config.max_body_bytes
@@ -153,6 +164,8 @@ class PanoramaServer:
                     )
                     await writer.drain()
                     break
+                finally:
+                    self._idle.pop(task, None)
                 if request is None:
                     break
                 try:

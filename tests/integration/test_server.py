@@ -388,6 +388,32 @@ class TestGracefulDrain:
             assert service.admission["drained_rejects"] >= 1
             assert service.admission["in_flight"] == 0
 
+    def test_drain_closes_idle_keep_alive_connection_quietly(self):
+        """A client holding an idle kept-alive connection is closed by
+        the drain without any exception reaching the loop's handler."""
+        reported: list[dict] = []
+        with ServerThread(AnalysisService()) as thread:
+            installed = threading.Event()
+
+            def install():
+                thread._loop.set_exception_handler(
+                    lambda loop, context: reported.append(context)
+                )
+                installed.set()
+
+            thread._loop.call_soon_threadsafe(install)
+            assert installed.wait(timeout=10)
+            conn = http.client.HTTPConnection(thread.host, thread.port)
+            try:
+                conn.request("GET", "/v1/health")
+                response = conn.getresponse()
+                assert response.status == 200
+                response.read()  # the connection stays open, idle
+                assert thread.drain(timeout=5.0) is True
+            finally:
+                conn.close()
+        assert reported == []
+
 
 class TestClientRetries:
     def test_client_rides_out_saturation(self):

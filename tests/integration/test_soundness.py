@@ -7,6 +7,8 @@ analysis declares privatizable really carries no cross-iteration flow
 (see :mod:`repro.validate`).
 """
 
+import pytest
+
 from repro.kernels.figure1 import FIGURE_1B
 from repro.validate import validate_loop
 
@@ -223,3 +225,44 @@ class TestConditionalKernels:
         )
         assert report.ok, report.violations
         assert "a" not in report.privatization_checked
+
+
+class TestOpaquesFromTheBody:
+    """An opaque minted inside an outer loop's body stands for a value
+    that may differ per iteration (docs/soundness.md)."""
+
+    # K and M are triangular numbers of I computed by inner loops: after
+    # each inner loop the scalar's value is an opaque (k@N, m@N), which
+    # the outer expansion takes for loop-invariant, so MOD_<i holds
+    # a(k@N) and the read a(m@N) looks disjoint from it when k@N != m@N
+    SRC = (
+        "      PROGRAM main\n"
+        "      REAL a(1000), b(100)\n"
+        "      INTEGER i, j, k, m\n"
+        "      DO 5 i = 1, 1000\n"
+        "        a(i) = i\n"
+        "    5 CONTINUE\n"
+        "      DO 20 i = 2, 10\n"
+        "        k = 0\n"
+        "        DO 10 j = 1, i\n"
+        "          k = k + j\n"
+        "   10   CONTINUE\n"
+        "        a(k) = -1.0\n"
+        "        m = 0\n"
+        "        DO 15 j = 1, i - 1\n"
+        "          m = m + j\n"
+        "   15   CONTINUE\n"
+        "        b(i) = a(m)\n"
+        "   20 CONTINUE\n"
+        "      END\n"
+    )
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="fix_varying_lists treats an opaque minted in the body as "
+        "loop-invariant, so a is privatized although iteration i reads "
+        "a(m) = a((i-1)i/2), which iteration i-1 wrote",
+    )
+    def test_inner_loop_results_are_iteration_varying(self):
+        report = validate_loop(self.SRC, "main", "i", args={}, occurrence=1)
+        assert report.ok, report.violations

@@ -1,5 +1,8 @@
 """Unit tests for dependence classification, reductions, loop verdicts."""
 
+import pytest
+
+from repro import Panorama
 from repro.parallelize import (
     LoopStatus,
     find_reductions,
@@ -133,6 +136,29 @@ class TestReductions:
             "      DO i = 1, n\n        s = s + s\n      ENDDO\n"
         )
         assert "s" not in reds
+
+    @pytest.mark.parametrize("io", ["PRINT *, s", "READ (5, *) s"])
+    def test_io_item_rejected(self, io):
+        # a parallel reduction would print other partial sums, and a
+        # READ replaces the accumulator
+        reds = self._reductions(
+            f"      DO i = 1, n\n        s = s + a(i)\n        {io}\n"
+            "      ENDDO\n"
+        )
+        assert "s" not in reds
+
+    @pytest.mark.parametrize("io", ["PRINT *, t", "READ (5, *) t"])
+    def test_io_item_makes_loop_serial(self, io):
+        src = (
+            "      PROGRAM main\n      REAL a(100), t\n      INTEGER i, n\n"
+            "      n = 100\n      t = 0.0\n"
+            f"      DO 10 i = 1, n\n        t = t + a(i)\n        {io}\n"
+            "   10 CONTINUE\n      END\n"
+        )
+        (report,) = Panorama(run_machine_model=False).compile(src).loops
+        assert report.status is LoopStatus.SERIAL
+        assert report.verdict.reductions == []
+        assert report.verdict.serial_reasons == ["flow dependence carried on t"]
 
 
 class TestClassifier:
