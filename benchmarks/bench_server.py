@@ -93,8 +93,8 @@ def _bench_rows():
     cold_ms, cold_verdicts = _cold_process_run(PROGRAMS)
 
     service = AnalysisService()
-    with ServerThread(service) as thread:
-        client = PanoramaClient(port=thread.port)
+    with ServerThread(service) as thread, \
+            PanoramaClient(port=thread.port) as client:
         first_ms, first_verdicts, (first_cache, first_symbolic) = (
             _daemon_pass(client, PROGRAMS)
         )

@@ -67,11 +67,11 @@ class PanoramaServer:
         self._executor = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="panorama-analysis"
         )
-        #: open connection handler tasks; aclose() cancels the busy ones
+        #: the task serving each open connection; aclose() cancels them
         self._connections: set[asyncio.Task] = set()
-        #: handler task → writer, for connections waiting for a request
-        #: (aclose() closes these instead)
-        self._idle: dict[asyncio.Task, asyncio.StreamWriter] = {}
+        #: set by aclose(): a connection accepted before the listener
+        #: closed, whose handler starts after, is closed unanswered
+        self._closing = False
 
     # -- lifecycle ----------------------------------------------------------------
 
@@ -89,21 +89,21 @@ class PanoramaServer:
             await self._server.serve_forever()
 
     async def aclose(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        # an idle keep-alive connection is closed, not cancelled: its
-        # handler reads EOF and ends; a handler task that ends cancelled
-        # makes the stream's done callback raise, which the loop logs
-        idle = dict(self._idle)
-        for writer in idle.values():
-            writer.close()
-        for task in list(self._connections):
-            if task not in idle:
+        server, self._server = self._server, None
+        self._closing = True
+        if server is not None:
+            server.close()  # stop accepting
+        # each connection closes: an idle one, or one whose request
+        # outlived a drain, unanswered.  This comes before wait_closed(),
+        # which from Python 3.12 on waits for every accepted connection
+        # to close: a client's idle kept connection would hold it forever
+        while self._connections:
+            tasks = list(self._connections)
+            for task in tasks:
                 task.cancel()
-        if self._connections:
-            await asyncio.gather(*self._connections, return_exceptions=True)
+            await asyncio.gather(*tasks, return_exceptions=True)
+        if server is not None:
+            await server.wait_closed()
         self._executor.shutdown(wait=False, cancel_futures=True)
 
     async def drain(self, timeout: float | None = None) -> bool:
@@ -137,9 +137,27 @@ class PanoramaServer:
     # -- connection handling ------------------------------------------------------
 
     async def _handle_connection(self, reader, writer) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._connections.add(task)
+        # the connection is served by a task of its own, which aclose()
+        # cancels; this one, whose end the stream protocol's done
+        # callback reads, then ends normally (on Python 3.11 that
+        # callback logs a traceback for a task that ended cancelled)
+        if self._closing:
+            writer.close()
+            return
+        task = asyncio.ensure_future(self._serve(reader, writer))
+        self._connections.add(task)
+        try:
+            await asyncio.wait({task})
+        finally:
+            # deregister only once fully torn down: a task removed while
+            # still running would never be cancelled by aclose()
+            self._connections.discard(task)
+            # a task cancelled before its first step never ran its own
+            # finally; an open transport would hold wait_closed()
+            writer.close()
+
+    async def _serve(self, reader, writer) -> None:
+        """Answer the requests of one connection until it closes."""
         try:
             if faults.should_fire("server.conn"):
                 # chaos site: the daemon drops this connection cold, as a
@@ -148,7 +166,6 @@ class PanoramaServer:
                 writer.transport.abort()
                 return
             while True:
-                self._idle[task] = writer
                 try:
                     request = await read_request(
                         reader, self.service.config.max_body_bytes
@@ -164,8 +181,6 @@ class PanoramaServer:
                     )
                     await writer.drain()
                     break
-                finally:
-                    self._idle.pop(task, None)
                 if request is None:
                     break
                 try:
@@ -208,11 +223,6 @@ class PanoramaServer:
                 await writer.wait_closed()
             except (ConnectionError, OSError, asyncio.CancelledError):
                 pass
-            # deregister only once fully torn down: a task that removed
-            # itself before its last await could be left pending (and
-            # never cancelled) when aclose() runs in that window
-            if task is not None:
-                self._connections.discard(task)
 
     async def _dispatch(self, request: Request, writer) -> bool:
         """Route one request; returns True when the response streamed."""

@@ -25,6 +25,7 @@ from .. import __version__
 from ..driver.panorama import Panorama
 from ..driver.report import loop_report_row
 from ..errors import EXIT_INTERRUPTED
+from ..perf import profiler
 from .app import PanoramaServer, ServerThread
 from .client import PanoramaClient, ServiceError
 from .service import AnalysisService, ServerConfig
@@ -148,6 +149,18 @@ def main(argv: list[str] | None = None) -> int:
 
     async def _run() -> int:
         server = await PanoramaServer(service).start()
+        # graceful drain: SIGTERM/SIGINT stop admission, let in-flight
+        # requests finish within --drain-timeout, then exit 5 (the
+        # interrupted-but-consistent code the batch CLIs share).  The
+        # handlers go in before the ready file is written, so a signal
+        # sent once it appears drains too
+        stop = asyncio.Event()
+        loop = asyncio.get_running_loop()
+        for sig in (signal.SIGTERM, signal.SIGINT):
+            try:
+                loop.add_signal_handler(sig, stop.set)
+            except (NotImplementedError, RuntimeError, ValueError):
+                pass  # non-Unix loop / nested loop: ^C stays a KeyboardInterrupt
         print(
             f"panorama-serve {__version__} listening on {server.url} "
             f"(pid {service.health()['pid']}, max in-flight "
@@ -158,16 +171,6 @@ def main(argv: list[str] | None = None) -> int:
             Path(args.ready_file).write_text(
                 f"{server.host} {server.port}\n"
             )
-        # graceful drain: SIGTERM/SIGINT stop admission, let in-flight
-        # requests finish within --drain-timeout, then exit 5 (the
-        # interrupted-but-consistent code the batch CLIs share)
-        stop = asyncio.Event()
-        loop = asyncio.get_running_loop()
-        for sig in (signal.SIGTERM, signal.SIGINT):
-            try:
-                loop.add_signal_handler(sig, stop.set)
-            except (NotImplementedError, RuntimeError, ValueError):
-                pass  # non-Unix loop / nested loop: ^C stays a KeyboardInterrupt
         serving = asyncio.ensure_future(server.serve_forever())
         waiting = asyncio.ensure_future(stop.wait())
         try:
@@ -230,8 +233,8 @@ def run_selftest(config: ServerConfig) -> int:
             failures.append(label)
 
     service = AnalysisService(config)
-    with ServerThread(service) as thread:
-        client = PanoramaClient(port=thread.port)
+    with ServerThread(service) as thread, \
+            PanoramaClient(port=thread.port) as client:
         print(
             f"panorama-serve selftest on {thread.server.url}", file=sys.stderr
         )
@@ -244,6 +247,10 @@ def run_selftest(config: ServerConfig) -> int:
             loop_report_row(r)
             for r in Panorama().compile(FIGURE_1A).loops
         ]
+        # cold memos for the daemon's first request: a compile numbers
+        # its fresh symbols from 1, so the ground truth's compile would
+        # answer every symbolic question that request asks
+        profiler.clear_caches()
         first = client.analyze(FIGURE_1A, name="figure1a.f")
         second = client.analyze(FIGURE_1A, name="figure1a.f")
         check(
@@ -323,11 +330,11 @@ def run_selftest(config: ServerConfig) -> int:
 
         # deterministic saturation: ceiling 0 → immediate 429 (a
         # non-retrying client, so the raw rejection is observable)
-        fail_fast = PanoramaClient(port=thread.port, retries=0)
         ceiling = service.config.max_inflight
         service.config.max_inflight = 0
         try:
-            fail_fast.analyze(FIGURE_1A)
+            with PanoramaClient(port=thread.port, retries=0) as fail_fast:
+                fail_fast.analyze(FIGURE_1A)
             check("429 on saturation", False)
         except ServiceError as exc:
             check(

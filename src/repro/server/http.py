@@ -1,4 +1,4 @@
-"""Minimal HTTP/1.1 plumbing over ``asyncio`` streams (stdlib only).
+"""Minimal HTTP/1.1 plumbing, both ends of the wire (stdlib only).
 
 Just enough protocol for the analysis daemon: request-line + headers +
 ``Content-Length`` bodies in, fixed-length JSON responses or
@@ -10,6 +10,14 @@ Limits are enforced while reading: an oversized request line, header
 block, or body raises :class:`ProtocolError` with the HTTP status the
 connection handler should answer with (400/413/431), before the bytes
 are ever buffered whole.
+
+The client's half lives here too: :func:`request_bytes` writes what
+:func:`read_request` parses, and :func:`read_response_head`,
+:func:`read_body` and :func:`read_lines` read, off a blocking socket
+file, exactly what :func:`response_bytes` and :func:`stream_head` write
+— keep-alive unless ``Connection: close``, a ``Content-Length`` body or
+one that runs to end of stream.  Any other framing raises
+:class:`ResponseError`.
 """
 
 from __future__ import annotations
@@ -17,7 +25,7 @@ from __future__ import annotations
 import asyncio
 import json
 from dataclasses import dataclass, field
-from typing import Any, Iterable
+from typing import Any, Iterable, Iterator
 from urllib.parse import parse_qsl, urlsplit
 
 #: reason phrases for the statuses the daemon actually emits
@@ -39,6 +47,8 @@ REASONS = {
 MAX_LINE = 8192
 #: header count cap
 MAX_HEADERS = 64
+#: cap on a response body the client reads (a whole stream's, too)
+MAX_RESPONSE_BODY = 1 << 26
 
 
 class ProtocolError(Exception):
@@ -211,3 +221,129 @@ def stream_head(content_type: str = "application/x-ndjson") -> bytes:
 def ndjson_line(event: Any) -> bytes:
     """One NDJSON event line."""
     return (json.dumps(event, sort_keys=True) + "\n").encode("utf-8")
+
+
+# --------------------------------------------------------------------------- #
+# the client's half
+# --------------------------------------------------------------------------- #
+
+
+class ResponseError(ConnectionError):
+    """A response outside the HTTP/1.1 subset the daemon writes: a
+    malformed head, a framing such as ``Transfer-Encoding``, a body over
+    :data:`MAX_RESPONSE_BODY`."""
+
+
+class EmptyReply(ConnectionResetError):
+    """The connection closed before the first byte of an answer."""
+
+
+@dataclass
+class Response:
+    """One response as the client reads it."""
+
+    status: int
+    headers: dict[str, str]  # keys lower-cased
+    #: body length; None when the body runs until the daemon closes
+    length: int | None
+    #: the daemon closes the connection after this response
+    close: bool
+    body: bytes = b""
+
+
+def request_bytes(
+    method: str, target: str, host: str, body: bytes | None = None
+) -> bytes:
+    """A complete HTTP/1.1 request with an optional JSON body."""
+    head = f"{method} {target} HTTP/1.1\r\nHost: {host}\r\n"
+    if body is None:
+        return (head + "\r\n").encode("latin-1")
+    head += (
+        "Content-Type: application/json\r\n"
+        f"Content-Length: {len(body)}\r\n\r\n"
+    )
+    return head.encode("latin-1") + body
+
+
+def _head_line(rfile, what: str) -> bytes:
+    line = rfile.readline(MAX_LINE + 1)
+    if len(line) > MAX_LINE:
+        raise ResponseError(f"response {what} too long")
+    if not line.endswith(b"\n"):
+        raise ConnectionResetError(f"connection closed in the response {what}")
+    return line
+
+
+def read_response_head(rfile) -> Response:
+    """Read a status line and headers off a blocking binary stream.
+
+    Raises :class:`EmptyReply` when the stream ends (or is reset)
+    before the first byte, :class:`ResponseError` on a head outside the
+    daemon's subset, :class:`ConnectionResetError` when it ends midway.
+    """
+    try:
+        first = rfile.read(1)
+    except ConnectionResetError as exc:
+        raise EmptyReply("connection reset before the response") from exc
+    if not first:
+        raise EmptyReply("connection closed before the response")
+    line = first + _head_line(rfile, "status line")
+    version, _, rest = line.decode("latin-1").partition(" ")
+    code = rest[:3]
+    if not (version.startswith("HTTP/1.") and code.isascii()
+            and code.isdigit() and 200 <= int(code) < 600):
+        raise ResponseError(f"malformed status line {line[:80]!r}")
+    headers: dict[str, str] = {}
+    while (line := _head_line(rfile, "header line")).strip():
+        if len(headers) >= MAX_HEADERS:
+            raise ResponseError("too many response headers")
+        name, sep, value = line.decode("latin-1").partition(":")
+        if not sep:
+            raise ResponseError(f"malformed response header {name.strip()!r}")
+        headers[name.strip().lower()] = value.strip()
+    if "transfer-encoding" in headers:
+        raise ResponseError(
+            "unsupported response framing: Transfer-Encoding: "
+            + headers["transfer-encoding"]
+        )
+    length = None
+    if "content-length" in headers:
+        value = headers["content-length"]
+        if not (value.isascii() and value.isdigit()):
+            raise ResponseError(f"bad Content-Length {value!r}")
+        length = int(value)
+        if length > MAX_RESPONSE_BODY:
+            raise ResponseError(
+                f"response body of {length} bytes exceeds the "
+                f"{MAX_RESPONSE_BODY} byte limit"
+            )
+    close = length is None or headers.get("connection", "").lower() == "close"
+    return Response(int(code), headers, length, close)
+
+
+def read_body(rfile, head: Response) -> bytes:
+    """The whole body of the response *head* was read for."""
+    if head.length is None:
+        return b"".join(read_lines(rfile))
+    body = rfile.read(head.length)
+    if len(body) < head.length:
+        raise ConnectionResetError(
+            f"connection closed in the response body "
+            f"({len(body)} of {head.length} bytes)"
+        )
+    return body
+
+
+def read_lines(rfile) -> Iterator[bytes]:
+    """The lines of a body that runs to end of stream (an NDJSON
+    stream), each as soon as it arrives."""
+    total = 0
+    while line := rfile.readline(MAX_RESPONSE_BODY + 1 - total):
+        total += len(line)
+        if total > MAX_RESPONSE_BODY:
+            raise ResponseError(
+                f"response body exceeds the {MAX_RESPONSE_BODY} byte limit"
+            )
+        if not line.endswith(b"\n"):
+            raise ConnectionResetError("connection closed in a stream line")
+        yield line

@@ -25,9 +25,10 @@ Request semantics (docs/server.md):
   ``degraded`` in the payload, exactly like the CLI's exit-3 path.
 * **per-request observability** — each response carries the
   :mod:`repro.perf` gauge delta *this request* caused (a
-  ``profiler.snapshot()`` before the work, ``profiler.delta`` after it)
-  plus the summary-cache delta, so clients can watch the resident
-  caches get warm.
+  ``profiler.snapshot()`` before the compile, ``profiler.delta`` after
+  it; empty for an answer served whole, which compiles nothing) plus
+  the summary-cache delta, so clients can watch the resident caches
+  get warm.
 * **unchanged requests are served whole** — an analyze request whose
   source, options, sizes and audit flag were answered before is served
   from the cache's result tier without parsing; a stream replays the
@@ -303,9 +304,11 @@ class AnalysisService:
 
         t0 = time.perf_counter()
         cache_before = self.cache.stats.copy()
-        perf_before = profiler.snapshot()
         payload = self.cache.get_result(key, name) if key is not None else None
+        # a served answer does no symbolic work: only a compile is probed
+        symbolic: dict[str, float] = {}
         if payload is None:
+            perf_before = profiler.snapshot()
             result, audit_report, _ = self._compile(
                 BatchItem(name, source, sizes),
                 options,
@@ -315,11 +318,11 @@ class AnalysisService:
             payload = result_to_dict(result, name=name, audit=audit_report)
             if key is not None:
                 self.cache.put_result(key, payload)
+            symbolic = profiler.delta(perf_before, profiler.snapshot())
         elif on_event is not None:
             events = _EventHooks(on_event)
             for row in payload["loops"]:
                 events.row(row)
-        symbolic = profiler.delta(perf_before, profiler.snapshot())
         degraded_loops = sum(1 for row in payload["loops"] if row["degraded"])
         payload["degraded"] = bool(degraded_loops)
         payload["request"] = self._request_block(

@@ -195,8 +195,8 @@ def outputs(tmp_path_factory):
     run(campaign.main, ["--rollup", str(rollup), *map(str, shards)])
     out["campaign --rollup"] = json.loads(rollup.read_text())
 
-    with ServerThread(AnalysisService()) as thread:
-        client = PanoramaClient(port=thread.port)
+    with ServerThread(AnalysisService()) as thread, \
+            PanoramaClient(port=thread.port) as client:
         payload = client.analyze(FIGURE_1A, name="fig1a.f")
         out["daemon request block"] = payload["request"]
         out["GET /v1/stats"] = client.stats()

@@ -10,13 +10,22 @@ process down or poisoning the resident caches.
 
 from __future__ import annotations
 
+import contextlib
 import http.client
 import json
+import os
+import signal
+import socket
+import subprocess
+import sys
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.driver.panorama import Panorama
 from repro.driver.report import loop_report_row
 from repro.kernels import KERNELS
@@ -25,10 +34,12 @@ from repro.perf import profiler
 from repro.server import (
     AnalysisService,
     PanoramaClient,
+    PanoramaServer,
     ServerConfig,
     ServerThread,
     ServiceError,
 )
+from repro.server.cli import run_selftest
 
 BAD_SOURCE = "THIS IS NOT FORTRAN ]["
 
@@ -52,7 +63,92 @@ def server():
 
 @pytest.fixture(scope="module")
 def client(server):
-    return PanoramaClient(port=server.port)
+    with PanoramaClient(port=server.port) as client:
+        yield client
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """A daemon of its own, and the writer of every connection it
+    accepted, in order; ``ended`` collects them as their handlers end."""
+    accepted: list = []
+    ended: list = []
+    real_handler = PanoramaServer._handle_connection
+
+    async def counting(self, reader, writer):
+        accepted.append(writer)
+        try:
+            await real_handler(self, reader, writer)
+        finally:
+            ended.append(writer)
+
+    monkeypatch.setattr(PanoramaServer, "_handle_connection", counting)
+    with ServerThread(AnalysisService()) as thread:
+        yield thread, accepted, ended
+
+
+def wait_for(predicate, seconds: float = 30.0) -> None:
+    deadline = time.monotonic() + seconds
+    while not predicate():
+        assert time.monotonic() < deadline, "timed out waiting"
+        time.sleep(0.01)
+
+
+def record_loop_exceptions(thread: ServerThread) -> list[dict]:
+    """Route every exception the daemon's loop reports into a list."""
+    reported: list[dict] = []
+    installed = threading.Event()
+
+    def install():
+        thread._loop.set_exception_handler(
+            lambda loop, context: reported.append(context)
+        )
+        installed.set()
+
+    thread._loop.call_soon_threadsafe(install)
+    assert installed.wait(timeout=10)
+    return reported
+
+
+@contextlib.contextmanager
+def fake_daemon(answer: bytes | None):
+    """A listener that reads each request's head, writes *answer* and
+    ends the stream (None: never answers); yields its port and the
+    accepted sockets."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(0.05)
+    accepted: list[socket.socket] = []
+    stop = threading.Event()
+
+    def serve():
+        while not stop.is_set():
+            try:
+                conn, _ = listener.accept()
+            except TimeoutError:
+                continue
+            accepted.append(conn)
+            if answer is None:
+                continue
+            conn.settimeout(10)
+            head = b""
+            while b"\r\n\r\n" not in head:
+                chunk = conn.recv(65536)
+                if not chunk:
+                    break
+                head += chunk
+            conn.sendall(answer)
+            conn.shutdown(socket.SHUT_WR)
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    try:
+        yield listener.getsockname()[1], accepted
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+        listener.close()
+        for conn in accepted:
+            conn.close()
 
 
 class TestAnalyzeIdentity:
@@ -118,16 +214,15 @@ class TestConcurrency:
                 jobs.append(None)  # an invalid submission
 
         def run(job):
-            # one client per worker: http.client connections are not
-            # thread-safe, client objects are just host/port holders
-            c = PanoramaClient(port=client.port)
-            if job is None:
-                with pytest.raises(ServiceError) as err:
-                    c.analyze(BAD_SOURCE, name="bad.f")
-                return ("error", err.value.status, err.value.kind)
-            payload = c.analyze(
-                job.source, name=job.full_id, sizes=dict(job.sizes)
-            )
+            # one client per worker (TestConnections shares one client)
+            with PanoramaClient(port=client.port) as c:
+                if job is None:
+                    with pytest.raises(ServiceError) as err:
+                        c.analyze(BAD_SOURCE, name="bad.f")
+                    return ("error", err.value.status, err.value.kind)
+                payload = c.analyze(
+                    job.source, name=job.full_id, sizes=dict(job.sizes)
+                )
             return ("ok", job.full_id, payload["loops"])
 
         with ThreadPoolExecutor(max_workers=8) as pool:
@@ -183,6 +278,7 @@ class TestConcurrency:
             finally:
                 release.set()
                 t.join(timeout=60)
+                c.close()
             # the occupying request finished normally after release
             assert holder["payload"]["loops"] == expected_rows(FIGURE_1A)
 
@@ -340,8 +436,8 @@ class TestGracefulDrain:
             holder: dict = {}
 
             def occupy(slot: str):
-                c = PanoramaClient(port=port, retries=0)
-                holder[slot] = c.analyze(FIGURE_1A, name=f"{slot}.f")
+                with PanoramaClient(port=port, retries=0) as c:
+                    holder[slot] = c.analyze(FIGURE_1A, name=f"{slot}.f")
 
             workers = [
                 threading.Thread(target=occupy, args=(s,)) for s in ("a", "b")
@@ -387,22 +483,13 @@ class TestGracefulDrain:
             assert holder["b"]["loops"] == expected
             assert service.admission["drained_rejects"] >= 1
             assert service.admission["in_flight"] == 0
+            probe.close()
 
     def test_drain_closes_idle_keep_alive_connection_quietly(self):
         """A client holding an idle kept-alive connection is closed by
         the drain without any exception reaching the loop's handler."""
-        reported: list[dict] = []
         with ServerThread(AnalysisService()) as thread:
-            installed = threading.Event()
-
-            def install():
-                thread._loop.set_exception_handler(
-                    lambda loop, context: reported.append(context)
-                )
-                installed.set()
-
-            thread._loop.call_soon_threadsafe(install)
-            assert installed.wait(timeout=10)
+            reported = record_loop_exceptions(thread)
             conn = http.client.HTTPConnection(thread.host, thread.port)
             try:
                 conn.request("GET", "/v1/health")
@@ -413,6 +500,253 @@ class TestGracefulDrain:
             finally:
                 conn.close()
         assert reported == []
+
+    def test_drain_timeout_cancels_running_request_quietly(self):
+        """A request still running when the drain times out is
+        cancelled: its client sees the connection close, and no
+        exception reaches the loop's handler."""
+        service = AnalysisService()
+        release = threading.Event()
+        started = threading.Event()
+        real_analyze = service.analyze
+
+        def blocking_analyze(body, on_event=None):
+            started.set()
+            assert release.wait(timeout=30)
+            return real_analyze(body, on_event)
+
+        service.analyze = blocking_analyze
+        outcome: dict = {}
+        with ServerThread(service) as thread:
+            reported = record_loop_exceptions(thread)
+
+            def occupy():
+                with PanoramaClient(port=thread.port, retries=0) as c:
+                    try:
+                        outcome["payload"] = c.analyze(FIGURE_1A, name="slow.f")
+                    except OSError as exc:
+                        outcome["error"] = exc
+
+            t = threading.Thread(target=occupy)
+            t.start()
+            try:
+                assert started.wait(timeout=30)
+                assert thread.drain(timeout=0.5) is False
+                t.join(timeout=30)
+                assert not t.is_alive()
+            finally:
+                release.set()
+                t.join(timeout=60)
+        # a new connection, closed unanswered: retries=0 reports it
+        assert isinstance(outcome.get("error"), ConnectionResetError)
+        assert reported == []
+
+    def test_drain_timeout_over_kept_connection_resends_once(self, counted):
+        """On a kept connection, the close of a request cancelled by the
+        drain timeout looks like an idle close: the request goes once
+        more, on a new connection, which the closed listener refuses."""
+        thread, accepted, _ = counted
+        release = threading.Event()
+        started = threading.Event()
+        real_analyze = thread.service.analyze
+
+        def blocking_analyze(body, on_event=None):
+            started.set()
+            assert release.wait(timeout=30)
+            return real_analyze(body, on_event)
+
+        thread.service.analyze = blocking_analyze
+        outcome: dict = {}
+        with PanoramaClient(port=thread.port, retries=0) as c:
+            c.health()  # the connection is kept, idle
+
+            def occupy():
+                try:
+                    outcome["payload"] = c.analyze(FIGURE_1A, name="slow.f")
+                except OSError as exc:
+                    outcome["error"] = exc
+
+            t = threading.Thread(target=occupy)
+            t.start()
+            try:
+                assert started.wait(timeout=30)
+                assert thread.drain(timeout=0.5) is False
+                t.join(timeout=30)
+                assert not t.is_alive()
+            finally:
+                release.set()
+                t.join(timeout=60)
+        assert isinstance(outcome.get("error"), ConnectionRefusedError)
+        assert len(accepted) == 1
+
+    def test_stop_with_an_open_client_is_prompt(self):
+        """A client's idle kept connection does not hold the daemon's
+        shutdown: from Python 3.12 on, the listener's wait_closed() waits
+        for every accepted connection to close."""
+        thread = ServerThread(AnalysisService()).start()
+        loop_thread = thread._thread
+        with PanoramaClient(port=thread.port, retries=0) as c:
+            assert c.health()["status"] == "ok"
+            t0 = time.monotonic()
+            thread.stop()
+            assert time.monotonic() - t0 < 5.0
+            assert not loop_thread.is_alive()
+
+    def test_sigterm_with_an_open_client_drains_to_exit_5(self, tmp_path):
+        """SIGTERM, sent to a ``panorama-serve`` process while a client
+        keeps its connection open, drains the daemon to exit 5."""
+        ready = tmp_path / "ready"
+        env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.server.cli", "--port", "0",
+             "--ready-file", str(ready)],
+            env=env, stderr=subprocess.PIPE, text=True,
+        )
+        try:
+            wait_for(lambda: ready.exists()
+                     and ready.read_text().endswith("\n"))
+            host, port = ready.read_text().split()
+            with PanoramaClient(host=host, port=int(port), retries=0) as c:
+                assert c.health()["status"] == "ok"
+                proc.send_signal(signal.SIGTERM)
+                stderr = proc.communicate(timeout=30)[1]
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+        assert proc.returncode == 5, stderr
+        assert "drained cleanly (exit 5)" in stderr
+
+
+class TestConnections:
+    """One kept connection per client and thread, and the transport
+    failures a client reports."""
+
+    def test_sequential_requests_share_one_connection(self, counted):
+        thread, accepted, _ = counted
+        with PanoramaClient(port=thread.port, retries=0) as c:
+            for _ in range(3):
+                assert c.analyze(FIGURE_1A)["loops"] == expected_rows(FIGURE_1A)
+            with pytest.raises(ServiceError) as err:
+                c.analyze(BAD_SOURCE)
+            assert err.value.status == 422
+            assert c.health()["status"] == "ok"
+            assert c.stats()["requests"]["analyze"] == 4
+        assert len(accepted) == 1
+
+    def test_idle_connection_closed_by_daemon_is_reopened(self, counted):
+        thread, accepted, ended = counted
+        with PanoramaClient(port=thread.port, retries=0) as c:
+            assert c.health()["status"] == "ok"
+            # the daemon closes the kept connection while it sits idle
+            thread._loop.call_soon_threadsafe(accepted[0].close)
+            wait_for(lambda: len(ended) == 1)
+            payload = c.analyze(FIGURE_1A)
+        assert payload["loops"] == expected_rows(FIGURE_1A)
+        assert len(accepted) == 2
+
+    def test_connection_close_answer_then_normal_request(self):
+        # a 413 is answered with Connection: close (max_body_bytes as in
+        # test_oversized_body_is_413; FIGURE_1A's body fits under it)
+        service = AnalysisService(ServerConfig(max_body_bytes=1000))
+        with ServerThread(service) as thread:
+            with PanoramaClient(port=thread.port, retries=0) as c:
+                with pytest.raises(ServiceError) as err:
+                    c.analyze("C" * 2000)
+                assert err.value.status == 413
+                assert c.health()["status"] == "ok"
+                payload = c.analyze(FIGURE_1A)
+        assert payload["loops"] == expected_rows(FIGURE_1A)
+
+    def test_abandoned_stream_then_json_request(self, counted):
+        thread, accepted, ended = counted
+        kernel = PROGRAMS[0]
+        with PanoramaClient(port=thread.port, retries=0) as c:
+            assert c.health()["status"] == "ok"
+            stream = c.analyze_stream(kernel.source, sizes=dict(kernel.sizes))
+            assert next(stream)["event"] == "routine_started"
+            assert next(stream)["event"] == "loop_verdict"
+            stream.close()  # abandoned halfway: its connection closes
+            payload = c.analyze(kernel.source, sizes=dict(kernel.sizes))
+        assert payload["loops"] == expected_rows(
+            kernel.source, dict(kernel.sizes)
+        )
+        # the stream ran on a connection of its own, the JSON requests
+        # on the kept one
+        assert len(accepted) == 2
+        wait_for(lambda: len(ended) == 2)
+
+    def test_one_client_shared_by_threads(self, counted):
+        thread, accepted, _ = counted
+        jobs = PROGRAMS * 3
+        ground_truth = {
+            k.full_id: expected_rows(k.source, dict(k.sizes)) for k in PROGRAMS
+        }
+
+        # switch threads often, so that two of them would catch one
+        # connection at once if the client let them
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with PanoramaClient(port=thread.port, timeout=30) as shared:
+
+                def run(kernel):
+                    payload = shared.analyze(
+                        kernel.source, name=kernel.full_id,
+                        sizes=dict(kernel.sizes),
+                    )
+                    return kernel.full_id, payload["loops"]
+
+                with ThreadPoolExecutor(max_workers=8) as pool:
+                    results = list(pool.map(run, jobs, timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert [full_id for full_id, _ in results] == [k.full_id for k in jobs]
+        for full_id, rows in results:
+            assert rows == ground_truth[full_id], full_id
+        # threads that send at once use one connection each, no more
+        assert 1 <= len(accepted) <= 8
+
+    def test_refused_port_raises_connection_refused(self):
+        with socket.socket() as holder:
+            holder.bind(("127.0.0.1", 0))  # bound, never listening
+            port = holder.getsockname()[1]
+            with pytest.raises(ConnectionRefusedError):
+                PanoramaClient(port=port, retries=0).health()
+            # retries govern a refusal too; the type survives them
+            with pytest.raises(ConnectionRefusedError):
+                PanoramaClient(port=port, retries=1, backoff_base=0.01).health()
+
+    def test_stalled_daemon_raises_timeout(self):
+        with fake_daemon(None) as (port, accepted):
+            c = PanoramaClient(port=port, timeout=0.5)
+            t0 = time.monotonic()
+            with pytest.raises(TimeoutError):
+                c.health()
+            assert time.monotonic() - t0 >= 0.5
+            # a timeout is not retried
+            assert len(accepted) == 1
+
+    def test_new_connection_closed_unanswered_is_not_resent(self):
+        with fake_daemon(b"") as (port, accepted):
+            with pytest.raises(ConnectionResetError):
+                PanoramaClient(port=port, retries=0).health()
+            assert len(accepted) == 1
+
+    def test_unsupported_framing_raises_connection_error(self):
+        chunked = (
+            b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
+            b"Transfer-Encoding: chunked\r\n\r\n2\r\n{}\r\n0\r\n\r\n"
+        )
+        with fake_daemon(chunked) as (port, accepted):
+            with pytest.raises(ConnectionError, match="Transfer-Encoding: chunked"):
+                PanoramaClient(port=port, timeout=10).health()
+            # a framing the daemon never writes is not retried
+            assert len(accepted) == 1
+
+
+def test_selftest_passes():
+    assert run_selftest(ServerConfig()) == 0
 
 
 class TestClientRetries:
@@ -438,8 +772,8 @@ class TestClientRetries:
             holder: dict = {}
 
             def occupy():
-                c = PanoramaClient(port=port, retries=0)
-                holder["first"] = c.analyze(FIGURE_1A, name="slow.f")
+                with PanoramaClient(port=port, retries=0) as c:
+                    holder["first"] = c.analyze(FIGURE_1A, name="slow.f")
 
             t = threading.Thread(target=occupy)
             t.start()
@@ -448,10 +782,10 @@ class TestClientRetries:
             releaser = threading.Timer(0.3, release.set)
             releaser.start()
             try:
-                retrying = PanoramaClient(
+                with PanoramaClient(
                     port=port, retries=8, backoff_base=0.05
-                )
-                payload = retrying.analyze(FIGURE_1A, name="patient.f")
+                ) as retrying:
+                    payload = retrying.analyze(FIGURE_1A, name="patient.f")
             finally:
                 release.set()
                 releaser.cancel()
@@ -463,7 +797,7 @@ class TestClientRetries:
     def test_zero_retries_raises_immediately(self):
         service = AnalysisService(ServerConfig(max_inflight=0))
         with ServerThread(service) as thread:
-            c = PanoramaClient(port=thread.port, retries=0)
-            with pytest.raises(ServiceError) as err:
-                c.analyze(FIGURE_1A)
+            with PanoramaClient(port=thread.port, retries=0) as c:
+                with pytest.raises(ServiceError) as err:
+                    c.analyze(FIGURE_1A)
             assert err.value.status == 429

@@ -135,6 +135,27 @@ class TestAnalyze:
         assert block["hit_rate"] > first["request"]["hit_rate"]
         assert edited["loops"] == first["loops"]
 
+    def test_served_answer_takes_no_profiler_snapshot(self, monkeypatch):
+        snapshots = []
+        real_snapshot = profiler.snapshot
+
+        def counting_snapshot():
+            snapshots.append(1)
+            return real_snapshot()
+
+        monkeypatch.setattr(profiler, "snapshot", counting_snapshot)
+        service = make_service()
+        first = service.analyze({"source": FIGURE_1A})
+        assert snapshots  # the compile is probed
+        assert first["request"]["hit_rate"] is not None
+        compiled = len(snapshots)
+        served = service.analyze({"source": FIGURE_1A})
+        assert len(snapshots) == compiled
+        assert served["request"]["summary_cache"]["result_hits"] == 1
+        assert served["request"]["symbolic"] == {}
+        assert served["request"]["hit_rate"] is None
+        assert served["loops"] == first["loops"]
+
     def test_malformed_source_is_422_typed(self):
         with pytest.raises(RequestError) as err:
             make_service().analyze({"source": "NOT FORTRAN ]["})
