@@ -32,6 +32,7 @@ from ..regions import GAR, GARList
 from ..regions.gar_ops import subtract_lists, union_lists
 from ..symbolic import SymExpr
 from .convert import ConversionContext, to_symexpr
+from .sum_call import transfer_functions
 from .summary import Summary, collect_uses, reference_gar, scalar_gar
 
 
@@ -51,7 +52,19 @@ def transfer_basic_block(
 def transfer_statement(
     analyzer, stmt: Stmt, mod: GARList, ue: GARList, ctx: ConversionContext
 ) -> tuple[GARList, GARList]:
-    """One statement's (MOD, UE) transfer, backward."""
+    """One statement's (MOD, UE) transfer, backward.  The user FUNCTIONs
+    it references run before it stores, so their SUM_call summaries go
+    above its own effect."""
+    mod, ue = _transfer_own(analyzer, stmt, mod, ue, ctx)
+    if ctx.table.functions:
+        summary = transfer_functions(analyzer, stmt.exprs(), Summary(mod, ue), ctx)
+        mod, ue = summary.mod, summary.ue
+    return mod, ue
+
+
+def _transfer_own(
+    analyzer, stmt: Stmt, mod: GARList, ue: GARList, ctx: ConversionContext
+) -> tuple[GARList, GARList]:
     cmp = analyzer.comparer
     if isinstance(stmt, Assign):
         target = stmt.target

@@ -20,14 +20,19 @@ then mapped at each call site:
 With interprocedural analysis disabled (the T3 ablation), or for calls to
 routines outside the program, the call is opaque: every array reachable by
 the callee is Ω for both MOD and UE.
+
+A user FUNCTION reference is a call too (:func:`transfer_functions`): its
+routine summary maps to the reference's actual arguments the same way,
+and its result variable, callee-local storage, drops out.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Iterable, Optional, Union
 
 from ..errors import BudgetExceeded
 from ..fortran.ast_nodes import Apply, Expr, NameRef
+from ..fortran.semantics import function_refs
 from ..hsg.nodes import CallNode
 from ..perf.profiler import COUNTERS
 from ..regions import GAR, GARList
@@ -38,12 +43,59 @@ from .convert import ConversionContext, to_symexpr
 from .summary import Summary, collect_uses, scalar_gar
 
 
+#: a CALL node, or a user FUNCTION reference
+CallSite = Union[CallNode, Apply]
+
+
+def _callee_and_actuals(site: CallSite) -> tuple[str, list[Expr]]:
+    if isinstance(site, CallNode):
+        return site.callee, site.call.args
+    return site.name, site.args
+
+
 def transfer_call(
     analyzer, node: CallNode, below: Summary, ctx: ConversionContext
 ) -> Summary:
-    """Combine a call's summary with the sets below it."""
+    """Combine a call's summary with the sets below it.  The user
+    FUNCTIONs its actual arguments reference run before it."""
+    summary = _combine(analyzer, summarize_call(analyzer, node, ctx), below, ctx)
+    return transfer_functions(analyzer, node.call.args, summary, ctx)
+
+
+def transfer_functions(
+    analyzer,
+    exprs: Iterable[Optional[Expr]],
+    below: Summary,
+    ctx: ConversionContext,
+) -> Summary:
+    """Combine the summaries of the user FUNCTIONs that evaluating
+    *exprs* references with the sets below; *below* itself when there
+    is none.
+
+    Fortran leaves open the order in which one statement's references
+    run (and forbids one from changing what another part of the
+    statement reads), so their effects join with no kill between them.
+    """
+    if not ctx.table.functions:
+        return below
+    refs = function_refs(exprs)
+    if not refs:
+        return below
     cmp = analyzer.comparer
-    call_summary = summarize_call(analyzer, node, ctx)
+    mod = GARList.empty()
+    ue = GARList.empty()
+    for ref in refs:
+        effect = summarize_call(analyzer, ref, ctx)
+        mod = union_lists(mod, effect.mod, cmp)
+        ue = union_lists(ue, effect.ue, cmp)
+    return _combine(analyzer, Summary(mod, ue), below, ctx)
+
+
+def _combine(
+    analyzer, call_summary: Summary, below: Summary, ctx: ConversionContext
+) -> Summary:
+    """A call's own (MOD, UE) above the sets below it."""
+    cmp = analyzer.comparer
     # scalars possibly written by the call have unknown values below it
     assigned = {
         g.array for g in call_summary.mod if not ctx.table.is_array(g.array)
@@ -58,7 +110,7 @@ def transfer_call(
 
 
 def summarize_call(
-    analyzer, node: CallNode, ctx: ConversionContext
+    analyzer, node: CallSite, ctx: ConversionContext
 ) -> Summary:
     """The call's own (MOD, UE) contribution, in caller terms.
 
@@ -76,11 +128,11 @@ def summarize_call(
 
 
 def _summarize_call_exact(
-    analyzer, node: CallNode, ctx: ConversionContext
+    analyzer, node: CallSite, ctx: ConversionContext
 ) -> Summary:
     COUNTERS.sum_call_calls += 1
     _budget_charge(1)
-    callee = node.callee
+    callee, _ = _callee_and_actuals(node)
     known = callee in analyzer.hsg.analyzed.unit_names()
     if not analyzer.options.interprocedural or not known:
         return opaque_call(node, ctx)
@@ -88,12 +140,12 @@ def _summarize_call_exact(
     return _map_to_actuals(analyzer, summary, node, ctx)
 
 
-def opaque_call(node: CallNode, ctx: ConversionContext) -> Summary:
+def opaque_call(node: CallSite, ctx: ConversionContext) -> Summary:
     """Worst-case effect: arrays passed (or in COMMON) are wholly unknown;
     scalar actuals are read and possibly written."""
     mod = GARList.empty()
     ue = GARList.empty()
-    for arg in node.call.args:
+    for arg in _callee_and_actuals(node)[1]:
         if isinstance(arg, NameRef) and ctx.table.is_array(arg.name):
             rank = ctx.table.arrays[arg.name].rank
             omega = GAR.omega(arg.name, rank)
@@ -125,12 +177,12 @@ def opaque_call(node: CallNode, ctx: ConversionContext) -> Summary:
 
 
 def _map_to_actuals(
-    analyzer, summary: Summary, node: CallNode, ctx: ConversionContext
+    analyzer, summary: Summary, node: CallSite, ctx: ConversionContext
 ) -> Summary:
-    callee_unit = analyzer.hsg.analyzed.unit(node.callee)
-    callee_table = analyzer.hsg.analyzed.table(node.callee)
+    callee, actuals = _callee_and_actuals(node)
+    callee_unit = analyzer.hsg.analyzed.unit(callee)
+    callee_table = analyzer.hsg.analyzed.table(callee)
     formals = callee_unit.params
-    actuals = node.call.args
     cmp = analyzer.comparer
 
     # classify callee names

@@ -48,6 +48,7 @@ from ..symbolic import Predicate, SymExpr
 from .context import LoopSummaryRecord
 from .convert import ConversionContext, to_symexpr
 from .expansion import expand_gar_list
+from .sum_call import transfer_functions
 from .summary import Summary, collect_uses, scalar_gar
 
 
@@ -467,8 +468,10 @@ def transfer_loop(
     below = below.substitute(bindings)
     mod_in = union_lists(record.mod, below.mod, cmp)
     ue_in = union_lists(record.ue, subtract_lists(below.ue, record.mod, cmp), cmp)
-    # loop bound expressions are evaluated on entry: they read scalars
-    for expr in (loop.start, loop.stop, loop.step):
+    # loop bound expressions are evaluated on entry: they read scalars,
+    # and run the user FUNCTIONs they reference
+    bounds = (loop.start, loop.stop, loop.step)
+    for expr in bounds:
         if expr is not None:
             ue_in = union_lists(ue_in, collect_uses(expr, ctx), cmp)
-    return Summary(mod_in, ue_in)
+    return transfer_functions(analyzer, bounds, Summary(mod_in, ue_in), ctx)

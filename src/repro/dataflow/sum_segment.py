@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from ..errors import AnalysisError
 from ..fortran.ast_nodes import Apply, Assign, IoStmt, NameRef
+from ..fortran.semantics import function_refs
 from ..hsg.cfg import FlowGraph, walk_cycle
 from ..hsg.nodes import (
     BasicBlockNode,
@@ -34,7 +35,7 @@ from ..symbolic import Predicate
 from .convert import ConversionContext
 from .summary import Summary, collect_uses, scalar_gar
 from .sum_bb import transfer_basic_block
-from .sum_call import opaque_call, transfer_call
+from .sum_call import opaque_call, transfer_call, transfer_functions
 from .sum_loop import transfer_loop
 
 
@@ -91,8 +92,11 @@ def _transfer(
     if isinstance(node, IfConditionNode):
         # the condition itself reads its operands before branching
         uses = collect_uses(node.cond, ctx)
-        return Summary(
-            below.mod, union_lists(below.ue, uses, analyzer.comparer)
+        return transfer_functions(
+            analyzer,
+            [node.cond],
+            Summary(below.mod, union_lists(below.ue, uses, analyzer.comparer)),
+            ctx,
         )
     if isinstance(node, LoopNode):
         return transfer_loop(analyzer, node, below, ctx)
@@ -108,16 +112,28 @@ def _transfer_condensed(
 ) -> Summary:
     """Conservative summary for a condensed backward-GOTO cycle: every
     array referenced inside is wholly read and written (Ω), every scalar
-    assigned inside has an unknown value and cell state.  A call inside
-    counts as an opaque call: its arguments and every COMMON name."""
+    assigned inside has an unknown value and cell state.  A call or a
+    user FUNCTION reference inside counts as an opaque call: its
+    arguments and every COMMON name."""
     arrays: set[str] = set()
     scalars_written: set[str] = set()
     scalars_read: set[str] = set()
+
+    def opaque(site) -> None:
+        # what any callee may do: its arguments and the COMMON names
+        effect = opaque_call(site, ctx)
+        for gars, scalars in ((effect.mod, scalars_written),
+                              (effect.ue, scalars_read)):
+            for gar in gars:
+                names = arrays if ctx.table.is_array(gar.array) else scalars
+                names.add(gar.array)
 
     def scan_expr(expr) -> None:
         for sub in expr.walk():
             if isinstance(sub, Apply) and sub.is_array:
                 arrays.add(sub.name)
+            elif isinstance(sub, Apply) and sub.name in ctx.table.functions:
+                opaque(sub)
             elif isinstance(sub, NameRef):
                 if ctx.table.is_array(sub.name):
                     arrays.add(sub.name)
@@ -155,13 +171,9 @@ def _transfer_condensed(
             if member.step is not None:
                 scan_expr(member.step)
         elif isinstance(member, CallNode):
-            # what any callee may do: its arguments and the COMMON names
-            effect = opaque_call(member, ctx)
-            for gars, scalars in ((effect.mod, scalars_written),
-                                  (effect.ue, scalars_read)):
-                for gar in gars:
-                    names = arrays if ctx.table.is_array(gar.array) else scalars
-                    names.add(gar.array)
+            opaque(member)
+            for ref in function_refs(member.call.args):
+                opaque(ref)
 
     cmp = analyzer.comparer
     mod = GARList.empty()

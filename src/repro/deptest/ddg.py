@@ -24,8 +24,15 @@ from typing import Optional
 
 from ..dataflow.convert import ConversionContext, to_symexpr
 from ..fortran.ast_nodes import Assign, NameRef
+from ..fortran.semantics import function_refs
 from ..hsg.cfg import walk
-from ..hsg.nodes import BasicBlockNode, CallNode, CondensedNode, LoopNode
+from ..hsg.nodes import (
+    BasicBlockNode,
+    CallNode,
+    CondensedNode,
+    IfConditionNode,
+    LoopNode,
+)
 from ..symbolic import Comparer, SymExpr
 from .banerjee import LoopBounds, banerjee_test
 from .gcd import gcd_test
@@ -141,12 +148,16 @@ def screen_loop(
 ) -> ScreenReport:
     """Run the conventional tests over every conflicting reference pair.
 
-    A call or a condensed backward-GOTO cycle in the body is a barrier:
-    the tests see neither a callee's effects nor how often a cycle runs,
-    so such a loop goes to the interprocedural dataflow (section 6).
+    A call, a user FUNCTION reference or a condensed backward-GOTO cycle
+    in the body is a barrier: the tests see neither a callee's effects
+    nor how often a cycle runs, so such a loop goes to the
+    interprocedural dataflow (section 6).
     """
+    functions = bool(ctx.table.functions)
     if any(
-        isinstance(node, (CallNode, CondensedNode)) for node, _ in walk(loop.body)
+        isinstance(node, (CallNode, CondensedNode))
+        or (functions and function_refs(_node_exprs(node)))
+        for node, _ in walk(loop.body)
     ):
         return ScreenReport(ScreenVerdict.POSSIBLE_DEPENDENCE)
     refs = collect_references(loop, ctx)
@@ -172,6 +183,17 @@ def screen_loop(
     ):
         report.verdict = ScreenVerdict.POSSIBLE_DEPENDENCE
     return report
+
+
+def _node_exprs(node) -> list:
+    """The expressions one body node evaluates itself."""
+    if isinstance(node, BasicBlockNode):
+        return [expr for stmt in node.stmts for expr in stmt.exprs()]
+    if isinstance(node, IfConditionNode):
+        return [node.cond]
+    if isinstance(node, LoopNode):
+        return [node.start, node.stop, node.step]
+    return []
 
 
 def _scalar_writes(loop: LoopNode, ctx: ConversionContext) -> set[str]:

@@ -35,10 +35,11 @@ import dataclasses
 import hashlib
 import json
 import operator
+import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Mapping, Optional, Union
+from typing import TYPE_CHECKING, Any, Callable, Mapping, Optional, Union
 
 from ..driver.hooks import PipelineHooks
 from ..regions import sanitize
@@ -74,8 +75,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: cycles are condensed — v8 verdicts and summaries must not be served;
 #: v10: fresh symbols are numbered per compile and a reader renames a
 #: served entry's symbols apart — a v9 reader renames nothing, so it
-#: must never load entries numbered this way)
-CACHE_FORMAT_VERSION = 10
+#: must never load entries numbered this way;
+#: v11: a user FUNCTION reference carries its routine summary, as a CALL
+#: does, and stops the conventional screen — v10 summaries and verdicts
+#: of a program that references one must not be served)
+CACHE_FORMAT_VERSION = 11
 
 #: on-disk container magic; the digest that follows covers the payload
 DISK_MAGIC = b"PANC\x03\n"
@@ -211,6 +215,17 @@ class ResultEntry:
     payload: bytes
 
 
+class _StoredResult:
+    """One entry of the result tier's memory map: the stored bytes, and
+    the form :meth:`SummaryCache.served_result` derives from them once."""
+
+    __slots__ = ("data", "served")
+
+    def __init__(self, data: bytes) -> None:
+        self.data = data
+        self.served: Any = None
+
+
 @dataclass
 class CacheStats:
     """Counters exported through the engine telemetry."""
@@ -282,7 +297,10 @@ class SummaryCache:
     Whole-item results (:meth:`get_result`/:meth:`put_result`) keep a
     memory map of their own, bounded by the same *max_memory_entries*,
     so they never evict routine summaries; their durable copies go
-    through the same backend.
+    through the same backend.  The memory map, and the ``result_hits``
+    count, may be read from a second thread (:meth:`served_result`,
+    the daemon's event loop): a lock guards them.  Everything else is
+    single-threaded.
     """
 
     def __init__(
@@ -294,7 +312,8 @@ class SummaryCache:
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
         self.max_memory_entries = max(1, max_memory_entries)
         self._memory: OrderedDict[str, RoutineCacheEntry] = OrderedDict()
-        self._results: OrderedDict[str, bytes] = OrderedDict()
+        self._results: OrderedDict[str, _StoredResult] = OrderedDict()
+        self._results_lock = threading.Lock()
         self.stats = CacheStats()
         if backend is None or isinstance(backend, str):
             self.backend = make_backend(backend, cache_dir, self.stats)
@@ -352,17 +371,31 @@ class SummaryCache:
     def get_result(self, key: str, name: str) -> Optional[dict[str, Any]]:
         """The payload stored under a :func:`result_key`, carrying the
         caller's *name*; None on miss."""
-        data = self._results.get(key)
-        if data is None:
+        stored = self._stored_result(key)
+        if stored is None:
             entry = self.backend.get(key) if self.backend is not None else None
             if not isinstance(entry, ResultEntry):
                 return None
-            data = entry.payload
-        self._remember_result(key, data)
-        self.stats.result_hits += 1
-        payload = json.loads(data)
+            stored = self._remember_result(key, entry.payload, hit=True)
+        payload = json.loads(stored.data)
         payload["name"] = name
         return payload
+
+    def served_result(self, key: str, build: Callable[[bytes], Any]) -> Any:
+        """``build(stored bytes)`` of the memory map's entry under *key*,
+        made on the key's first call and kept until the entry is evicted
+        or replaced; None when the memory map holds no such entry.
+
+        Reads no durable tier, so it may run on a thread that does not
+        own the backend's handle.  A returned form counts as a result
+        hit.
+        """
+        stored = self._stored_result(key)
+        if stored is None:
+            return None
+        if stored.served is None:
+            stored.served = build(stored.data)
+        return stored.served
 
     def put_result(self, key: str, payload: Mapping[str, Any]) -> None:
         """Store one finished item's payload under *key*.
@@ -385,7 +418,8 @@ class SummaryCache:
     def clear_memory(self) -> None:
         """Drop the memory tier (durable entries survive)."""
         self._memory.clear()
-        self._results.clear()
+        with self._results_lock:
+            self._results.clear()
 
     def close(self) -> None:
         """Release backend handles (safe to keep using: they reopen)."""
@@ -401,11 +435,26 @@ class SummaryCache:
             self._memory.popitem(last=False)
             self.stats.evictions += 1
 
-    def _remember_result(self, key: str, data: bytes) -> None:
-        self._results[key] = data
-        self._results.move_to_end(key)
-        while len(self._results) > self.max_memory_entries:
-            self._results.popitem(last=False)
+    def _stored_result(self, key: str) -> Optional[_StoredResult]:
+        """The memory map's entry under *key*, counted as a result hit."""
+        with self._results_lock:
+            stored = self._results.get(key)
+            if stored is not None:
+                self._results.move_to_end(key)
+                self.stats.result_hits += 1
+            return stored
+
+    def _remember_result(
+        self, key: str, data: bytes, hit: bool = False
+    ) -> _StoredResult:
+        stored = _StoredResult(data)
+        with self._results_lock:
+            self._results[key] = stored
+            self._results.move_to_end(key)
+            while len(self._results) > self.max_memory_entries:
+                self._results.popitem(last=False)
+            self.stats.result_hits += hit
+        return stored
 
     def _path(self, fingerprint: str) -> Optional[Path]:
         """Disk-tier file of one fingerprint (None off the disk backend);

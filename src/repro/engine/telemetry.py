@@ -34,6 +34,37 @@ SUPERVISION_COUNTERS = (
 )
 
 
+def result_fold(payload: dict[str, Any]) -> dict[str, Any]:
+    """What one serialized compilation result adds to an
+    :class:`EngineTelemetry`: field name -> a number to add, or ->
+    counters that :func:`~repro.perf.profiler.merge` folds in.
+
+    The daemon keeps the fold of each stored result, so serving it
+    again walks none of its rows.
+    """
+    rows = payload.get("loops", [])
+    verdicts: dict[str, int] = {}
+    for r in rows:
+        status = r.get("status", "unknown")
+        verdicts[status] = verdicts.get(status, 0) + 1
+    fold: dict[str, Any] = {
+        "files": 1,
+        "loops": len(rows),
+        "parallel_loops": sum(1 for r in rows if r.get("parallel")),
+        "verdicts": verdicts,
+        "resilience": {
+            "degraded_loops": sum(1 for r in rows if r.get("degraded"))
+        },
+        "timings": payload.get("timings", {}),
+        "stats": payload.get("stats", {}),
+        "symbolic": payload.get("symbolic", {}),
+    }
+    audit = payload.get("audit")
+    if audit is not None:
+        fold["audit"] = {"audited_files": 1, **audit.get("counts", {})}
+    return fold
+
+
 @dataclass
 class EngineTelemetry:
     """Aggregated counters for one engine run (``panorama-batch``,
@@ -96,23 +127,15 @@ class EngineTelemetry:
 
     def note_result(self, payload: dict[str, Any]) -> None:
         """Fold one serialized compilation result into the roll-up."""
-        self.files += 1
-        rows = payload.get("loops", [])
-        self.loops += len(rows)
-        self.parallel_loops += sum(1 for r in rows if r.get("parallel"))
-        for r in rows:
-            status = r.get("status", "unknown")
-            self.verdicts[status] = self.verdicts.get(status, 0) + 1
-        self.resilience["degraded_loops"] += sum(
-            1 for r in rows if r.get("degraded")
-        )
-        profiler.merge(self.timings, payload.get("timings", {}))
-        profiler.merge(self.stats, payload.get("stats", {}))
-        profiler.merge(self.symbolic, payload.get("symbolic", {}))
-        audit = payload.get("audit")
-        if audit is not None:
-            self.audit["audited_files"] += 1
-            profiler.merge(self.audit, audit.get("counts", {}))
+        self.add(result_fold(payload))
+
+    def add(self, fold: dict[str, Any]) -> None:
+        """Add one :func:`result_fold` to the roll-up."""
+        for name, value in fold.items():
+            if isinstance(value, dict):
+                profiler.merge(getattr(self, name), value)
+            else:
+                setattr(self, name, getattr(self, name) + value)
 
     def note_cache(self, stats: CacheStats) -> None:
         """Fold one worker's cache counters into the roll-up."""

@@ -149,6 +149,11 @@ class Stmt:
         """Nested statement lists (for tree walks)."""
         return ()
 
+    def exprs(self) -> Sequence[Expr]:
+        """The expressions this statement evaluates itself (not those of
+        the statements in its body)."""
+        return ()
+
     def walk(self) -> Iterator["Stmt"]:
         """Depth-first iteration over the subtree."""
         yield self
@@ -162,6 +167,10 @@ class Assign(Stmt):
     target: Union[NameRef, Apply]
     value: Expr
 
+    def exprs(self) -> Sequence[Expr]:
+        """Expressions this statement evaluates itself."""
+        return (self.target, self.value)
+
     def __str__(self) -> str:
         return f"{self.target} = {self.value}"
 
@@ -170,6 +179,10 @@ class Assign(Stmt):
 class CallStmt(Stmt):
     name: str
     args: list[Expr]
+
+    def exprs(self) -> Sequence[Expr]:
+        """Expressions this statement evaluates itself."""
+        return self.args
 
     def __str__(self) -> str:
         inner = ", ".join(str(a) for a in self.args)
@@ -187,6 +200,10 @@ class IfBlock(Stmt):
         """Nested statement lists (for tree walks)."""
         return [body for _, body in self.arms] + [self.orelse]
 
+    def exprs(self) -> Sequence[Expr]:
+        """Expressions this statement evaluates itself."""
+        return [cond for cond, _ in self.arms]
+
     def __str__(self) -> str:
         return f"IF ({self.arms[0][0]}) THEN ..."
 
@@ -201,6 +218,10 @@ class LogicalIf(Stmt):
     def body_blocks(self) -> Sequence[list[Stmt]]:
         """Nested statement lists (for tree walks)."""
         return ([self.stmt],)
+
+    def exprs(self) -> Sequence[Expr]:
+        """Expressions this statement evaluates itself."""
+        return (self.cond,)
 
     def __str__(self) -> str:
         return f"IF ({self.cond}) {self.stmt}"
@@ -218,6 +239,10 @@ class DoLoop(Stmt):
     def body_blocks(self) -> Sequence[list[Stmt]]:
         """Nested statement lists (for tree walks)."""
         return (self.body,)
+
+    def exprs(self) -> Sequence[Expr]:
+        """Expressions this statement evaluates itself."""
+        return [e for e in (self.start, self.stop, self.step) if e is not None]
 
     def __str__(self) -> str:
         step = f", {self.step}" if self.step is not None else ""
@@ -256,6 +281,10 @@ class IoStmt(Stmt):
 
     kind: str  # 'write' | 'print' | 'read'
     items: list[Expr]
+
+    def exprs(self) -> Sequence[Expr]:
+        """Expressions this statement evaluates itself."""
+        return self.items
 
     def __str__(self) -> str:
         return f"{self.kind.upper()} ..."

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..errors import CallGraphError
-from .ast_nodes import Apply, Assign, CallStmt, DoLoop, IfBlock, IoStmt, LogicalIf, Stmt
+from .ast_nodes import Apply, CallStmt, Stmt
 from .semantics import AnalyzedProgram
 
 
@@ -34,23 +34,8 @@ class CallGraph:
 
 
 def _called_names(stmt: Stmt) -> set[str]:
-    out: set[str] = set()
-    if isinstance(stmt, CallStmt):
-        out.add(stmt.name)
-        exprs = stmt.args
-    elif isinstance(stmt, Assign):
-        exprs = [stmt.target, stmt.value]
-    elif isinstance(stmt, IfBlock):
-        exprs = [cond for cond, _ in stmt.arms]
-    elif isinstance(stmt, LogicalIf):
-        exprs = [stmt.cond]
-    elif isinstance(stmt, DoLoop):
-        exprs = [stmt.start, stmt.stop] + ([stmt.step] if stmt.step else [])
-    elif isinstance(stmt, IoStmt):
-        exprs = stmt.items
-    else:
-        exprs = []
-    for expr in exprs:
+    out = {stmt.name} if isinstance(stmt, CallStmt) else set()
+    for expr in stmt.exprs():
         for node in expr.walk():
             if isinstance(node, Apply) and node.is_array is False:
                 out.add(node.name)

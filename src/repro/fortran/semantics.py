@@ -14,22 +14,17 @@ table, and records per-unit symbol information used by the analyses:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterable, Optional
 
 from ..errors import SemanticError
 from .ast_nodes import (
     Apply,
     Assign,
-    CallStmt,
     CommonStmt,
     Declaration,
     DimensionStmt,
-    DoLoop,
     Expr,
-    IfBlock,
     IntLit,
-    IoStmt,
-    LogicalIf,
     NameRef,
     ParameterStmt,
     Program,
@@ -39,14 +34,24 @@ from .ast_nodes import (
 )
 
 #: Fortran intrinsics the subset recognizes (never treated as user arrays)
+#: the FORTRAN 77 intrinsic functions, generic and specific names: any
+#: other name applied to arguments, not an array, is a user FUNCTION,
+#: whose side effects the analyses charge as a call's
 INTRINSICS = frozenset(
     {
-        "abs", "iabs", "dabs", "min", "max", "min0", "max0", "amin1", "amax1",
-        "dmin1", "dmax1", "mod", "amod", "dmod", "sqrt", "dsqrt", "exp",
-        "dexp", "log", "alog", "dlog", "sin", "cos", "tan", "dsin", "dcos",
-        "atan", "atan2", "datan", "int", "ifix", "idint", "float", "real",
-        "dble", "sngl", "sign", "isign", "dsign", "nint", "idnint", "len",
-        "char", "ichar", "cmplx", "aimag", "conjg",
+        "int", "ifix", "idint", "real", "float", "sngl", "dble", "cmplx",
+        "ichar", "char", "aint", "dint", "anint", "dnint", "nint", "idnint",
+        "abs", "iabs", "dabs", "cabs", "mod", "amod", "dmod",
+        "sign", "isign", "dsign", "dim", "idim", "ddim", "dprod",
+        "max", "max0", "amax1", "dmax1", "amax0", "max1",
+        "min", "min0", "amin1", "dmin1", "amin0", "min1",
+        "len", "index", "aimag", "conjg",
+        "sqrt", "dsqrt", "csqrt", "exp", "dexp", "cexp",
+        "log", "alog", "dlog", "clog", "log10", "alog10", "dlog10",
+        "sin", "dsin", "csin", "cos", "dcos", "ccos", "tan", "dtan",
+        "asin", "dasin", "acos", "dacos", "atan", "datan", "atan2", "datan2",
+        "sinh", "dsinh", "cosh", "dcosh", "tanh", "dtanh",
+        "lge", "lgt", "lle", "llt",
     }
 )
 
@@ -75,6 +80,9 @@ class SymbolTable:
     parameters: dict[str, Expr] = field(default_factory=dict)
     commons: dict[str, list[str]] = field(default_factory=dict)
     externals: set[str] = field(default_factory=set)
+    #: names this unit references as user FUNCTIONs (applied, neither
+    #: arrays nor intrinsics), defined in the program or not
+    functions: set[str] = field(default_factory=set)
 
     def is_array(self, name: str) -> bool:
         """Is *name* a declared (or inferred) array?"""
@@ -201,6 +209,8 @@ def _resolve_applies(
         for node in expr.walk():
             if isinstance(node, Apply):
                 node.is_array = _classify(node.name, table, function_names)
+                if not node.is_array and node.name not in INTRINSICS:
+                    table.functions.add(node.name)
 
     def visit_stmt(stmt: Stmt) -> None:
         if isinstance(stmt, Assign):
@@ -219,29 +229,31 @@ def _resolve_applies(
                     [NameRef("*") for _ in stmt.target.args],
                 )
                 stmt.target.is_array = True
-        elif isinstance(stmt, CallStmt):
-            for arg in stmt.args:
-                visit_expr(arg)
-        elif isinstance(stmt, (IfBlock,)):
-            for cond, _ in stmt.arms:
-                visit_expr(cond)
-        elif isinstance(stmt, LogicalIf):
-            visit_expr(stmt.cond)
-        elif isinstance(stmt, DoLoop):
-            visit_expr(stmt.start)
-            visit_expr(stmt.stop)
-            if stmt.step is not None:
-                visit_expr(stmt.step)
-        elif isinstance(stmt, IoStmt):
-            for item in stmt.items:
-                visit_expr(item)
+        else:
+            for expr in stmt.exprs():
+                visit_expr(expr)
 
     for stmt in unit.walk_statements():
         visit_stmt(stmt)
     # two passes: the first may have declared implicit arrays used before
     # their first assignment in statement order
+    table.functions.clear()
     for stmt in unit.walk_statements():
         visit_stmt(stmt)
+
+
+def function_refs(exprs: Iterable[Optional[Expr]]) -> list[Apply]:
+    """The user FUNCTION references inside *exprs* (None entries are
+    skipped): applications that are neither arrays nor intrinsics."""
+    return [
+        node
+        for expr in exprs
+        if expr is not None
+        for node in expr.walk()
+        if isinstance(node, Apply)
+        and not node.is_array
+        and node.name not in INTRINSICS
+    ]
 
 
 def _classify(name: str, table: SymbolTable, function_names: set[str]) -> bool:

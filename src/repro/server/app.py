@@ -3,10 +3,11 @@
 Concurrency model
 -----------------
 
-The event loop thread does I/O only.  All analysis runs on **one**
-dedicated worker thread (a ``ThreadPoolExecutor(max_workers=1)``):
-the symbolic interning tables, proof memos, and the summary cache are
-per-process structures written without locks, and the active
+The event loop thread does I/O, and answers stored results.  All
+analysis runs on **one** dedicated worker thread (a
+``ThreadPoolExecutor(max_workers=1)``): the symbolic interning tables,
+proof memos, and the summary cache are per-process structures written
+without locks, and the active
 :class:`~repro.resilience.budget.AnalysisBudget` is a process global —
 serializing analysis keeps all of them single-writer while the loop
 stays responsive for ``/v1/health`` and ``/v1/stats`` (and for telling
@@ -16,6 +17,15 @@ batch engine's job (``panorama-batch --jobs N``), scale-*up* of request
 concurrency belongs to running several daemons behind a port balancer,
 each with its own warm caches.
 
+A ``POST /v1/analyze`` that is not streamed and whose answer the result
+tier's memory map holds is answered on the loop thread, from a
+canonical encoding of the stored payload made once per entry; it never
+waits for the analysis thread.  Only misses go to the analysis thread:
+compiles, and durable-tier reads (the SQLite handle is that thread's).
+The result map and the telemetry, which both threads now write, are
+guarded by locks; the loop only reads the other gauges it reports, as
+``/v1/stats`` always has.
+
 Admission control
 -----------------
 
@@ -23,7 +33,10 @@ Admission control
 the analysis thread.  At the bound, new analysis requests are answered
 ``429 Too Many Requests`` with a ``Retry-After`` header before any of
 their work happens — saturation degrades to back-pressure, never to a
-growing queue that eventually takes the resident process down.
+growing queue that eventually takes the resident process down.  A
+request the loop answers from the result tier passes the same
+admission and drain checks, and holds its slot only while the loop
+writes its answer.
 """
 
 from __future__ import annotations
@@ -257,8 +270,16 @@ class PanoramaServer:
                     lambda emit: service.analyze_stream(body, emit),
                     stream=True,
                 )
+            # the loop's own call goes through the class: an instance
+            # attribute may wrap analyze (tests hold the analysis thread
+            # that way), and it must not run here
             return await self._admitted(
-                writer, "analyze", lambda: service.analyze(body)
+                writer,
+                "analyze",
+                lambda: service.analyze(body),
+                served=lambda: type(service).analyze(
+                    service, body, served_only=True
+                ),
             )
 
         if path == "/v1/watch":
@@ -299,11 +320,14 @@ class PanoramaServer:
     # -- the analysis endpoints ---------------------------------------------------
 
     async def _admitted(
-        self, writer, endpoint: str, run, stream: bool = False
+        self, writer, endpoint: str, run, stream: bool = False, served=None
     ) -> bool:
         """Count one analysis request, admit it, run it on the analysis
         thread and write its answer; returns True when the response
-        streamed.  *run* takes the stream's ``emit`` when *stream*."""
+        streamed.  *run* takes the stream's ``emit`` when *stream*.
+
+        *served*, when given, runs first, on this thread: the finished
+        body of a stored answer, or None to run *run* after all."""
         service = self.service
         service.note_request(endpoint)
         rejection = self._admit()
@@ -315,6 +339,11 @@ class PanoramaServer:
             if stream:
                 await self._stream(writer, loop, run)
                 return True
+            body = served() if served is not None else None
+            if body is not None:
+                service.note_response(200)
+                self._write(writer, response_bytes(200, body))
+                return False
             payload = await loop.run_in_executor(self._executor, run)
             self._write(writer, self._json(200, payload))
         except RequestError as exc:

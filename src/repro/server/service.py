@@ -32,13 +32,19 @@ Request semantics (docs/server.md):
 * **unchanged requests are served whole** — an analyze request whose
   source, options, sizes and audit flag were answered before is served
   from the cache's result tier without parsing; a stream replays the
-  stored rows as the same events a compile emits.
+  stored rows as the same events a compile emits.  The event loop
+  answers such a request itself when the result tier's memory map holds
+  it (``analyze(..., served_only=True)``): it splices the request's
+  ``degraded``, ``name`` and ``request`` fragments into the stored
+  payload's canonical encoding, made once per entry.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import os
+import threading
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
@@ -51,12 +57,64 @@ from ..driver.report import loop_report_row, result_to_dict
 from ..engine.batch import BatchItem, compile_item
 from ..engine.cache import CacheStats, SummaryCache, result_key, serves_results
 from ..engine.incremental import diff_revisions
-from ..engine.telemetry import EngineTelemetry
+from ..engine.telemetry import EngineTelemetry, result_fold
 from ..errors import classify_exception, describe_failure
 from ..perf import profiler
 
 #: event type tags of the NDJSON stream, in emission order
 STREAM_EVENTS = ("routine_started", "loop_verdict", "diagnostic", "done")
+
+#: the ``request.summary_cache`` of an answer served whole
+SERVED_CACHE_DELTA = CacheStats(result_hits=1).as_dict()
+
+#: payload keys each request sets afresh, in sorted order
+_SPLICED = ("degraded", "name", "request")
+
+
+@dataclass(frozen=True)
+class _ServedForm:
+    """A stored result as the event loop serves it, made once per entry.
+
+    *parts* is the canonical body of the stored payload (sorted keys,
+    :func:`~repro.server.http.json_body`'s separators) cut where the
+    ``degraded``, ``name`` and ``request`` fragments of a request go.
+    """
+
+    parts: tuple[bytes, ...]
+    degraded_loops: int
+    #: what serving it adds to the daemon's telemetry
+    fold: dict[str, Any]
+
+    @classmethod
+    def of(cls, data: bytes) -> "_ServedForm":
+        stored = json.loads(data)
+        fragments = [
+            # JSON text never holds a raw NUL: it marks the splice points
+            "\0" if key in _SPLICED
+            else f"{json.dumps(key)}: {json.dumps(stored[key], sort_keys=True)}"
+            for key in sorted({*stored, *_SPLICED})
+        ]
+        text = "{" + ", ".join(fragments) + "}\n"
+        return cls(
+            parts=tuple(part.encode() for part in text.split("\0")),
+            degraded_loops=sum(
+                1 for row in stored.get("loops", []) if row["degraded"]
+            ),
+            fold=result_fold(stored),
+        )
+
+    def body(self, name: str, request: dict[str, Any]) -> bytes:
+        """``json_body`` of the payload served under *name*."""
+        head, before_name, before_request, tail = self.parts
+        return b"".join((
+            head,
+            b'"degraded": true' if self.degraded_loops else b'"degraded": false',
+            before_name,
+            b'"name": ' + json.dumps(name).encode(),
+            before_request,
+            b'"request": ' + json.dumps(request, sort_keys=True).encode(),
+            tail,
+        ))
 
 
 @dataclass
@@ -161,8 +219,10 @@ class AnalysisService:
     Analysis entry points (:meth:`analyze`, :meth:`analyze_stream`,
     :meth:`watch_submit`) must be called from a single thread at a time
     — the asyncio layer guarantees that with its one-worker executor.
-    :meth:`health` / :meth:`stats` are read-only and safe from the event
-    loop thread.
+    ``analyze(..., served_only=True)``, :meth:`health` and :meth:`stats`
+    are safe from the event loop thread beside it: they compile nothing,
+    and the result map and the telemetry they share with the analysis
+    thread are guarded by locks.
     """
 
     def __init__(self, config: ServerConfig | None = None) -> None:
@@ -171,6 +231,9 @@ class AnalysisService:
             self.config.cache_dir, backend=self.config.cache_backend
         )
         self.telemetry = EngineTelemetry()
+        #: guards the telemetry, which served answers fold from the
+        #: event loop while compiles fold from the analysis thread
+        self._telemetry_lock = threading.Lock()
         self.started_monotonic = time.monotonic()
         self.started_at = time.time()
         #: request counts by endpoint
@@ -288,8 +351,17 @@ class AnalysisService:
         self,
         body: Any,
         on_event: Callable[[dict[str, Any]], None] | None = None,
-    ) -> dict[str, Any]:
-        """One ``POST /v1/analyze`` request: source in, verdicts out."""
+        *,
+        served_only: bool = False,
+    ) -> Any:
+        """One ``POST /v1/analyze`` request: source in, verdicts out.
+
+        Returns the payload.  With *served_only* (the event loop's call)
+        the answer comes from the result tier's memory map alone, as the
+        finished response body (``bytes``): None when the map holds no
+        entry under the request's key.  That call compiles nothing and
+        reads no durable tier.
+        """
         name, source = self._source_of(body)
         options = self.build_options(body)
         sizes = self._sizes_of(body)
@@ -303,8 +375,11 @@ class AnalysisService:
         )
 
         t0 = time.perf_counter()
+        if served_only:
+            return self._served_body(key, name, t0) if key is not None else None
         cache_before = self.cache.stats.copy()
         payload = self.cache.get_result(key, name) if key is not None else None
+        served = payload is not None
         # a served answer does no symbolic work: only a compile is probed
         symbolic: dict[str, float] = {}
         if payload is None:
@@ -326,10 +401,24 @@ class AnalysisService:
         degraded_loops = sum(1 for row in payload["loops"] if row["degraded"])
         payload["degraded"] = bool(degraded_loops)
         payload["request"] = self._request_block(
-            t0, symbolic, cache_before, degraded_loops
+            t0, symbolic, self._cache_delta(cache_before, served), degraded_loops
         )
-        self.telemetry.note_result(payload)
+        with self._telemetry_lock:
+            self.telemetry.note_result(payload)
         return payload
+
+    def _served_body(self, key: str, name: str, t0: float) -> Optional[bytes]:
+        """The body of an answer served from the result tier's memory
+        map, or None when the map holds no entry under *key*."""
+        form = self.cache.served_result(key, _ServedForm.of)
+        if form is None:
+            return None
+        with self._telemetry_lock:
+            self.telemetry.add(form.fold)
+        return form.body(
+            name,
+            self._request_block(t0, {}, SERVED_CACHE_DELTA, form.degraded_loops),
+        )
 
     def analyze_stream(
         self,
@@ -385,11 +474,19 @@ class AnalysisService:
             status = 422 if kind in ("source", "analysis") else 500
             raise RequestError(status, kind, describe_failure(exc)) from exc
 
+    def _cache_delta(self, before: CacheStats, served: bool) -> dict[str, int]:
+        """The summary-cache counters this request moved on the analysis
+        thread.  The event loop serves other requests meanwhile, moving
+        ``result_hits`` only: that one is this request's own."""
+        delta = self.cache.stats.delta(before)
+        delta.result_hits = int(served)
+        return delta.as_dict()
+
+    @staticmethod
     def _request_block(
-        self,
         t0: float,
         symbolic: dict[str, float],
-        cache_before: CacheStats,
+        summary_cache: dict[str, int],
         degraded_loops: int,
     ) -> dict[str, Any]:
         """The per-request observability payload; *symbolic* is the
@@ -397,7 +494,7 @@ class AnalysisService:
         return {
             "elapsed_ms": round((time.perf_counter() - t0) * 1000.0, 3),
             "degraded_loops": degraded_loops,
-            "summary_cache": self.cache.stats.delta(cache_before).as_dict(),
+            "summary_cache": summary_cache,
             "symbolic": symbolic,
             # hit rate of the symbolic memo/interning tables, this
             # request only: the number that climbs as the daemon warms
@@ -467,7 +564,10 @@ class AnalysisService:
             "parallel_loops": len(result.parallel_loops()),
             "degraded": bool(result.degraded_loops()),
             "request": self._request_block(
-                t0, symbolic, cache_before, len(result.degraded_loops())
+                t0,
+                symbolic,
+                self._cache_delta(cache_before, served=False),
+                len(result.degraded_loops()),
             ),
         }
         if audit_report is not None:
@@ -493,7 +593,8 @@ class AnalysisService:
     def stats(self) -> dict[str, Any]:
         """The ``GET /v1/stats`` payload: every resident gauge at once."""
         snap = profiler.snapshot()
-        telemetry = self.telemetry.as_dict()
+        with self._telemetry_lock:
+            telemetry = self.telemetry.as_dict()
         return {
             "server": {
                 "version": __version__,

@@ -1,10 +1,12 @@
-"""Calls and condensed GOTO cycles are barriers to the conventional screen.
+"""Calls, user FUNCTION references and condensed GOTO cycles are
+barriers to the conventional screen.
 
 The conventional tests see neither a callee's scalar, array-element and
 COMMON effects nor how often a backward-GOTO cycle runs, so a loop whose
-body holds either goes to the interprocedural dataflow (paper section 6).
-Each program here was once reported parallel without it (or, for the
-cycles inside a DO body, refused as a cyclic flow subgraph).  The passes
+body holds either goes to the interprocedural dataflow (paper section 6),
+which maps a FUNCTION's routine summary at each reference as it maps a
+CALL's.  Each program here was once reported parallel without it (or,
+for the cycles inside a DO body, refused as a cyclic flow subgraph).  The passes
 that read a cycle's members (the cycle's own summary, induction and
 reduction recognition) must see every statement in it.
 """
@@ -13,9 +15,20 @@ import pytest
 
 from repro import Panorama
 from repro.audit import audit_compilation
+from repro.codegen import annotate
 from repro.parallelize import LoopStatus
 
 BUMP = "      SUBROUTINE bump(k)\n      REAL k\n      k = k + 1\n      END\n"
+#: stores its third argument in one element of its first
+PUT = (
+    "      SUBROUTINE put(b, j, v)\n      REAL b(100), v\n      INTEGER j\n"
+    "      b(j) = v\n      END\n"
+)
+#: a FUNCTION that bumps its formal
+NEXT = (
+    "      REAL FUNCTION f(y)\n      REAL y\n      y = y + 1.0\n      f = y\n"
+    "      END\n"
+)
 
 PROGRAMS = {
     # the callee writes the scalar actual, which the body then reads
@@ -109,6 +122,54 @@ PROGRAMS = {
         "        t = t + 1.0\n        IF (k .LT. 3) GOTO 20\n"
         "   10 CONTINUE\n      END\n"
     ),
+    # a FUNCTION reference writes the scalar actual it is passed
+    "function-formal": (
+        "      SUBROUTINE s(a, n)\n      REAL a(100), t\n      INTEGER n, i\n"
+        "      DO 10 i = 1, n\n        a(i) = f(t)\n   10 CONTINUE\n      END\n"
+        + NEXT
+    ),
+    # ... or a COMMON scalar the body reads
+    "function-common": (
+        "      SUBROUTINE s(a, n)\n      REAL a(100)\n      INTEGER n, i\n"
+        "      COMMON /c/ t\n"
+        "      DO 10 i = 1, n\n        a(i) = g(1.0) + t\n   10 CONTINUE\n"
+        "      END\n"
+        "      REAL FUNCTION g(y)\n      REAL y\n      COMMON /c/ t\n"
+        "      t = t + y\n      g = y\n      END\n"
+    ),
+    # ... from an IF condition
+    "function-in-condition": (
+        "      SUBROUTINE s(a, n)\n      REAL a(100), t\n      INTEGER n, i\n"
+        "      DO 10 i = 1, n\n        IF (f(t) .GT. 5.0) a(i) = 1.0\n"
+        "   10 CONTINUE\n      END\n" + NEXT
+    ),
+    # ... from a CALL's actual argument, outside a GOTO cycle and inside one
+    "function-in-call-argument": (
+        "      SUBROUTINE s(a, n)\n      REAL a(100), t\n      INTEGER n, i\n"
+        "      DO 10 i = 1, n\n        CALL put(a, i, f(t))\n   10 CONTINUE\n"
+        "      END\n" + PUT + NEXT
+    ),
+    "goto-cycle-function-in-call-argument": (
+        "      SUBROUTINE s(a, n)\n      REAL a(100), t\n      INTEGER n, i, k\n"
+        "      DO 10 i = 1, n\n        k = 0\n   20   k = k + 1\n"
+        "        CALL put(a, i, f(t))\n        IF (k .LT. 3) GOTO 20\n"
+        "   10 CONTINUE\n      END\n" + PUT + NEXT
+    ),
+    # a FUNCTION with no unit in the program has the opaque-call effects
+    "function-external": (
+        "      SUBROUTINE s(a, n)\n      REAL a(100), t\n      INTEGER n, i\n"
+        "      DO 10 i = 1, n\n        a(i) = ext(t)\n   10 CONTINUE\n"
+        "      END\n"
+    ),
+    # a FUNCTION that writes nothing the caller sees: still parallel,
+    # its result variable being callee-local storage
+    "function-pure": (
+        "      SUBROUTINE s(a, b, n)\n      REAL a(100), b(100)\n"
+        "      INTEGER n, i\n"
+        "      DO 10 i = 1, n\n        a(i) = h(b(i))\n   10 CONTINUE\n"
+        "      END\n"
+        "      REAL FUNCTION h(y)\n      REAL y\n      h = 2.0 * y\n      END\n"
+    ),
     # a WHILE loop written with GOTO, its counter reset each iteration
     "goto-cycle-private": (
         "      SUBROUTINE s(a, n)\n      REAL a(100)\n      INTEGER n, i, j\n"
@@ -139,6 +200,22 @@ EXPECTED = {
     ),
     "goto-cycle-reduction": (PRIVATIZED, [], ["k"], ["t"]),
     "goto-cycle-private": (PRIVATIZED, [], ["j"], []),
+    "function-formal": (SERIAL, ["flow dependence carried on t"], [], []),
+    "function-common": (SERIAL, ["flow dependence carried on t"], [], []),
+    "function-in-condition": (
+        SERIAL, ["flow dependence carried on t"], [], []
+    ),
+    "function-external": (SERIAL, ["flow dependence carried on t"], [], []),
+    "function-in-call-argument": (
+        SERIAL, ["flow dependence carried on t"], [], []
+    ),
+    "goto-cycle-function-in-call-argument": (
+        SERIAL,
+        ["flow dependence carried on a", "flow dependence carried on t"],
+        ["k"],
+        [],
+    ),
+    "function-pure": (LoopStatus.PARALLEL, [], [], []),
 }
 
 #: the programs whose loop body holds a condensed cycle
@@ -168,3 +245,28 @@ def test_cycle_in_loop_body_is_linted(name):
     audit = audit_compilation(result, f"{name}.f", source=PROGRAMS[name])
     assert [d.code for d in audit.lint] == ["PAN202"]
     assert audit.clean()
+
+
+@pytest.mark.parametrize(
+    "name, parallel",
+    [("function-formal", False), ("function-common", False),
+     ("function-pure", True)],
+)
+def test_function_effects_reach_the_directive(name, parallel):
+    result = Panorama(run_machine_model=False).compile(PROGRAMS[name])
+    omp = annotate(result, style="omp")
+    assert ("C$OMP PARALLEL DO" in omp) is parallel
+
+
+def test_standard_intrinsics_are_not_barriers():
+    """A FORTRAN 77 intrinsic is no user FUNCTION: it leaves the screen
+    its verdict and the loop parallel."""
+    source = (
+        "      SUBROUTINE s(a, b, n)\n      REAL a(100), b(100)\n"
+        "      INTEGER n, i\n      DO 10 i = 1, n\n"
+        "        a(i) = log10(b(i)) + acos(b(i)) + tanh(b(i)) + dim(b(i), 1.0)\n"
+        "   10 CONTINUE\n      END\n"
+    )
+    report = Panorama(run_machine_model=False).compile(source).loops[0]
+    assert report.screen.verdict.value == "independent"
+    assert report.status is LoopStatus.PARALLEL

@@ -28,6 +28,7 @@ import pytest
 import repro
 from repro.driver.panorama import Panorama
 from repro.driver.report import loop_report_row
+from repro.engine.cache import CacheStats
 from repro.kernels import KERNELS
 from repro.kernels.figure1 import FIGURE_1A, FIGURE_1C
 from repro.perf import profiler
@@ -40,6 +41,7 @@ from repro.server import (
     ServiceError,
 )
 from repro.server.cli import run_selftest
+from repro.server.http import json_body
 
 BAD_SOURCE = "THIS IS NOT FORTRAN ]["
 
@@ -92,6 +94,27 @@ def wait_for(predicate, seconds: float = 30.0) -> None:
     while not predicate():
         assert time.monotonic() < deadline, "timed out waiting"
         time.sleep(0.01)
+
+
+def hold(service: AnalysisService, name: str):
+    """Stub *service*'s ``analyze`` on the instance: a request named
+    *name* waits there until the returned ``release`` is set, after
+    setting ``started``; any other request runs as usual."""
+    started, release = threading.Event(), threading.Event()
+    real_analyze = service.analyze
+
+    def held_analyze(body, on_event=None):
+        if body.get("name") == name:
+            started.set()
+            assert release.wait(timeout=30)
+        return real_analyze(body, on_event)
+
+    service.analyze = held_analyze
+    return started, release
+
+
+#: the ``request.summary_cache`` of an answer served whole
+SERVED_WHOLE = {**dict.fromkeys(CacheStats().as_dict(), 0), "result_hits": 1}
 
 
 def record_loop_exceptions(thread: ServerThread) -> list[dict]:
@@ -281,6 +304,198 @@ class TestConcurrency:
                 c.close()
             # the occupying request finished normally after release
             assert holder["payload"]["loops"] == expected_rows(FIGURE_1A)
+
+
+class TestServedOnTheLoop:
+    """A stored answer is written by the event loop, which never waits
+    for the analysis thread: the loop runs no compile, no durable-tier
+    read and no instance-level ``analyze``."""
+
+    def test_served_beside_a_running_compile(self):
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        service = AnalysisService(ServerConfig(max_inflight=4))
+        started, release = hold(service, "slow.f")
+        try:
+            with ServerThread(service) as thread, \
+                    PanoramaClient(port=thread.port, retries=0) as c:
+                c.analyze(FIGURE_1A, name="stored.f")
+                holder: dict = {}
+
+                def occupy():
+                    with PanoramaClient(port=thread.port, retries=0) as slow:
+                        holder["payload"] = slow.analyze(FIGURE_1C, name="slow.f")
+
+                t = threading.Thread(target=occupy)
+                t.start()
+                try:
+                    assert started.wait(timeout=30)
+                    served = c.analyze(FIGURE_1A, name="repeat.f")
+                    # answered while the analysis thread is still held
+                    assert not release.is_set() and t.is_alive()
+                    assert served["request"]["summary_cache"] == SERVED_WHOLE
+                    assert served["name"] == "repeat.f"
+                    assert served["loops"] == expected_rows(FIGURE_1A)
+                    stats = c.stats()
+                    # unanswered: the held request and this stats request
+                    assert (sum(stats["requests"].values())
+                            == sum(stats["responses"].values()) + 2)
+                    assert stats["admission"]["in_flight"] == 1
+                finally:
+                    release.set()
+                    t.join(timeout=60)
+                assert holder["payload"]["loops"] == expected_rows(FIGURE_1C)
+                stats = c.stats()
+                assert (sum(stats["requests"].values())
+                        == sum(stats["responses"].values()) + 1)
+                assert stats["requests"]["analyze"] == 3
+                assert stats["responses"]["200"] == 4
+                assert stats["summary_cache"]["result_hits"] == 1
+                assert stats["telemetry"]["files"] == 3
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_loop_runs_no_compile_no_durable_read_no_stub(
+        self, tmp_path, monkeypatch
+    ):
+        import repro.server.service as service_module
+
+        ran: dict[str, list[str]] = {
+            "stub": [], "compile": [], "durable": [], "served": []
+        }
+
+        def recording(kind, fn):
+            def wrapper(*args, **kwargs):
+                ran[kind].append(threading.current_thread().name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        service = AnalysisService(ServerConfig(cache_dir=str(tmp_path)))
+        service.analyze = recording("stub", service.analyze)
+        backend = service.cache.backend
+        backend.get = recording("durable", backend.get)
+        monkeypatch.setattr(service_module, "compile_item", recording(
+            "compile", service_module.compile_item))
+        monkeypatch.setattr(AnalysisService, "_served_body", recording(
+            "served", AnalysisService._served_body))
+        with ServerThread(service) as thread, \
+                PanoramaClient(port=thread.port, retries=0) as c:
+            first = c.analyze(FIGURE_1A, name="a.f")
+            assert c.analyze(FIGURE_1A, name="b.f")["request"][
+                "summary_cache"] == SERVED_WHOLE
+            # from the durable tier: read on the analysis thread, then
+            # served from memory on the loop
+            service.cache.clear_memory()
+            durable = c.analyze(FIGURE_1A, name="c.f")
+            assert durable["request"]["summary_cache"]["result_hits"] == 1
+            assert durable["request"]["summary_cache"]["disk_errors"] == 0
+            again = c.analyze(FIGURE_1A, name="d.f")
+            assert again["request"]["summary_cache"] == SERVED_WHOLE
+        assert first["loops"] == durable["loops"] == again["loops"]
+        # the loop tried each request from memory; it served two
+        assert ran["served"] == ["panorama-serve"] * 4
+        assert len(ran["stub"]) == 2 and len(ran["compile"]) == 1
+        assert ran["durable"]
+        for kind in ("stub", "compile", "durable"):
+            assert all(
+                name.startswith("panorama-analysis") for name in ran[kind]
+            ), (kind, ran[kind])
+
+    def test_served_body_is_canonical(self, server):
+        """The spliced body is byte-identical to ``json_body`` of its
+        payload, audited or not."""
+        kernel = PROGRAMS[0]
+        for audit in (False, True):
+            body = json.dumps({
+                "source": kernel.source, "name": kernel.full_id,
+                "sizes": dict(kernel.sizes), "audit": audit,
+            })
+            conn = http.client.HTTPConnection("127.0.0.1", server.port,
+                                              timeout=60)
+            try:
+                for _ in range(2):
+                    conn.request("POST", "/v1/analyze", body=body)
+                    raw = conn.getresponse().read()
+            finally:
+                conn.close()
+            payload = json.loads(raw)
+            assert payload["request"]["summary_cache"] == SERVED_WHOLE
+            assert raw == json_body(payload)
+            assert ("audit" in payload) is audit
+
+
+class TestServedAdmission:
+    """A stored answer passes the same admission and drain checks as a
+    compile before the loop writes it."""
+
+    def test_saturated_daemon_answers_429_to_served_and_compile(self):
+        service = AnalysisService(ServerConfig(max_inflight=1))
+        started, release = hold(service, "slow.f")
+        with ServerThread(service) as thread, \
+                PanoramaClient(port=thread.port, retries=0) as c:
+            c.analyze(FIGURE_1A, name="stored.f")
+
+            def occupy():
+                with PanoramaClient(port=thread.port, retries=0) as slow:
+                    slow.analyze(FIGURE_1C, name="slow.f")
+
+            t = threading.Thread(target=occupy)
+            t.start()
+            try:
+                assert started.wait(timeout=30)
+                for source in (FIGURE_1A, FIGURE_1C + "C unseen\n"):
+                    with pytest.raises(ServiceError) as err:
+                        c.analyze(source, name="bounced.f")
+                    assert err.value.status == 429
+                    assert err.value.kind == "saturated"
+                    assert err.value.retry_after is not None
+                assert service.admission["rejected"] == 2
+            finally:
+                release.set()
+                t.join(timeout=60)
+            # the slot is free again: the stored answer is served
+            served = c.analyze(FIGURE_1A, name="later.f")
+            assert served["request"]["summary_cache"] == SERVED_WHOLE
+            assert c.stats()["admission"]["in_flight"] == 0
+
+    def test_draining_daemon_answers_503_to_served(self):
+        service = AnalysisService(
+            ServerConfig(max_inflight=4, drain_timeout_s=30.0)
+        )
+        started, release = hold(service, "slow.f")
+        with ServerThread(service) as thread:
+            with PanoramaClient(port=thread.port, retries=0) as c:
+                c.analyze(FIGURE_1A, name="stored.f")
+            holder: dict = {}
+
+            def occupy():
+                with PanoramaClient(port=thread.port, retries=0) as slow:
+                    holder["payload"] = slow.analyze(FIGURE_1C, name="slow.f")
+
+            t = threading.Thread(target=occupy)
+            t.start()
+            assert started.wait(timeout=30)
+            drained: dict = {}
+            drainer = threading.Thread(
+                target=lambda: drained.setdefault("clean", thread.drain())
+            )
+            drainer.start()
+            try:
+                wait_for(lambda: service.draining)
+                with PanoramaClient(port=thread.port, retries=0) as probe:
+                    with pytest.raises(ServiceError) as err:
+                        probe.analyze(FIGURE_1A, name="late.f")
+                assert err.value.status == 503
+                assert err.value.kind == "draining"
+                assert err.value.retry_after is not None
+            finally:
+                release.set()
+                t.join(timeout=60)
+                drainer.join(timeout=60)
+        assert drained["clean"] is True
+        assert holder["payload"]["loops"] == expected_rows(FIGURE_1C)
+        assert service.admission["drained_rejects"] == 1
+        assert service.cache.stats.result_hits == 0
 
 
 class TestFailureContainment:
